@@ -125,8 +125,7 @@ int run_backend_json_sweep(const std::string& path) {
                "{\n"
                "  \"bench\": \"fig5_fig6_derivative_opt --json\",\n"
                "  \"compare\": \"kernel dispatch backends (scalar, fixed-n, "
-               "simd, simd-fma, batched) on the derivative contraction "
-               "pair\",\n"
+               "simd-fma, batched) on the derivative contraction pair\",\n"
                "  \"shapes\": \"per element: dudr (NxN * NxN^2) + dudt "
                "(N^2xN * NxN) via kernels::grad_backend\",\n"
                "  \"timing\": \"best of 7 samples, 20 sweeps per sample\",\n"
@@ -196,8 +195,7 @@ int run_backend_json_sweep(const std::string& path) {
                   prof::percent_of_peak(mach, gflops));
       if (secs[bi] < secs[best_bi]) best_bi = bi;
       if (b == Backend::kFixedN) fixed_s = secs[bi];
-      if (b == Backend::kSimd || b == Backend::kSimdFma ||
-          b == Backend::kBatched) {
+      if (b == Backend::kSimdFma || b == Backend::kBatched) {
         best_simd_s = std::min(best_simd_s, secs[bi]);
       }
       if (bi > 0) {

@@ -98,9 +98,6 @@ void GradTunedS(benchmark::State& s) {
 void GradTunedT(benchmark::State& s) {
   bench_grad(s, GradVariant::kFusedUnrolled, 2);
 }
-void GradBlockedR(benchmark::State& s) {
-  bench_grad(s, GradVariant::kBlocked, 0);
-}
 void GradFixedNR(benchmark::State& s) {
   bench_grad_backend(s, Backend::kFixedN, 0);
 }
@@ -109,15 +106,6 @@ void GradFixedNS(benchmark::State& s) {
 }
 void GradFixedNT(benchmark::State& s) {
   bench_grad_backend(s, Backend::kFixedN, 2);
-}
-void GradSimdR(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kSimd, 0);
-}
-void GradSimdS(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kSimd, 1);
-}
-void GradSimdT(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kSimd, 2);
 }
 void GradSimdFmaR(benchmark::State& s) {
   bench_grad_backend(s, Backend::kSimdFma, 0);
@@ -205,13 +193,9 @@ BENCHMARK(GradBasicT)->DenseRange(5, 25, 5);
 BENCHMARK(GradTunedR)->DenseRange(5, 25, 5);
 BENCHMARK(GradTunedS)->DenseRange(5, 25, 5);
 BENCHMARK(GradTunedT)->DenseRange(5, 25, 5);
-BENCHMARK(GradBlockedR)->DenseRange(5, 25, 5);
 BENCHMARK(GradFixedNR)->DenseRange(5, 25, 5);
 BENCHMARK(GradFixedNS)->DenseRange(5, 25, 5);
 BENCHMARK(GradFixedNT)->DenseRange(5, 25, 5);
-BENCHMARK(GradSimdR)->DenseRange(5, 25, 5);
-BENCHMARK(GradSimdS)->DenseRange(5, 25, 5);
-BENCHMARK(GradSimdT)->DenseRange(5, 25, 5);
 BENCHMARK(GradSimdFmaR)->DenseRange(5, 25, 5);
 BENCHMARK(GradSimdFmaS)->DenseRange(5, 25, 5);
 BENCHMARK(GradSimdFmaT)->DenseRange(5, 25, 5);

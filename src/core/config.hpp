@@ -123,12 +123,14 @@ struct Config {
   /// When set, `variant` is ignored for the volume term.
   bool fused_divergence = false;
 
-  /// Overlap the nearest-neighbor surface exchange with element compute:
-  /// the exchange is split into begin/finish halves and the rank's interior
-  /// elements (no face paired with a remote rank) are advanced while the
-  /// halo messages fly; boundary elements finish after the wait. The
-  /// floating-point operation order per point is unchanged, so results are
-  /// bit-identical to the blocking path.
+  /// Overlap the nearest-neighbor surface exchange with element compute.
+  /// Every RHS begins the face exchange, runs a window of element work
+  /// (volume, dealias, particle source, and the surface term of elements
+  /// whose faces are already valid), finishes the exchange, and then runs
+  /// the remaining surface terms. With overlap the window runs while the
+  /// halo messages fly; without it the window runs after finish. The
+  /// floating-point operation order per point is the same, so results are
+  /// bit-identical either way.
   bool overlap = false;
 
   /// Intra-rank element parallelism: how many threads (including the rank

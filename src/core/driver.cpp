@@ -185,15 +185,11 @@ void Driver::rebuild_topology() {
   {
     prof::ScopedRegion region("gs_setup");
     std::vector<long long> ids = mesh::global_gll_ids(layout_);
-    if (ordered) {
-      std::vector<long long> keys = mesh::global_gll_keys(layout_);
-      gs_ = std::make_unique<gs::GatherScatter>(
-          *comm_, std::span<const long long>(ids), config_.gs_method,
-          std::span<const long long>(keys));
-    } else {
-      gs_ = std::make_unique<gs::GatherScatter>(
-          *comm_, std::span<const long long>(ids), config_.gs_method);
-    }
+    std::vector<long long> keys;  // empty keys build an unordered handle
+    if (ordered) keys = mesh::global_gll_keys(layout_);
+    gs_ = std::make_unique<gs::GatherScatter>(
+        *comm_, std::span<const long long>(ids), config_.gs_method,
+        std::span<const long long>(keys));
   }
 
   const int n = config_.n;
@@ -201,9 +197,20 @@ void Driver::rebuild_topology() {
   pts_ = std::size_t(n) * n * n * nel;
   const int nf = nfields();
 
-  classes_ = mesh::classify_interior_boundary(layout_);
   all_elems_.resize(nel);
   std::iota(all_elems_.begin(), all_elems_.end(), 0);
+  // Which surface terms can run inside the exchange window. The direct
+  // backend's begin() performs every local face copy, so elements with no
+  // remote-paired face are already valid. The gs backend's sum also
+  // carries locally-paired faces, so nothing is valid before finish().
+  if (config_.face_backend == FaceBackend::kDirect) {
+    mesh::ElementClasses classes = mesh::classify_interior_boundary(layout_);
+    early_elems_ = std::move(classes.interior);
+    late_elems_ = std::move(classes.boundary);
+  } else {
+    early_elems_.clear();
+    late_elems_ = all_elems_;
+  }
 
   // Per-local-element extents under a stretched map (layout-dependent, so
   // rebuilt here). Uniform meshes keep elem_h_ empty and read h_.
@@ -258,15 +265,11 @@ void Driver::rebuild_topology() {
   if (config_.face_backend == FaceBackend::kGatherScatter) {
     prof::ScopedRegion region("gs_setup (faces)");
     std::vector<long long> fids = mesh::face_point_gids(layout_);
-    if (ordered) {
-      std::vector<long long> fkeys = mesh::face_point_keys(layout_);
-      face_gs_ = std::make_unique<gs::GatherScatter>(
-          *comm_, std::span<const long long>(fids), config_.gs_method,
-          std::span<const long long>(fkeys));
-    } else {
-      face_gs_ = std::make_unique<gs::GatherScatter>(
-          *comm_, std::span<const long long>(fids), config_.gs_method);
-    }
+    std::vector<long long> fkeys;
+    if (ordered) fkeys = mesh::face_point_keys(layout_);
+    face_gs_ = std::make_unique<gs::GatherScatter>(
+        *comm_, std::span<const long long>(fids), config_.gs_method,
+        std::span<const long long>(fkeys));
     // Interior mask from the multiplicity trick: interior face points have
     // exactly two copies, physical-boundary points one.
     std::vector<double> ones(fids.size(), 1.0);
@@ -381,95 +384,71 @@ void Driver::compute_rhs(const std::vector<std::vector<double>>& u,
   for (int f = 0; f < nfields(); ++f) {
     std::fill(rhs[f].begin(), rhs[f].end(), 0.0);
   }
+  // One schedule for every configuration. The face pack reads only `u` and
+  // the exchange touches only myfaces_/nbrfaces_, so both go first. The
+  // window runs between begin and finish when overlapping, and right after
+  // finish otherwise (an empty window). Every rhs point sees the same
+  // operations in the same order either way — volume, particle source,
+  // then its own element's surface term — so the results are bit-identical.
+  pack_faces(u);
+  begin_faces();
   if (config_.overlap) {
-    compute_rhs_overlap(u, rhs);
-  } else {
-    compute_rhs_blocking(u, rhs);
+    prof::ScopedRegion r("overlap_window");
+    prof::WallTimer t;
+    rhs_window(u, rhs);
+    overlap_stats_.compute_seconds += t.seconds();
+    ++overlap_stats_.windows;
   }
+  finish_faces();
+  if (!config_.overlap) rhs_window(u, rhs);
+  surface_term(rhs, late_elems_);
   const double grid = cost_timer.seconds() - rhs_particle_seconds_;
   balance_window_.grid_seconds += grid;
   balance_total_.grid_seconds += grid;
 }
 
-void Driver::compute_rhs_blocking(const std::vector<std::vector<double>>& u,
-                                  std::vector<std::vector<double>>& rhs) {
+void Driver::rhs_window(const std::vector<std::vector<double>>& u,
+                        std::vector<std::vector<double>>& rhs) {
   volume_term(u, rhs, all_elems_);
   dealias_term(u);
   particle_source(rhs);
-  pack_faces(u);
-  exchange_faces();
-  surface_term(rhs, all_elems_);
+  surface_term(rhs, early_elems_);
 }
 
-void Driver::compute_rhs_overlap(const std::vector<std::vector<double>>& u,
-                                 std::vector<std::vector<double>>& rhs) {
+void Driver::begin_faces() {
+  prof::ScopedRegion region("exchange_begin");
+  prof::WallTimer t;
   const int nf = nfields();
-  // Extract the halo and launch the exchange before any volume work:
-  // full2face reads only `u` and the exchange touches only myfaces_ /
-  // nbrfaces_, so hoisting them ahead of the volume term changes no
-  // floating-point operation.
-  pack_faces(u);
-
   if (config_.face_backend == FaceBackend::kDirect) {
-    {
-      prof::ScopedRegion r("exchange_begin");
-      prof::WallTimer t;
-      exchange_->begin(myfaces_.data(), nbrfaces_.data(), nf);
-      overlap_stats_.begin_seconds += t.seconds();
-    }
-    {
-      prof::ScopedRegion r("overlap_window");
-      prof::WallTimer t;
-      // Same global phase order as the blocking path — volume, dealias,
-      // particle source, surface — and within each phase the same per-point
-      // operation sequence, so the result bits match exactly.
-      volume_term(u, rhs, classes_.interior);
-      volume_term(u, rhs, classes_.boundary);
-      dealias_term(u);
-      particle_source(rhs);
-      // Every face of an interior element is locally paired, and begin()
-      // performed all local copies — so the interior surface term runs
-      // while the halo messages are still in flight.
-      surface_term(rhs, classes_.interior);
-      overlap_stats_.compute_seconds += t.seconds();
-    }
-    {
-      prof::ScopedRegion r("exchange_finish");
-      prof::WallTimer t;
-      exchange_->finish();
-      overlap_stats_.finish_seconds += t.seconds();
-    }
-    surface_term(rhs, classes_.boundary);
+    exchange_->begin(myfaces_.data(), nbrfaces_.data(), nf);
   } else {
-    // gs backend: locally-paired face values also travel through the gs sum
-    // and are only correct after finish(), so no surface work fits in the
-    // window — it covers the volume, dealias and particle phases instead.
     std::copy(myfaces_.begin(), myfaces_.end(), nbrfaces_.begin());
-    {
-      prof::ScopedRegion r("exchange_begin");
-      prof::WallTimer t;
-      face_gs_->exec_many_begin(std::span<double>(nbrfaces_), nf,
-                                gs::ReduceOp::kSum);
-      overlap_stats_.begin_seconds += t.seconds();
-    }
-    {
-      prof::ScopedRegion r("overlap_window");
-      prof::WallTimer t;
-      volume_term(u, rhs, all_elems_);
-      dealias_term(u);
-      particle_source(rhs);
-      overlap_stats_.compute_seconds += t.seconds();
-    }
-    {
-      prof::ScopedRegion r("exchange_finish");
-      prof::WallTimer t;
-      face_gs_->exec_many_finish();
-      overlap_stats_.finish_seconds += t.seconds();
-    }
-    gs_faces_subtract();
-    surface_term(rhs, all_elems_);
+    face_gs_->exec_many_begin(std::span<double>(nbrfaces_), nf,
+                              gs::ReduceOp::kSum);
   }
-  ++overlap_stats_.windows;
+  overlap_stats_.begin_seconds += t.seconds();
+}
+
+void Driver::finish_faces() {
+  prof::ScopedRegion region("exchange_finish");
+  prof::WallTimer t;
+  if (config_.face_backend == FaceBackend::kDirect) {
+    exchange_->finish();
+  } else {
+    face_gs_->exec_many_finish();
+    // Each interior face point has exactly two copies, so the gs sum
+    // yielded mine+neighbor; subtracting mine leaves the neighbor's.
+    // Physical-boundary points (single copy) mirror mine.
+    const std::size_t fsz = mesh::face_array_size(config_.n, layout_.nel());
+    for (int f = 0; f < nfields(); ++f) {
+      double* nbr = nbrfaces_.data() + f * fsz;
+      const double* mine = myfaces_.data() + f * fsz;
+      for (std::size_t s = 0; s < fsz; ++s) {
+        nbr[s] = face_interior_[s] ? nbr[s] - mine[s] : mine[s];
+      }
+    }
+  }
+  overlap_stats_.finish_seconds += t.seconds();
 }
 
 void Driver::volume_term(const std::vector<std::vector<double>>& u,
@@ -675,32 +654,6 @@ void Driver::surface_term_range(std::vector<std::vector<double>>& rhs,
       }
     }
   }
-}
-
-void Driver::gs_faces_subtract() {
-  // Each interior face point has exactly two copies, so the gs_op(add)
-  // yielded mine+neighbor; subtracting my value leaves the neighbor's.
-  // Physical-boundary points (single copy) mirror mine.
-  const std::size_t fsz = mesh::face_array_size(config_.n, layout_.nel());
-  for (int f = 0; f < nfields(); ++f) {
-    double* nbr = nbrfaces_.data() + f * fsz;
-    const double* mine = myfaces_.data() + f * fsz;
-    for (std::size_t s = 0; s < fsz; ++s) {
-      nbr[s] = face_interior_[s] ? nbr[s] - mine[s] : mine[s];
-    }
-  }
-}
-
-void Driver::exchange_faces() {
-  prof::ScopedRegion ex_region("nearest_neighbor_exchange");
-  const int nf = nfields();
-  if (config_.face_backend == FaceBackend::kDirect) {
-    exchange_->exchange(myfaces_.data(), nbrfaces_.data(), nf);
-    return;
-  }
-  std::copy(myfaces_.begin(), myfaces_.end(), nbrfaces_.begin());
-  face_gs_->exec_many(std::span<double>(nbrfaces_), nf, gs::ReduceOp::kSum);
-  gs_faces_subtract();
 }
 
 void Driver::apply_dssum() {

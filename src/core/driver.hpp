@@ -99,10 +99,9 @@ class Driver {
   /// Null unless config.particles_per_rank > 0.
   particles::Tracker* tracker() { return tracker_.get(); }
 
-  /// Interior/boundary element split used by the overlap path.
-  const mesh::ElementClasses& element_classes() const { return classes_; }
-
-  /// Accumulated split-phase exchange timing (empty unless config.overlap).
+  /// Accumulated face-exchange timing. Every RHS adds its begin/finish
+  /// seconds; windows and compute seconds count only windows that hold
+  /// work (config.overlap).
   const prof::OverlapStats& overlap_stats() const { return overlap_stats_; }
   void reset_overlap_stats() { overlap_stats_.reset(); }
 
@@ -172,17 +171,24 @@ class Driver {
   void export_vtk(const std::string& path) const;
 
  private:
+  /// Pack faces, begin the exchange, run the window (inside the exchange
+  /// when config.overlap, after it otherwise), finish, then the surface
+  /// term of the late elements.
   void compute_rhs(const std::vector<std::vector<double>>& u,
                    std::vector<std::vector<double>>& rhs);
-  void compute_rhs_blocking(const std::vector<std::vector<double>>& u,
-                            std::vector<std::vector<double>>& rhs);
-  void compute_rhs_overlap(const std::vector<std::vector<double>>& u,
-                           std::vector<std::vector<double>>& rhs);
-  // RHS building blocks, each over an explicit element list so the overlap
-  // path can run them per interior/boundary class. The per-point
-  // floating-point operation sequence does not depend on how the element
-  // list is split (each point belongs to exactly one element), which is
-  // what keeps the overlap path bit-identical.
+  /// Volume term, dealias, particle source, and the early elements'
+  /// surface term.
+  void rhs_window(const std::vector<std::vector<double>>& u,
+                  std::vector<std::vector<double>>& rhs);
+  /// myfaces_ -> nbrfaces_ through the selected face backend, split so
+  /// the window can run in between.
+  void begin_faces();
+  void finish_faces();
+  // RHS building blocks, each over an explicit element list so the surface
+  // term can run per early/late list. The per-point floating-point
+  // operation sequence does not depend on how the element list is split
+  // (each point belongs to exactly one element), which is what keeps
+  // every window placement bit-identical.
   // The _range forms process elems[lo, hi) and are what the worker-pool
   // threads execute; splitting a list into ranges changes batching only,
   // never a per-element bit (see src/parallel/parallel.hpp).
@@ -201,8 +207,6 @@ class Driver {
   void dealias_term(const std::vector<std::vector<double>>& u);
   void particle_source(std::vector<std::vector<double>>& rhs);
   void pack_faces(const std::vector<std::vector<double>>& u);
-  void exchange_faces();  // myfaces_ -> nbrfaces_ via the selected backend
-  void gs_faces_subtract();  // gs backend: mine+neighbor -> neighbor
   void step_rk4(double dt);
   void apply_dssum();
   void step_particles(double dt);
@@ -234,8 +238,10 @@ class Driver {
   mesh::ElementLayout layout_;
   sem::Operators ops_;
   int threads_ = 1;  // resolved threads_per_rank (config knob or env)
-  mesh::ElementClasses classes_;
-  std::vector<int> all_elems_;  // 0..nel-1, the blocking path's element list
+  std::vector<int> all_elems_;  // 0..nel-1
+  // Surface-term split: early elements' faces are valid after
+  // begin_faces(), late ones only after finish_faces().
+  std::vector<int> early_elems_, late_elems_;
   prof::OverlapStats overlap_stats_;
   std::unique_ptr<mesh::FaceExchange> exchange_;
   std::unique_ptr<gs::GatherScatter> gs_;

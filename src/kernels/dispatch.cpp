@@ -52,7 +52,6 @@ const char* backend_name(Backend b) {
   switch (b) {
     case Backend::kScalar: return "scalar";
     case Backend::kFixedN: return "fixed-n";
-    case Backend::kSimd: return "simd";
     case Backend::kSimdFma: return "simd-fma";
     case Backend::kBatched: return "batched";
   }
@@ -68,8 +67,7 @@ std::optional<Backend> backend_from_name(std::string_view name) {
 
 const std::vector<Backend>& all_backends() {
   static const std::vector<Backend> v = {Backend::kScalar, Backend::kFixedN,
-                                         Backend::kSimd, Backend::kSimdFma,
-                                         Backend::kBatched};
+                                         Backend::kSimdFma, Backend::kBatched};
   return v;
 }
 
@@ -108,7 +106,7 @@ void init_from_env() {
       s.forced.store(int(*b), std::memory_order_relaxed);
     } else {
       util::log_warn() << "ignoring " << kBackendEnvVar << "=\"" << v
-                       << "\" (unknown backend; valid: scalar fixed-n simd "
+                       << "\" (unknown backend; valid: scalar fixed-n "
                           "simd-fma batched)";
     }
   }
@@ -200,7 +198,6 @@ MxmFixedFn dispatch_mxm(int n2) {
     case Backend::kSimdFma:
       if (MxmFixedFn f = simd_mxm_or_null(n2, true)) return f;
       return mxm_fixed_kernel(n2);
-    case Backend::kSimd:
     case Backend::kBatched:
       // Batching is a gradient-level layout trick; for a lone mxm the
       // batched backend is the plain SIMD kernel.
@@ -213,8 +210,7 @@ MxmFixedFn dispatch_mxm(int n2) {
 namespace {
 
 // D^T staging shared by the s/t directions (they contract against rows of
-// D, i.e. right-multiply by D^T), built once per field call like the
-// mxm-fixed gradient path.
+// D, i.e. right-multiply by D^T), built once per field call.
 struct DTranspose {
   double stack[32 * 32];
   std::vector<double> heap;
@@ -233,32 +229,18 @@ struct DTranspose {
   }
 };
 
-// SIMD gradient: same contraction shapes as the mxm-fixed variant, with
-// the explicit vector kernel. `batched` merges the r-direction across all
-// elements into a single kernel call (the per-element output columns are
-// independent, so the merge is bit-preserving); s and t keep per-slab /
-// per-element calls — their layouts do not admit a wider contraction.
-void grad_simd(const SimdBackend& bk, bool fma, bool batched, int dir,
-               const double* d, const double* u, double* out, int n,
-               int nel) {
-  MxmFixedFn f = bk.mxm_kernel(n, fma);
-  if (f == nullptr) {  // outside the specialized range: bit-exact fallback
-    GradVariant v = GradVariant::kMxmFixed;
-    if (dir == 0) grad_r(v, d, u, out, n, nel);
-    if (dir == 1) grad_s(v, d, u, out, n, nel);
-    if (dir == 2) grad_t(v, d, u, out, n, nel);
-    return;
-  }
+// The gradient contraction shapes, shared by every non-scalar backend:
+// r: out = D * U over all elements at once (U viewed as N x N^2*nel; each
+// output column is independent, so the merge is bit-preserving);
+// s: per k-slab, out_k = U_k * D^T; t: per element, out = U * D^T.
+// Per output entry the accumulation runs over l ascending, exactly like
+// the basic loops.
+void grad_mxm(MxmFixedFn f, int dir, const double* d, const double* u,
+              double* out, int n, int nel) {
   const std::size_t stride = std::size_t(n) * n * n;
   const std::size_t n2 = std::size_t(n) * n;
   if (dir == 0) {
-    if (batched) {
-      f(d, n, u, out, int(n2) * nel);
-    } else {
-      for (int e = 0; e < nel; ++e) {
-        f(d, n, u + e * stride, out + e * stride, int(n2));
-      }
-    }
+    f(d, n, u, out, int(n2) * nel);
     return;
   }
   DTranspose tr;
@@ -276,33 +258,50 @@ void grad_simd(const SimdBackend& bk, bool fma, bool batched, int dir,
   }
 }
 
+void grad_basic(int dir, const double* d, const double* u, double* out,
+                int n, int nel) {
+  GradVariant v = GradVariant::kBasic;
+  if (dir == 0) grad_r(v, d, u, out, n, nel);
+  if (dir == 1) grad_s(v, d, u, out, n, nel);
+  if (dir == 2) grad_t(v, d, u, out, n, nel);
+}
+
+// Fixed-N backend, and the SIMD backends' fallback outside the specialized
+// range, where the basic loops take over — bit-identical either way.
+void grad_fixed_n(int dir, const double* d, const double* u, double* out,
+                  int n, int nel) {
+  if (MxmFixedFn f = mxm_fixed_kernel(n)) {
+    grad_mxm(f, dir, d, u, out, n, nel);
+  } else {
+    grad_basic(dir, d, u, out, n, nel);
+  }
+}
+
+void grad_simd(bool fma, int dir, const double* d, const double* u,
+               double* out, int n, int nel) {
+  if (MxmFixedFn f = simd_mxm_or_null(n, fma)) {
+    grad_mxm(f, dir, d, u, out, n, nel);
+  } else {
+    grad_fixed_n(dir, d, u, out, n, nel);
+  }
+}
+
 }  // namespace
 
 void grad_backend(Backend b, int dir, const double* d, const double* u,
                   double* out, int n, int nel) {
   switch (b) {
-    case Backend::kScalar: {
-      GradVariant v = GradVariant::kBasic;
-      if (dir == 0) grad_r(v, d, u, out, n, nel);
-      if (dir == 1) grad_s(v, d, u, out, n, nel);
-      if (dir == 2) grad_t(v, d, u, out, n, nel);
+    case Backend::kScalar:
+      grad_basic(dir, d, u, out, n, nel);
       return;
-    }
-    case Backend::kFixedN: {
-      GradVariant v = GradVariant::kMxmFixed;
-      if (dir == 0) grad_r(v, d, u, out, n, nel);
-      if (dir == 1) grad_s(v, d, u, out, n, nel);
-      if (dir == 2) grad_t(v, d, u, out, n, nel);
-      return;
-    }
-    case Backend::kSimd:
-      grad_simd(*simd_backend_best(), false, false, dir, d, u, out, n, nel);
+    case Backend::kFixedN:
+      grad_fixed_n(dir, d, u, out, n, nel);
       return;
     case Backend::kSimdFma:
-      grad_simd(*simd_backend_best(), true, false, dir, d, u, out, n, nel);
+      grad_simd(true, dir, d, u, out, n, nel);
       return;
     case Backend::kBatched:
-      grad_simd(*simd_backend_best(), false, true, dir, d, u, out, n, nel);
+      grad_simd(false, dir, d, u, out, n, nel);
       return;
   }
 }
@@ -368,7 +367,7 @@ TuneTable autotune(const std::vector<int>& ns) {
 // ---- tuning-table serialization ---------------------------------------------
 
 namespace {
-constexpr const char* kTuneMagic = "cmtbone-kernel-tune v1";
+constexpr const char* kTuneMagic = "cmtbone-kernel-tune v2";
 }
 
 std::string serialize_tune_table(const TuneTable& table) {
@@ -384,6 +383,7 @@ std::string serialize_tune_table(const TuneTable& table) {
     for (double s : e.seconds) os << " " << s;
     os << "\n";
   }
+  os << "end " << table.entries.size() << "\n";
   return os.str();
 }
 
@@ -411,12 +411,25 @@ std::optional<TuneTable> parse_tune_table(std::string_view text) {
     for (Backend b : all_backends()) want << " " << backend_name(b);
     if (line != want.str()) return std::nullopt;
   }
+  bool closed = false;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
+    if (closed) return std::nullopt;  // nothing may follow the closing line
     std::istringstream ls(line);
     std::string key, bestkey, bestname;
+    if (!(ls >> key)) return std::nullopt;
+    if (key == "end") {
+      long long count = -1;
+      std::string extra;
+      if (!(ls >> count) || (ls >> extra) ||
+          count != static_cast<long long>(table.entries.size())) {
+        return std::nullopt;
+      }
+      closed = true;
+      continue;
+    }
     TuneEntry e;
-    if (!(ls >> key >> e.n >> bestkey >> bestname) || key != "n" ||
+    if (!(ls >> e.n >> bestkey >> bestname) || key != "n" ||
         bestkey != "best") {
       return std::nullopt;
     }
@@ -431,6 +444,9 @@ std::optional<TuneTable> parse_tune_table(std::string_view text) {
     if (ls >> extra) return std::nullopt;
     table.entries.push_back(e);
   }
+  // The closing line is written last, so a file cut short anywhere lacks
+  // it, or lacks its final newline, or counts entries that are not there.
+  if (!closed || text.back() != '\n') return std::nullopt;
   return table;
 }
 

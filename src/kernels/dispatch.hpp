@@ -1,22 +1,25 @@
 #pragma once
-// Unified kernel-backend dispatch: scalar, fixed-N, SIMD, SIMD+FMA, and
-// element-batched variants of the solver's tensor contractions behind one
-// call site, selectable at runtime.
+// Unified kernel-backend dispatch: scalar, fixed-N, SIMD+FMA, and
+// element-batched SIMD variants of the solver's tensor contractions behind
+// one call site, selectable at runtime.
 //
 // Selection precedence, checked per contraction length n:
 //
 //   1. forced backend — set_forced_backend() or, once at first use, the
-//      CMTBONE_KERNEL_BACKEND environment variable
+//      CMTBONE_KERNEL_BACKEND environment variable (scalar | fixed-n |
+//      simd-fma | batched; any other value is warned about and ignored)
 //   2. applied tuning table (apply_tune_table / ensure_tuned) — best
 //      measured backend per n
 //   3. default: kBatched (the widest compiled-in, CPU-supported SIMD ISA
 //      with element batching — the fastest choice on every machine we have
 //      measured; falls back gracefully, see below)
 //
-// Backends degrade, never abort: outside the specialized range n ∈ [2,25],
-// or when no SIMD TU for the selected ISA is compiled in, dispatch falls
-// back (SIMD → fixed-N → scalar) while preserving the scalar accumulation
-// order, so results stay bit-identical to the reference.
+// Every non-scalar backend contracts the r-direction of all elements in
+// one kernel call and the s/t directions per element against a D^T staged
+// once per field call. Backends degrade, never abort: outside the specialized
+// range n ∈ [2,25], or when no SIMD TU for the selected ISA is compiled in,
+// dispatch falls back (SIMD → fixed-N → scalar) while preserving the scalar
+// accumulation order, so results stay bit-identical to the reference.
 //
 // Accumulation-order policy (documented in full in simd_backend.hpp and
 // DESIGN.md): every backend except kSimdFma reproduces the scalar
@@ -37,18 +40,16 @@ namespace cmtbone::kernels {
 enum class Backend {
   kScalar,   // runtime-N loops (kernels::mxm / basic gradients)
   kFixedN,   // compile-time-N dispatch table (mxm_fixed)
-  kSimd,     // explicit vector kernels, mul+add kept separate (bit-exact)
-  kSimdFma,  // explicit vector kernels with fused multiply-add
-  kBatched,  // SIMD kernels + element batching (r contracts all elements
-             // in one call; s/t amortize the D transpose per field)
+  kSimdFma,  // batched vector kernels with fused multiply-add
+  kBatched,  // batched vector kernels, mul+add kept separate (bit-exact)
 };
 
-inline constexpr int kNumBackends = 5;
+inline constexpr int kNumBackends = 4;
 inline constexpr int kMinDispatchN = 2;
 inline constexpr int kMaxDispatchN = 25;
 
 const char* backend_name(Backend b);
-/// Parse "scalar" | "fixed-n" | "simd" | "simd-fma" | "batched"; nullopt on
+/// Parse "scalar" | "fixed-n" | "simd-fma" | "batched"; nullopt on
 /// anything else.
 std::optional<Backend> backend_from_name(std::string_view name);
 /// All backends in declaration order (for sweeps and tests).
@@ -131,8 +132,10 @@ void clear_tune_table();
 
 /// Text round-trip. parse_tune_table validates magic, version, ISA (must
 /// match this machine), the backend list (staleness guard against future
-/// backend-set changes), and every entry; any anomaly yields nullopt so
-/// callers re-tune instead of trusting a bad cache.
+/// backend-set changes), every entry, and the closing "end <count>" line
+/// (a file cut short anywhere, as a torn write leaves it, is incomplete);
+/// any anomaly yields nullopt so callers re-tune instead of trusting a bad
+/// cache.
 std::string serialize_tune_table(const TuneTable& table);
 std::optional<TuneTable> parse_tune_table(std::string_view text);
 

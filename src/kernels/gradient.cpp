@@ -3,7 +3,6 @@
 #include <cstddef>
 
 #include "kernels/dispatch.hpp"
-#include "kernels/mxm.hpp"
 
 namespace cmtbone::kernels {
 
@@ -13,8 +12,6 @@ const char* variant_name(GradVariant v) {
     case GradVariant::kFused: return "fused";
     case GradVariant::kUnrolled: return "unrolled";
     case GradVariant::kFusedUnrolled: return "fused+unrolled";
-    case GradVariant::kBlocked: return "blocked";
-    case GradVariant::kMxmFixed: return "mxm-fixed";
     case GradVariant::kDispatch: return "dispatch";
   }
   return "?";
@@ -22,10 +19,8 @@ const char* variant_name(GradVariant v) {
 
 const std::vector<GradVariant>& all_variants() {
   static const std::vector<GradVariant> v = {
-      GradVariant::kBasic,         GradVariant::kFused,
-      GradVariant::kUnrolled,      GradVariant::kFusedUnrolled,
-      GradVariant::kBlocked,       GradVariant::kMxmFixed,
-      GradVariant::kDispatch};
+      GradVariant::kBasic, GradVariant::kFused, GradVariant::kUnrolled,
+      GradVariant::kFusedUnrolled, GradVariant::kDispatch};
   return v;
 }
 
@@ -190,53 +185,9 @@ void grad_t_tpl(const double* __restrict d, const double* __restrict u,
   }
 }
 
-// ---- blocked: mxm-style reformulation (our ablation extension) -------------
-// Rewrites each contraction with the accumulation loop hoisted so the
-// innermost loop streams unit-stride and C stays in registers/L1:
-//   r: out = D * U            (U viewed as N x N^2)
-//   s: per k-slab, out_k = U_k * D^T
-//   t: out = U * D^T          (U viewed as N^2 x N)
-
-void grad_r_blocked(const double* d, const double* u, double* out, int n) {
-  mxm(d, n, u, n, out, n * n);
-}
-
-void grad_s_blocked(const double* d, const double* u, double* out, int n) {
-  const std::size_t n2 = std::size_t(n) * n;
-  for (int k = 0; k < n; ++k) {
-    const double* uslab = u + k * n2;
-    double* oslab = out + k * n2;
-    for (int j = 0; j < n; ++j) {
-      double* __restrict ocol = oslab + std::size_t(j) * n;
-      for (int i = 0; i < n; ++i) ocol[i] = 0.0;
-      for (int l = 0; l < n; ++l) {
-        const double djl = d[j + std::size_t(n) * l];
-        const double* __restrict ucol = uslab + std::size_t(l) * n;
-        for (int i = 0; i < n; ++i) ocol[i] += djl * ucol[i];
-      }
-    }
-  }
-}
-
-void grad_t_blocked(const double* d, const double* u, double* out, int n) {
-  const std::size_t n2 = std::size_t(n) * n;
-  for (int k = 0; k < n; ++k) {
-    double* __restrict oslab = out + k * n2;
-    for (std::size_t ij = 0; ij < n2; ++ij) oslab[ij] = 0.0;
-    for (int l = 0; l < n; ++l) {
-      const double dkl = d[k + std::size_t(n) * l];
-      const double* __restrict uslab = u + l * n2;
-      for (std::size_t ij = 0; ij < n2; ++ij) oslab[ij] += dkl * uslab[ij];
-    }
-  }
-}
-
 // ---- dispatch ---------------------------------------------------------------
 
 enum class Dir { kR, kS, kT };
-
-void grad_field_mxm_fixed(Dir dir, const double* d, const double* u,
-                          double* out, int n, int nel);
 
 template <int N>
 void grad_elem_tpl(Dir dir, const double* d, const double* u, double* out,
@@ -310,71 +261,14 @@ void grad_elem(Dir dir, GradVariant v, const double* d, const double* u,
       if (grad_elem_unrolled(dir, d, u, out, n, /*fused=*/true)) return;
       grad_elem(dir, GradVariant::kFused, d, u, out, n);
       return;
-    case GradVariant::kBlocked:
-      switch (dir) {
-        case Dir::kR: grad_r_blocked(d, u, out, n); return;
-        case Dir::kS: grad_s_blocked(d, u, out, n); return;
-        case Dir::kT: grad_t_blocked(d, u, out, n); return;
-      }
-      return;
-    case GradVariant::kMxmFixed:
-      grad_field_mxm_fixed(dir, d, u, out, n, /*nel=*/1);
-      return;
     case GradVariant::kDispatch:
       grad_dispatch(int(dir), d, u, out, n, /*nel=*/1);
       return;
   }
 }
 
-// ---- mxm-fixed: contractions as mxm through the fixed-N dispatch -----------
-// r: out_e = D * U_e (U viewed as N x N^2). s and t contract against rows of
-// D, i.e. right-multiply by D^T — transposed once per field call, amortized
-// over all elements. Per output entry the accumulation runs over l ascending,
-// exactly like kBasic, so the results are bit-identical.
-
-void grad_field_mxm_fixed(Dir dir, const double* d, const double* u,
-                          double* out, int n, int nel) {
-  const std::size_t stride = std::size_t(n) * n * n;
-  const std::size_t n2 = std::size_t(n) * n;
-  if (dir == Dir::kR) {
-    for (int e = 0; e < nel; ++e) {
-      mxm_auto(d, n, u + e * stride, n, out + e * stride, n * n);
-    }
-    return;
-  }
-  double dt_stack[32 * 32];
-  std::vector<double> dt_heap;
-  double* dt = dt_stack;
-  if (n > 32) {
-    dt_heap.resize(n2);
-    dt = dt_heap.data();
-  }
-  for (int l = 0; l < n; ++l) {
-    for (int j = 0; j < n; ++j) {
-      dt[l + std::size_t(n) * j] = d[j + std::size_t(n) * l];
-    }
-  }
-  if (dir == Dir::kS) {
-    for (int e = 0; e < nel; ++e) {
-      for (int k = 0; k < n; ++k) {
-        const double* uslab = u + e * stride + k * n2;
-        double* oslab = out + e * stride + k * n2;
-        mxm_auto(uslab, n, dt, n, oslab, n);
-      }
-    }
-  } else {
-    for (int e = 0; e < nel; ++e) {
-      mxm_auto(u + e * stride, n * n, dt, n, out + e * stride, n);
-    }
-  }
-}
-
 void grad_field(Dir dir, GradVariant v, const double* d, const double* u,
                 double* out, int n, int nel) {
-  if (v == GradVariant::kMxmFixed) {
-    grad_field_mxm_fixed(dir, d, u, out, n, nel);
-    return;
-  }
   if (v == GradVariant::kDispatch) {
     grad_dispatch(int(dir), d, u, out, n, nel);
     return;
@@ -424,11 +318,8 @@ long long grad_instruction_estimate(GradVariant v, int n, int nel) {
     case GradVariant::kFused: overhead = 3 * n4 + 2 * n3; break;
     case GradVariant::kUnrolled: overhead = 4 * n3; break;
     case GradVariant::kFusedUnrolled: overhead = 2 * n3; break;
-    case GradVariant::kBlocked: overhead = n4 + 2 * n3; break;
-    // Fixed-N dispatch: unrolled contraction, register accumulators, one
-    // store per output and no zero-fill pass. The backend-dispatch layer
-    // routes to kernels of at least that quality.
-    case GradVariant::kMxmFixed: overhead = n3; break;
+    // Dispatch (fixed-N or SIMD kernels): unrolled contraction, register
+    // accumulators, one store per output and no zero-fill pass.
     case GradVariant::kDispatch: overhead = n3; break;
   }
   return (ops + overhead) * nel;

@@ -20,14 +20,8 @@
 //   kFused          outer loops fused (r: over jk; t: over ij); duds = basic
 //   kUnrolled       inner contraction fully unrolled (compile-time N)
 //   kFusedUnrolled  both — the production CMT-bone / Nek5000 form
-//   kBlocked        cache-blocked over the fused index (our extension,
-//                   exercised by the ablation bench)
-//   kMxmFixed       each contraction expressed as an mxm routed through the
-//                   fixed-N microkernel dispatch (see kernels/mxm.hpp); the
-//                   s/t directions multiply by D^T, transposed once per
-//                   field. Bit-identical to kBasic.
 //   kDispatch       routed through the runtime backend-dispatch layer
-//                   (kernels/dispatch.hpp): scalar / fixed-N / SIMD /
+//                   (kernels/dispatch.hpp): scalar / fixed-N / SIMD+FMA /
 //                   batched, chosen by force, tuning table, or default.
 //                   Bit-identical to kBasic for every backend except the
 //                   explicitly opted-into fused-multiply-add one.
@@ -42,9 +36,10 @@ enum class GradVariant {
   kFused,
   kUnrolled,
   kFusedUnrolled,
-  kBlocked,
-  kMxmFixed,
-  kDispatch,
+  // 4 and 5 belonged to retired variants (cache-blocked and mxm-fixed, the
+  // latter now Backend::kFixedN). The value stays so that anything keyed
+  // by it, such as parameterized test names, does not shift.
+  kDispatch = 6,
 };
 
 const char* variant_name(GradVariant v);

@@ -7,7 +7,7 @@
 namespace cmtbone::prof {
 
 struct OverlapStats {
-  long long windows = 0;        // split-phase exchanges accounted
+  long long windows = 0;        // exchanges whose window held work
   double begin_seconds = 0.0;   // post receives + pack + send
   double compute_seconds = 0.0; // work executed while messages were in flight
   double finish_seconds = 0.0;  // residual wait + unpack after the window

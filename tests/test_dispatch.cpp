@@ -138,7 +138,7 @@ TEST_F(DispatchTest, DispatchMxmHonorsForceAndDegradesOutOfRange) {
   }
   // In range, a SIMD selection hands out a real kernel that matches the
   // runtime mxm bit for bit.
-  ScopedBackendForce force(Backend::kSimd);
+  ScopedBackendForce force(Backend::kBatched);
   cmtbone::kernels::MxmFixedFn f = cmtbone::kernels::dispatch_mxm(6);
   ASSERT_NE(f, nullptr);
   cmtbone::util::SplitMix64 rng(21);
@@ -158,10 +158,14 @@ TEST_F(DispatchTest, EnvBackendForcesSelectionAndUnknownValueIsIgnored) {
   EXPECT_EQ(forced_backend(), Backend::kFixedN);
   EXPECT_EQ(selected_backend(9), Backend::kFixedN);
 
-  setenv(cmtbone::kernels::kBackendEnvVar, "warp-drive", 1);
-  cmtbone::kernels::reload_env_selection();
-  EXPECT_EQ(forced_backend(), std::nullopt);  // warned and ignored
-  EXPECT_EQ(selected_backend(9), Backend::kBatched);
+  // "simd" named a retired backend; like any unknown name it is warned
+  // about and ignored.
+  for (const char* name : {"warp-drive", "simd"}) {
+    setenv(cmtbone::kernels::kBackendEnvVar, name, 1);
+    cmtbone::kernels::reload_env_selection();
+    EXPECT_EQ(forced_backend(), std::nullopt) << name;
+    EXPECT_EQ(selected_backend(9), Backend::kBatched) << name;
+  }
 }
 
 TEST_F(DispatchTest, AutotuneEnvLoadsValidCacheAtReload) {
@@ -192,15 +196,15 @@ TEST_F(DispatchTest, EnvForcedBackendWinsOverCacheAndAutotune) {
   t.entries.push_back(e);
   ASSERT_TRUE(save_tune_cache(t, path));
 
-  setenv(cmtbone::kernels::kBackendEnvVar, "simd", 1);
+  setenv(cmtbone::kernels::kBackendEnvVar, "simd-fma", 1);
   setenv(cmtbone::kernels::kAutotuneEnvVar, "1", 1);
   setenv(cmtbone::kernels::kTuneCacheEnvVar, path.c_str(), 1);
   cmtbone::kernels::reload_env_selection();
-  EXPECT_EQ(selected_backend(5), Backend::kSimd);  // force, not the cache
+  EXPECT_EQ(selected_backend(5), Backend::kSimdFma);  // force, not the cache
   // ensure_tuned also stands down under a force: empty table, no apply.
   TuneTable out = ensure_tuned({5}, path);
   EXPECT_TRUE(out.entries.empty());
-  EXPECT_EQ(selected_backend(5), Backend::kSimd);
+  EXPECT_EQ(selected_backend(5), Backend::kSimdFma);
   std::remove(path.c_str());
 }
 
@@ -228,8 +232,19 @@ TEST_F(DispatchTest, ParseRejectsCorruptAndStaleCaches) {
 
   EXPECT_FALSE(parse_tune_table(""));
   EXPECT_FALSE(parse_tune_table("garbage\n"));
-  EXPECT_FALSE(parse_tune_table(good.substr(0, good.size() / 2)));
   EXPECT_FALSE(parse_tune_table(good + "trailing junk\n"));
+
+  // Truncation: a torn write can stop anywhere, including at a line
+  // boundary after a complete entry or inside the last number. Every
+  // proper prefix must be rejected, not parsed as a shorter table.
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    EXPECT_FALSE(parse_tune_table(good.substr(0, len))) << "prefix " << len;
+  }
+
+  // A cache in the previous (v1) format has no closing line.
+  std::string v1 = good;
+  v1.replace(v1.find("v2"), 2, "v1");
+  EXPECT_FALSE(parse_tune_table(v1));
 
   // Foreign ISA: a table measured on another machine must be rejected.
   TuneTable alien = small_table();
@@ -258,6 +273,7 @@ TEST_F(DispatchTest, ParseRejectsCorruptAndStaleCaches) {
   mutate("n 12 best", "n 99 best");
   mutate("best fixed-n", "best banana");
   mutate("best scalar", "best");
+  mutate("end 2", "end 3");  // count must match the entries present
 }
 
 TEST_F(DispatchTest, CacheFileRoundTripAndCorruptFileFallsBackToRetune) {
@@ -271,7 +287,7 @@ TEST_F(DispatchTest, CacheFileRoundTripAndCorruptFileFallsBackToRetune) {
   EXPECT_FALSE(load_tune_cache("no/such/dir/cache.txt"));
   {
     std::ofstream f(path, std::ios::trunc);
-    f << "cmtbone-kernel-tune v1\nisa " << isa_name() << "\nbroken";
+    f << "cmtbone-kernel-tune v2\nisa " << isa_name() << "\nbroken";
   }
   EXPECT_FALSE(load_tune_cache(path));
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "comm/runtime.hpp"
+#include "kernels/dispatch.hpp"
 #include "mesh/numbering.hpp"
 #include "nekbone/nekbone.hpp"
 
@@ -268,13 +269,15 @@ TEST(Nekbone, GsMethodDoesNotChangeTheSolve) {
 
 TEST(Nekbone, MxmFixedVariantBitIdenticalStiffnessOperator) {
   // The stiffness operator routes its derivative contractions through the
-  // gradient kernels; the fixed-N mxm dispatch must not change a single bit
-  // of the result relative to the basic reference loops.
+  // gradient kernels; the fixed-N backend must not change a single bit of
+  // the result relative to the basic reference loops.
   cmtbone::comm::run(1, [](Comm& world) {
+    cmtbone::kernels::ScopedBackendForce force(
+        cmtbone::kernels::Backend::kFixedN);
     NekboneConfig cfg = small_config(5, 2);
     cfg.variant = cmtbone::kernels::GradVariant::kBasic;
     Nekbone basic(world, cfg);
-    cfg.variant = cmtbone::kernels::GradVariant::kMxmFixed;
+    cfg.variant = cmtbone::kernels::GradVariant::kDispatch;
     Nekbone fixed(world, cfg);
 
     std::vector<double> u(basic.points());
