@@ -71,9 +71,6 @@ int main(int argc, char** argv) {
       {"kernel: fused+unrolled loops", [](core::Config& c) {
          c.variant = kernels::GradVariant::kFusedUnrolled;
        }},
-      {"fused divergence (div3)", [](core::Config& c) {
-         c.fused_divergence = true;
-       }},
       {"dealias round-trip on", [](core::Config& c) { c.dealias = true; }},
       {"dssum off (pure DG)", [](core::Config& c) { c.use_dssum = false; }},
       {"gs: crystal router", [](core::Config& c) {

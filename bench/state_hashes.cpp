@@ -1,0 +1,133 @@
+// Final-state hashes over a fixed configuration matrix, one line per
+// configuration: "<name> <FNV-1a of every field's gather_global_field>".
+//
+// The matrix is physics {proxy, burgers, euler} x ranks {1, 2, 3} x overlap
+// x face backend x integrator {RK3, RK4} x {plain; two threads per rank +
+// dealias + coupled particles + ordered gs}, plus a stretched, non-periodic
+// Sod case on 1-3 ranks. Each configuration runs a few steps from the
+// default initial condition. The tool uses only public Driver API, so the
+// same file builds against older trees: bench/bits_vs_base.sh builds it at
+// HEAD and at a base commit and fails on any differing line, which is how
+// a refactor shows that it keeps every bit.
+//
+//   state_hashes            # prints 150 lines
+
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "comm/runtime.hpp"
+#include "core/driver.hpp"
+#include "util/cli.hpp"
+
+namespace {
+
+using namespace cmtbone;
+
+constexpr int kSteps = 3;
+
+std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t h) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Runs `cfg` on `ranks` ranks and hashes every field's global state.
+std::uint64_t final_state_hash(int ranks, const core::Config& cfg) {
+  std::uint64_t hash = 0;
+  comm::run(ranks, [&](comm::Comm& world) {
+    core::Driver driver(world, cfg);
+    driver.initialize(driver.default_ic());
+    driver.run(kSteps);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (int f = 0; f < driver.nfields(); ++f) {
+      const std::vector<double> global = driver.gather_global_field(f);
+      h = fnv1a(global.data(), global.size() * sizeof(double), h);
+    }
+    if (world.rank() == 0) hash = h;
+  });
+  return hash;
+}
+
+void print(const std::string& name, int ranks, const core::Config& cfg) {
+  std::printf("%s %016" PRIx64 "\n", name.c_str(), final_state_hash(ranks, cfg));
+  std::fflush(stdout);
+}
+
+core::Config base_config() {
+  core::Config c;
+  c.n = 5;
+  c.ex = 6, c.ey = 2, c.ez = 2;  // 6 x 2 x 2 splits over 1, 2 and 3 ranks
+  c.threads_per_rank = 1;        // pinned, never the environment fallback
+  c.kernel_backend = kernels::Backend::kBatched;
+  return c;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::Cli cli(argc, argv);
+  if (cli.help_requested()) {
+    std::printf("%s", cli.usage().c_str());
+    return 0;
+  }
+  cli.reject_unknown();
+  const core::Physics physics[] = {core::Physics::kProxyAdvection,
+                                   core::Physics::kBurgers,
+                                   core::Physics::kEuler};
+  const core::FaceBackend backends[] = {core::FaceBackend::kDirect,
+                                        core::FaceBackend::kGatherScatter};
+  const core::TimeIntegrator integrators[] = {core::TimeIntegrator::kRk3Ssp,
+                                              core::TimeIntegrator::kRk4};
+  for (core::Physics ph : physics) {
+    for (int ranks = 1; ranks <= 3; ++ranks) {
+      for (bool overlap : {false, true}) {
+        for (core::FaceBackend fb : backends) {
+          for (core::TimeIntegrator ti : integrators) {
+            for (bool loaded : {false, true}) {
+              core::Config c = base_config();
+              c.physics = ph;
+              c.overlap = overlap;
+              c.face_backend = fb;
+              c.integrator = ti;
+              if (loaded) {
+                c.threads_per_rank = 2;
+                c.dealias = true;
+                c.particles_per_rank = 24;
+                c.particle_coupling = 0.05;
+                c.ordered_gs = true;
+              }
+              const std::string name =
+                  std::string(core::physics_name(ph)) + "/r" +
+                  std::to_string(ranks) + (overlap ? "/overlap" : "/blocking") +
+                  "/" + core::face_backend_name(fb) + "/" +
+                  core::integrator_name(ti) + (loaded ? "/loaded" : "/plain");
+              print(name, ranks, c);
+            }
+          }
+        }
+      }
+    }
+  }
+  // Physical boundaries and per-element extents: Sod on a geometric x map.
+  for (int ranks = 1; ranks <= 3; ++ranks) {
+    for (bool overlap : {false, true}) {
+      core::Config c = base_config();
+      c.physics = core::Physics::kEuler;
+      c.euler_case = core::EulerCase::kSod;
+      c.periodic = false;
+      c.mesh_map[0] = {mesh::AxisMapKind::kGeometric, 1.3, 1.0};
+      c.fixed_dt = 1e-3;
+      c.overlap = overlap;
+      print(std::string("euler-sod-geometric/r") + std::to_string(ranks) +
+                (overlap ? "/overlap" : "/blocking"),
+            ranks, c);
+    }
+  }
+  return 0;
+}

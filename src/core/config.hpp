@@ -117,12 +117,6 @@ struct Config {
   /// table, or the built-in default.
   std::optional<kernels::Backend> kernel_backend;
 
-  /// Compute the volume term with the single-sweep fused divergence kernel
-  /// (kernels::div3) instead of three separate derivative passes — the
-  /// next optimization step beyond §V's per-derivative transformations.
-  /// When set, `variant` is ignored for the volume term.
-  bool fused_divergence = false;
-
   /// Overlap the nearest-neighbor surface exchange with element compute.
   /// Every RHS begins the face exchange, runs a window of element work
   /// (volume, dealias, particle source, and the surface term of elements

@@ -7,10 +7,9 @@
 #include <stdexcept>
 
 #include "balance/rebalancer.hpp"
-#include "core/flux.hpp"
+#include "core/element_rhs.hpp"
 #include "io/checkpoint.hpp"
 #include "io/vtk.hpp"
-#include "kernels/div.hpp"
 #include "kernels/gradient.hpp"
 #include "kernels/tensor.hpp"
 #include "kernels/vecops.hpp"
@@ -234,16 +233,8 @@ void Driver::rebuild_topology() {
   alloc_fields(u1_);
   alloc_fields(u2_);
   alloc_fields(rhs_);
-  alloc_fields(flux_);
-  grad_scratch_.assign(pts_, 0.0);
   if (config_.particles_per_rank > 0) {
     for (auto& buf : carrier_) buf.assign(pts_, 0.0);
-  }
-  if (config_.fused_divergence) {
-    for (auto& buf : flux_fused_) buf.assign(pts_, 0.0);
-    // div3_dispatch scratch: two gradient blocks per element, indexed by
-    // 2*base so parallel element ranges stay disjoint.
-    div_work_.assign(2 * pts_, 0.0);
   }
   myfaces_.assign(mesh::face_array_size(n, nel) * nf, 0.0);
   nbrfaces_.assign(mesh::face_array_size(n, nel) * nf, 0.0);
@@ -381,38 +372,63 @@ void Driver::compute_rhs(const std::vector<std::vector<double>>& u,
   // repartitioner makes.)
   prof::CpuTimer cost_timer;
   rhs_particle_seconds_ = 0.0;
-  for (int f = 0; f < nfields(); ++f) {
-    std::fill(rhs[f].begin(), rhs[f].end(), 0.0);
-  }
+  const ElementRhs kernel = element_rhs(u, rhs);
   // One schedule for every configuration. The face pack reads only `u` and
   // the exchange touches only myfaces_/nbrfaces_, so both go first. The
   // window runs between begin and finish when overlapping, and right after
   // finish otherwise (an empty window). Every rhs point sees the same
   // operations in the same order either way — volume, particle source,
   // then its own element's surface term — so the results are bit-identical.
+  // The volume term writes every rhs point, so nothing zero-fills rhs.
   pack_faces(u);
   begin_faces();
   if (config_.overlap) {
     prof::ScopedRegion r("overlap_window");
     prof::WallTimer t;
-    rhs_window(u, rhs);
+    rhs_window(kernel, u, rhs);
     overlap_stats_.compute_seconds += t.seconds();
     ++overlap_stats_.windows;
   }
   finish_faces();
-  if (!config_.overlap) rhs_window(u, rhs);
-  surface_term(rhs, late_elems_);
+  if (!config_.overlap) rhs_window(kernel, u, rhs);
+  surface_term(kernel, late_elems_);
   const double grid = cost_timer.seconds() - rhs_particle_seconds_;
   balance_window_.grid_seconds += grid;
   balance_total_.grid_seconds += grid;
 }
 
-void Driver::rhs_window(const std::vector<std::vector<double>>& u,
+ElementRhs Driver::element_rhs(const std::vector<std::vector<double>>& u,
+                               std::vector<std::vector<double>>& rhs) const {
+  ElementRhs k;
+  k.physics = system_->point_physics();
+  k.n = config_.n;
+  k.nfields = nfields();
+  for (int f = 0; f < k.nfields; ++f) {
+    k.u[f] = u[f].data();
+    k.rhs[f] = rhs[f].data();
+  }
+  k.variant = config_.variant;
+  if (k.variant == kernels::GradVariant::kDispatch) {
+    k.mxm = kernels::dispatch_mxm(config_.n);
+  }
+  k.d = ops_.d.data();
+  k.dt = ops_.dt.data();
+  k.myfaces = myfaces_.data();
+  k.nbrfaces = nbrfaces_.data();
+  k.face_size = mesh::face_array_size(config_.n, layout_.nel());
+  k.w_edge = ops_.rule.weights[0];  // == weights[n-1]
+  k.h = h_;
+  k.elem_h = elem_h_.empty() ? nullptr : elem_h_.data();
+  return k;
+}
+
+void Driver::rhs_window(const ElementRhs& kernel,
+                        const std::vector<std::vector<double>>& u,
                         std::vector<std::vector<double>>& rhs) {
-  volume_term(u, rhs, all_elems_);
+  volume_term(kernel, all_elems_);
   dealias_term(u);
   particle_source(rhs);
-  surface_term(rhs, early_elems_);
+  surface_term(kernel, early_elems_);
 }
 
 void Driver::begin_faces() {
@@ -451,107 +467,16 @@ void Driver::finish_faces() {
   overlap_stats_.finish_seconds += t.seconds();
 }
 
-void Driver::volume_term(const std::vector<std::vector<double>>& u,
-                         std::vector<std::vector<double>>& rhs,
+void Driver::volume_term(const ElementRhs& kernel,
                          std::span<const int> elems) {
   if (elems.empty()) return;
   prof::ScopedRegion ax_region("ax_ (flux divergence)");
   // Elements are independent — each chunk writes only its own elements'
-  // slices of rhs/flux_/grad_scratch_ — so splitting the list across pool
-  // threads leaves every bit of the result unchanged.
+  // rhs, and flux/derivative scratch is per thread — so splitting the list
+  // across pool threads leaves every bit of the result unchanged.
   parallel::for_elements(
       elems.size(), parallel::default_grain(elems.size(), threads_), threads_,
-      [&](std::size_t lo, std::size_t hi) {
-        volume_term_range(u, rhs, elems, lo, hi);
-      });
-}
-
-void Driver::volume_term_range(const std::vector<std::vector<double>>& u,
-                               std::vector<std::vector<double>>& rhs,
-                               std::span<const int> elems, std::size_t lo,
-                               std::size_t hi) {
-  const int n = config_.n;
-  const int nf = nfields();
-  const std::size_t epts = std::size_t(n) * n * n;
-  const double* uptr[kMaxFields];
-  for (int f = 0; f < nf; ++f) uptr[f] = u[f].data();
-  double* fptr[kMaxFields];
-  for (int f = 0; f < nf; ++f) fptr[f] = flux_[f].data();
-
-  // Process maximal runs of consecutive elements so the full list (the
-  // blocking path) keeps its single bulk kernel call per direction and the
-  // interior/boundary lists batch their x-rows. Per-element results do not
-  // depend on the batching — the kernels treat elements independently. On a
-  // stretched mesh a run also breaks where the element extents change,
-  // because the batched kernels take one scalar scale per axis.
-  std::size_t i = lo;
-  while (i < hi) {
-    std::size_t j = i + 1;
-    while (j < hi && elems[j] == elems[j - 1] + 1 &&
-           (uniform_mesh_ || elem_h_[std::size_t(elems[j])] ==
-                                 elem_h_[std::size_t(elems[j - 1])])) {
-      ++j;
-    }
-    // (runs never merge across chunk boundaries; per-element bits are
-    // batching-invariant, so the split is harmless)
-    const int e0 = elems[i];
-    const int m = int(j - i);
-    const std::size_t base = std::size_t(e0) * epts;
-    const std::size_t cnt = std::size_t(m) * epts;
-    i = j;
-    const std::array<double, 3> eh = {elem_h(e0, 0), elem_h(e0, 1),
-                                      elem_h(e0, 2)};
-
-    if (config_.fused_divergence) {
-      // Fused path: evaluate the three axis fluxes of one field, then a
-      // single div3 sweep accumulates the scaled divergence. (For Euler
-      // this re-derives the flux per field — the option trades that
-      // pointwise redundancy for one output sweep instead of three.)
-      for (int f = 0; f < nf; ++f) {
-        for (int axis = 0; axis < 3; ++axis) {
-          system_->flux_range_field(uptr, flux_fused_[axis].data(), base,
-                                    base + cnt, axis, f);
-        }
-        kernels::div3_dispatch(ops_.d.data(), flux_fused_[0].data() + base,
-                               flux_fused_[1].data() + base,
-                               flux_fused_[2].data() + base,
-                               grad_scratch_.data() + base, n, m, 2.0 / eh[0],
-                               2.0 / eh[1], 2.0 / eh[2],
-                               div_work_.data() + 2 * base);
-        for (std::size_t p = base; p < base + cnt; ++p) {
-          rhs[f][p] -= grad_scratch_[p];
-        }
-      }
-    } else {
-      for (int axis = 0; axis < 3; ++axis) {
-        // Pointwise axis flux of every field.
-        system_->flux_range(uptr, fptr, base, base + cnt, axis);
-        // d(flux)/d(axis) with the selected loop-transformation variant.
-        const double scale = 2.0 / eh[axis];
-        for (int f = 0; f < nf; ++f) {
-          switch (axis) {
-            case 0:
-              kernels::grad_r(config_.variant, ops_.d.data(),
-                              flux_[f].data() + base,
-                              grad_scratch_.data() + base, n, m);
-              break;
-            case 1:
-              kernels::grad_s(config_.variant, ops_.d.data(),
-                              flux_[f].data() + base,
-                              grad_scratch_.data() + base, n, m);
-              break;
-            default:
-              kernels::grad_t(config_.variant, ops_.d.data(),
-                              flux_[f].data() + base,
-                              grad_scratch_.data() + base, n, m);
-          }
-          for (std::size_t p = base; p < base + cnt; ++p) {
-            rhs[f][p] -= scale * grad_scratch_[p];
-          }
-        }
-      }
-    }
-  }
+      [&](std::size_t lo, std::size_t hi) { kernel.volume(elems, lo, hi); });
 }
 
 void Driver::dealias_term(const std::vector<std::vector<double>>& u) {
@@ -596,7 +521,7 @@ void Driver::pack_faces(const std::vector<std::vector<double>>& u) {
   }
 }
 
-void Driver::surface_term(std::vector<std::vector<double>>& rhs,
+void Driver::surface_term(const ElementRhs& kernel,
                           std::span<const int> elems) {
   if (elems.empty()) return;
   prof::ScopedRegion nfx_region("numerical_flux");
@@ -604,56 +529,7 @@ void Driver::surface_term(std::vector<std::vector<double>>& rhs,
   // myfaces_/nbrfaces_ are read-only here — element-parallel, bit-stable.
   parallel::for_elements(
       elems.size(), parallel::default_grain(elems.size(), threads_), threads_,
-      [&](std::size_t lo, std::size_t hi) {
-        surface_term_range(rhs, elems, lo, hi);
-      });
-}
-
-void Driver::surface_term_range(std::vector<std::vector<double>>& rhs,
-                                std::span<const int> elems, std::size_t lo,
-                                std::size_t hi) {
-  const int n = config_.n;
-  const int nf = nfields();
-  const std::size_t fsz = mesh::face_array_size(n, layout_.nel());
-  const std::vector<double>& w = ops_.rule.weights;
-  const double w_edge = w[0];  // == w[n-1]
-  const std::size_t elem = std::size_t(n) * n * n;
-
-  for (std::size_t ei = lo; ei < hi; ++ei) {
-    const int e = elems[ei];
-    for (int face = 0; face < mesh::kFacesPerElement; ++face) {
-      const int axis = mesh::face_axis(face);
-      const double sign = mesh::face_side(face) == 0 ? -1.0 : 1.0;
-      const double lift = 2.0 / elem_h(e, axis) / w_edge;
-      for (int b = 0; b < n; ++b) {
-        for (int a = 0; a < n; ++a) {
-          const std::size_t foff =
-              mesh::face_offset(face, e, n) + a + std::size_t(n) * b;
-          const std::size_t voff =
-              e * elem + mesh::face_point_volume_index(face, a, b, n);
-          // Gather the two face states, evaluate the system's pointwise
-          // flux and signal speed, and lift the Rusanov correction. For
-          // both historical physics branches this performs the exact
-          // per-point operation sequence the hard-coded code did.
-          double uin[kMaxFields], uout[kMaxFields];
-          double fin[kMaxFields], fout[kMaxFields];
-          for (int f = 0; f < nf; ++f) {
-            uin[f] = myfaces_[f * fsz + foff];
-            uout[f] = nbrfaces_[f * fsz + foff];
-          }
-          system_->flux_point(uin, fin, axis);
-          system_->flux_point(uout, fout, axis);
-          const double lambda = std::max(system_->wavespeed_point(uin, axis),
-                                         system_->wavespeed_point(uout, axis));
-          for (int f = 0; f < nf; ++f) {
-            double fstar =
-                rusanov(fin[f], fout[f], uin[f], uout[f], lambda, sign);
-            rhs[f][voff] -= lift * sign * (fstar - fin[f]);
-          }
-        }
-      }
-    }
-  }
+      [&](std::size_t lo, std::size_t hi) { kernel.surface(elems, lo, hi); });
 }
 
 void Driver::apply_dssum() {
@@ -695,14 +571,9 @@ void Driver::step() {
       compute_rhs(*prev, rhs_);
       std::vector<std::vector<double>>* next =
           (s == stages - 1) ? &u_ : &u1_;
-      const double a = tab[s].a, b = tab[s].b;
       for (int f = 0; f < nf; ++f) {
-        const std::vector<double>& u0 = u_[f];
-        const std::vector<double>& up = (*prev)[f];
-        std::vector<double>& un = (*next)[f];
-        for (std::size_t p = 0; p < pts_; ++p) {
-          un[p] = a * u0[p] + b * (up[p] + dt * rhs_[f][p]);
-        }
+        kernels::ssp_stage((*next)[f].data(), u_[f].data(), (*prev)[f].data(),
+                           rhs_[f].data(), tab[s].a, tab[s].b, dt, pts_);
       }
       prev = next;
     }
@@ -745,32 +616,19 @@ void Driver::step_rk4(double dt) {
   const int nf = nfields();
   const double half = 0.5 * dt;
 
-  compute_rhs(u_, rhs_);  // k1
-  for (int f = 0; f < nf; ++f) {
-    for (std::size_t p = 0; p < pts_; ++p) {
-      u2_[f][p] = rhs_[f][p];  // acc = k1
-      u1_[f][p] = u_[f][p] + half * rhs_[f][p];
-    }
-  }
-  compute_rhs(u1_, rhs_);  // k2
-  for (int f = 0; f < nf; ++f) {
-    for (std::size_t p = 0; p < pts_; ++p) {
-      u2_[f][p] += 2.0 * rhs_[f][p];
-      u1_[f][p] = u_[f][p] + half * rhs_[f][p];
-    }
-  }
-  compute_rhs(u1_, rhs_);  // k3
-  for (int f = 0; f < nf; ++f) {
-    for (std::size_t p = 0; p < pts_; ++p) {
-      u2_[f][p] += 2.0 * rhs_[f][p];
-      u1_[f][p] = u_[f][p] + dt * rhs_[f][p];
+  // k1..k3: accumulate into u2_, stage state into u1_.
+  const double stage_h[3] = {half, half, dt};
+  for (int stage = 0; stage < 3; ++stage) {
+    compute_rhs(stage == 0 ? u_ : u1_, rhs_);
+    for (int f = 0; f < nf; ++f) {
+      kernels::rk4_stage(u2_[f].data(), u1_[f].data(), u_[f].data(),
+                         rhs_[f].data(), stage_h[stage], stage == 0, pts_);
     }
   }
   compute_rhs(u1_, rhs_);  // k4
   for (int f = 0; f < nf; ++f) {
-    for (std::size_t p = 0; p < pts_; ++p) {
-      u_[f][p] += (dt / 6.0) * (u2_[f][p] + rhs_[f][p]);
-    }
+    kernels::rk4_finish(u_[f].data(), u2_[f].data(), rhs_[f].data(), dt / 6.0,
+                        pts_);
   }
 }
 

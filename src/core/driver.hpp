@@ -37,6 +37,8 @@
 
 namespace cmtbone::core {
 
+struct ElementRhs;  // core/element_rhs.hpp
+
 class Driver {
  public:
   /// Collective over `comm`; comm.size() must equal the processor grid.
@@ -176,34 +178,28 @@ class Driver {
   /// term of the late elements.
   void compute_rhs(const std::vector<std::vector<double>>& u,
                    std::vector<std::vector<double>>& rhs);
+  /// The element kernel's inputs for one RHS: fields, face arrays, extents,
+  /// the point physics and the contraction kernel under the current
+  /// backend selection.
+  ElementRhs element_rhs(const std::vector<std::vector<double>>& u,
+                         std::vector<std::vector<double>>& rhs) const;
   /// Volume term, dealias, particle source, and the early elements'
   /// surface term.
-  void rhs_window(const std::vector<std::vector<double>>& u,
+  void rhs_window(const ElementRhs& kernel,
+                  const std::vector<std::vector<double>>& u,
                   std::vector<std::vector<double>>& rhs);
   /// myfaces_ -> nbrfaces_ through the selected face backend, split so
   /// the window can run in between.
   void begin_faces();
   void finish_faces();
-  // RHS building blocks, each over an explicit element list so the surface
-  // term can run per early/late list. The per-point floating-point
-  // operation sequence does not depend on how the element list is split
-  // (each point belongs to exactly one element), which is what keeps
-  // every window placement bit-identical.
-  // The _range forms process elems[lo, hi) and are what the worker-pool
-  // threads execute; splitting a list into ranges changes batching only,
-  // never a per-element bit (see src/parallel/parallel.hpp).
-  void volume_term(const std::vector<std::vector<double>>& u,
-                   std::vector<std::vector<double>>& rhs,
-                   std::span<const int> elems);
-  void volume_term_range(const std::vector<std::vector<double>>& u,
-                         std::vector<std::vector<double>>& rhs,
-                         std::span<const int> elems, std::size_t lo,
-                         std::size_t hi);
-  void surface_term(std::vector<std::vector<double>>& rhs,
-                    std::span<const int> elems);
-  void surface_term_range(std::vector<std::vector<double>>& rhs,
-                          std::span<const int> elems, std::size_t lo,
-                          std::size_t hi);
+  // The element kernel over an explicit element list, split across the
+  // worker pool, so the surface term can run per early/late list. The
+  // per-point floating-point operation sequence does not depend on how the
+  // element list is split (each point belongs to exactly one element),
+  // which is what keeps every window placement and thread count
+  // bit-identical (see core/element_rhs.hpp).
+  void volume_term(const ElementRhs& kernel, std::span<const int> elems);
+  void surface_term(const ElementRhs& kernel, std::span<const int> elems);
   void dealias_term(const std::vector<std::vector<double>>& u);
   void particle_source(std::vector<std::vector<double>>& rhs);
   void pack_faces(const std::vector<std::vector<double>>& u);
@@ -268,12 +264,9 @@ class Driver {
   long steps_ = 0;
 
   std::size_t pts_ = 0;  // n^3 * nel
-  // Fields and scratch, one vector per conserved variable.
+  // Fields and RK stage storage, one vector per conserved variable (the
+  // element kernel's flux and derivative scratch is per thread).
   std::vector<std::vector<double>> u_, u1_, u2_, rhs_;
-  std::vector<std::vector<double>> flux_;   // pointwise flux, per field
-  std::array<std::vector<double>, 3> flux_fused_;  // per-axis flux (fused path)
-  std::vector<double> grad_scratch_;
-  std::vector<double> div_work_;  // div3_dispatch scratch (fused path only)
   std::vector<double> myfaces_, nbrfaces_;  // nfields stacked face arrays
   std::vector<double> dealias_fine_, dealias_back_, dealias_work_;
   double dealias_checksum_ = 0.0;

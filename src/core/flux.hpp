@@ -6,8 +6,35 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <variant>
 
 namespace cmtbone::core {
+
+// --- point physics -------------------------------------------------------------
+// What the driver's element-local RHS kernel (core/element_rhs.hpp) needs
+// to evaluate a system's fluxes and signal speeds inline: the constants of
+// the flux model, one plain struct per family. HyperbolicSystem returns the
+// one it steps; the kernel visits the variant once per call and runs loops
+// specialized for that family, with no virtual call per point.
+
+/// Linear advection of `nfields` fields: f = c_axis * u, |c_axis| the
+/// signal speed everywhere (the proxy and validation modes).
+struct LinearPoint {
+  int nfields;
+  std::array<double, 3> velocity;
+};
+
+/// Scalar Burgers: f = 0.5 * a_axis * u^2, signal speed |a_axis * u|.
+struct BurgersPoint {
+  std::array<double, 3> velocity;
+};
+
+/// Compressible Euler with a gamma-law gas (euler_flux / euler_wavespeed).
+struct EulerPoint {
+  double gamma;
+};
+
+using PointPhysics = std::variant<LinearPoint, BurgersPoint, EulerPoint>;
 
 /// Conserved state (mass, momentum, total energy).
 struct State5 {

@@ -4,9 +4,16 @@
 #include <cmath>
 #include <limits>
 
+#include "core/element_rhs.hpp"
 #include "core/flux.hpp"
 
 namespace cmtbone::core {
+
+void HyperbolicSystem::flux_range(const double* const* u, double* const* f,
+                                  std::size_t lo, std::size_t hi,
+                                  int axis) const {
+  axis_flux(point_physics(), u, f, lo, hi, axis);
+}
 
 FieldFunction HyperbolicSystem::exact_solution(double) const {
   throw std::logic_error(std::string(name()) +
@@ -44,31 +51,8 @@ class LinearAdvectionSystem : public HyperbolicSystem {
   const char* name() const override { return name_; }
   int nfields() const override { return nf_; }
 
-  void flux_range(const double* const* u, double* const* f, std::size_t lo,
-                  std::size_t hi, int axis) const override {
-    const double c = config_.velocity[axis];
-    for (int field = 0; field < nf_; ++field) {
-      for (std::size_t p = lo; p < hi; ++p) {
-        f[field][p] = c * u[field][p];
-      }
-    }
-  }
-
-  void flux_range_field(const double* const* u, double* dst, std::size_t lo,
-                        std::size_t hi, int axis, int field) const override {
-    const double c = config_.velocity[axis];
-    for (std::size_t p = lo; p < hi; ++p) {
-      dst[p] = c * u[field][p];
-    }
-  }
-
-  void flux_point(const double* u, double* f, int axis) const override {
-    const double c = config_.velocity[axis];
-    for (int field = 0; field < nf_; ++field) f[field] = c * u[field];
-  }
-
-  double wavespeed_point(const double*, int axis) const override {
-    return std::abs(config_.velocity[axis]);
+  PointPhysics point_physics() const override {
+    return LinearPoint{nf_, config_.velocity};
   }
 
   double max_wavespeed(const double* const*, std::size_t, std::size_t,
@@ -121,29 +105,8 @@ class BurgersSystem : public HyperbolicSystem {
   const char* name() const override { return "burgers"; }
   int nfields() const override { return 1; }
 
-  void flux_range(const double* const* u, double* const* f, std::size_t lo,
-                  std::size_t hi, int axis) const override {
-    const double ha = 0.5 * config_.velocity[axis];
-    for (std::size_t p = lo; p < hi; ++p) {
-      f[0][p] = ha * u[0][p] * u[0][p];
-    }
-  }
-
-  void flux_range_field(const double* const* u, double* dst, std::size_t lo,
-                        std::size_t hi, int axis, int) const override {
-    const double ha = 0.5 * config_.velocity[axis];
-    for (std::size_t p = lo; p < hi; ++p) {
-      dst[p] = ha * u[0][p] * u[0][p];
-    }
-  }
-
-  void flux_point(const double* u, double* f, int axis) const override {
-    const double ha = 0.5 * config_.velocity[axis];
-    f[0] = ha * u[0] * u[0];
-  }
-
-  double wavespeed_point(const double* u, int axis) const override {
-    return std::abs(config_.velocity[axis] * u[0]);
+  PointPhysics point_physics() const override {
+    return BurgersPoint{config_.velocity};
   }
 
   double max_wavespeed(const double* const* u, std::size_t lo, std::size_t hi,
@@ -237,44 +200,8 @@ class EulerSystem : public HyperbolicSystem {
   const char* name() const override { return "euler"; }
   int nfields() const override { return 5; }
 
-  void flux_range(const double* const* u, double* const* f, std::size_t lo,
-                  std::size_t hi, int axis) const override {
-    const double gamma = config_.gamma;
-    for (std::size_t p = lo; p < hi; ++p) {
-      State5 s{u[0][p], u[1][p], u[2][p], u[3][p], u[4][p]};
-      State5 fl = euler_flux(s, axis, gamma);
-      f[0][p] = fl.rho;
-      f[1][p] = fl.mx;
-      f[2][p] = fl.my;
-      f[3][p] = fl.mz;
-      f[4][p] = fl.e;
-    }
-  }
-
-  void flux_range_field(const double* const* u, double* dst, std::size_t lo,
-                        std::size_t hi, int axis, int field) const override {
-    const double gamma = config_.gamma;
-    for (std::size_t p = lo; p < hi; ++p) {
-      State5 s{u[0][p], u[1][p], u[2][p], u[3][p], u[4][p]};
-      State5 fl = euler_flux(s, axis, gamma);
-      const double v[5] = {fl.rho, fl.mx, fl.my, fl.mz, fl.e};
-      dst[p] = v[field];
-    }
-  }
-
-  void flux_point(const double* u, double* f, int axis) const override {
-    State5 s{u[0], u[1], u[2], u[3], u[4]};
-    State5 fl = euler_flux(s, axis, config_.gamma);
-    f[0] = fl.rho;
-    f[1] = fl.mx;
-    f[2] = fl.my;
-    f[3] = fl.mz;
-    f[4] = fl.e;
-  }
-
-  double wavespeed_point(const double* u, int axis) const override {
-    State5 s{u[0], u[1], u[2], u[3], u[4]};
-    return euler_wavespeed(s, axis, config_.gamma);
+  PointPhysics point_physics() const override {
+    return EulerPoint{config_.gamma};
   }
 
   double max_wavespeed(const double* const* u, std::size_t lo, std::size_t hi,

@@ -5,11 +5,11 @@
 // and Euler) behind `if (physics == ...)` branches. Following the shape of
 // MFEM's hypsys miniapp (advection / Burgers / Euler behind one
 // HyperbolicSystem class), the pointwise physics now lives behind this
-// interface: the conserved-field count, the axis flux (bulk, per-field, and
-// single-point flavors matching the volume / fused-divergence / surface
-// call sites), the signal speed for the CFL bound and the Rusanov
-// dissipation, the particle carrier velocity, admissibility of a state, and
-// the analytic initial/exact solutions where the scenario has them.
+// interface: the conserved-field count, the point physics (flux model
+// constants the driver's element kernel inlines, see core/flux.hpp), the
+// signal speed for the CFL bound, the particle carrier velocity,
+// admissibility of a state, and the analytic initial/exact solutions where
+// the scenario has them.
 //
 // Contract for implementations: the range methods must perform the same
 // per-point floating-point operation sequence regardless of how a caller
@@ -23,6 +23,7 @@
 #include <string>
 
 #include "core/config.hpp"
+#include "core/flux.hpp"
 
 namespace cmtbone::core {
 
@@ -58,22 +59,14 @@ class HyperbolicSystem {
   virtual const char* name() const = 0;
   virtual int nfields() const = 0;
 
+  /// The flux model's constants, which the driver's element kernel visits
+  /// once per call and evaluates inline.
+  virtual PointPhysics point_physics() const = 0;
+
   /// Axis flux of every field over points [lo, hi): u[f][p] -> f[f][p].
-  virtual void flux_range(const double* const* u, double* const* f,
-                          std::size_t lo, std::size_t hi, int axis) const = 0;
-
-  /// Axis flux of a single field over [lo, hi) (the fused-divergence path,
-  /// which wants the three axis fluxes of one field at a time).
-  virtual void flux_range_field(const double* const* u, double* dst,
-                                std::size_t lo, std::size_t hi, int axis,
-                                int field) const = 0;
-
-  /// Axis flux at a single point: u[0..nfields) -> f[0..nfields) (the
-  /// surface / Rusanov path).
-  virtual void flux_point(const double* u, double* f, int axis) const = 0;
-
-  /// Fastest signal speed at a single point along `axis`.
-  virtual double wavespeed_point(const double* u, int axis) const = 0;
+  /// The same loops the element kernel runs (core/element_rhs.hpp).
+  void flux_range(const double* const* u, double* const* f, std::size_t lo,
+                  std::size_t hi, int axis) const;
 
   /// Max signal speed over [lo, hi) along `axis` (the CFL bound). Linear
   /// systems return the constant without touching memory.

@@ -94,8 +94,11 @@ Selection& sel() {
   return s;
 }
 
+// The environment is read once, under g_env_mu; g_env_done publishes the
+// result (release) so that every later selection costs one acquire load
+// instead of a lock that all rank threads and pool workers would share.
 std::mutex g_env_mu;
-bool g_env_done = false;
+std::atomic<bool> g_env_done{false};
 
 // Reads the environment knobs. Called under g_env_mu; must not call the
 // public ensure_env()-guarded accessors (re-entrancy).
@@ -129,10 +132,11 @@ void init_from_env() {
 }
 
 void ensure_env() {
+  if (g_env_done.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(g_env_mu);
-  if (g_env_done) return;
-  g_env_done = true;
+  if (g_env_done.load(std::memory_order_relaxed)) return;
   init_from_env();
+  g_env_done.store(true, std::memory_order_release);
 }
 
 }  // namespace
@@ -178,7 +182,7 @@ void reload_env_selection() {
   sel().forced.store(kNoBackend, std::memory_order_relaxed);
   for (auto& t : sel().tuned) t.store(kNoBackend, std::memory_order_relaxed);
   init_from_env();
-  g_env_done = true;
+  g_env_done.store(true, std::memory_order_release);
 }
 
 // ---- kernel entry points ----------------------------------------------------

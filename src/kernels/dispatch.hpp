@@ -69,6 +69,8 @@ const char* isa_name();
 
 /// Override every other selection source process-wide (nullopt clears).
 /// Thread-safe; kernels already in flight finish on their old choice.
+/// Once the environment has been read, reading the selection costs one
+/// acquire load (no lock).
 void set_forced_backend(std::optional<Backend> b);
 std::optional<Backend> forced_backend();
 

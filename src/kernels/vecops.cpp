@@ -19,7 +19,8 @@ inline V4 load4(const double* p) {
 
 inline void store4(double* p, V4 v) { __builtin_memcpy(p, &v, sizeof v); }
 
-inline V4 bcast4(double x) { return V4{} + x; }
+// Lane copies, not 0 + x, so a -0.0 stays -0.0.
+inline V4 bcast4(double x) { return V4{x, x, x, x}; }
 
 }  // namespace
 
@@ -55,6 +56,42 @@ void ax_combine(double* w, const double* s, const double* m, const double* u,
   for (; i < count; ++i) {
     w[i] = h1 * (w[i] + s[i]) + h2 * m[i] * u[i];
   }
+}
+
+void ssp_stage(double* un, const double* u0, const double* up, const double* r,
+               double a, double b, double dt, std::size_t count) {
+  const V4 va = bcast4(a), vb = bcast4(b), vdt = bcast4(dt);
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    store4(un + i,
+           va * load4(u0 + i) + vb * (load4(up + i) + vdt * load4(r + i)));
+  }
+  for (; i < count; ++i) un[i] = a * u0[i] + b * (up[i] + dt * r[i]);
+}
+
+void rk4_stage(double* acc, double* ustage, const double* u, const double* k,
+               double h, bool first, std::size_t count) {
+  const V4 vh = bcast4(h), two = bcast4(2.0);
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const V4 vk = load4(k + i);
+    store4(acc + i, first ? vk : load4(acc + i) + two * vk);
+    store4(ustage + i, load4(u + i) + vh * vk);
+  }
+  for (; i < count; ++i) {
+    acc[i] = first ? k[i] : acc[i] + 2.0 * k[i];
+    ustage[i] = u[i] + h * k[i];
+  }
+}
+
+void rk4_finish(double* u, const double* acc, const double* k, double w,
+                std::size_t count) {
+  const V4 vw = bcast4(w);
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    store4(u + i, load4(u + i) + vw * (load4(acc + i) + load4(k + i)));
+  }
+  for (; i < count; ++i) u[i] += w * (acc[i] + k[i]);
 }
 
 double weighted_dot(const double* a, const double* b, const double* w,

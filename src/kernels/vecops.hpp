@@ -1,7 +1,7 @@
 #pragma once
 // Pointwise vector kernels for the solver's non-contraction inner loops:
-// the dssum multiplicity scaling, the fused-divergence combine, the Nekbone
-// ax tail, and the CG inner products.
+// the dssum multiplicity scaling, the Runge-Kutta stage updates, the
+// fused-divergence combine, the Nekbone ax tail, and the CG inner products.
 //
 // These loops are memory-bound streams; the win over leaving them to the
 // autovectorizer is a guaranteed vector shape (GCC generic vectors, so the
@@ -28,6 +28,20 @@ namespace cmtbone::kernels {
 
 /// x[i] *= s[i] for i in [0, count).
 void pointwise_scale(double* x, const double* s, std::size_t count);
+
+/// un[i] = a*u0[i] + b*(up[i] + dt*r[i]) — one Shu-Osher stage of the SSP
+/// integrators. un may alias u0 or up (each index is read before written).
+void ssp_stage(double* un, const double* u0, const double* up, const double* r,
+               double a, double b, double dt, std::size_t count);
+
+/// One classic-RK4 stage update from stage slope k: acc[i] = k[i] on the
+/// first stage, else acc[i] + 2*k[i]; ustage[i] = u[i] + h*k[i].
+void rk4_stage(double* acc, double* ustage, const double* u, const double* k,
+               double h, bool first, std::size_t count);
+
+/// The RK4 finish: u[i] += w*(acc[i] + k[i]) with w = dt/6.
+void rk4_finish(double* u, const double* acc, const double* k, double w,
+                std::size_t count);
 
 /// out[i] = sx*out[i] + sy*gs[i] + sz*gt[i] — the div3 combine, evaluated
 /// left to right exactly like the fused kernel's (sx*ar + sy*as) + sz*at.

@@ -3,11 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "comm/runtime.hpp"
 #include "core/driver.hpp"
+#include "core/flux.hpp"
+#include "kernels/dispatch.hpp"
+#include "kernels/gradient.hpp"
+#include "mesh/faces.hpp"
+#include "mesh/geometry.hpp"
 
 namespace {
 
@@ -291,37 +301,178 @@ TEST(Driver, DealiasPathRuns) {
   });
 }
 
-TEST(Driver, FusedDivergenceMatchesSeparateSweeps) {
-  // The fused div3 volume term must reproduce the three-sweep trajectory
-  // for both linear and Euler fluxes.
-  for (auto physics : {Physics::kAdvection, Physics::kEuler}) {
-    std::vector<double> separate, fused;
-    for (bool use_fused : {false, true}) {
-      cmtbone::comm::run(2, [&](Comm& world) {
-        Config cfg;
-        cfg.physics = physics;
-        cfg.n = 5;
-        cfg.ex = cfg.ey = cfg.ez = 2;
-        cfg.use_dssum = false;
-        cfg.fixed_dt = 1e-3;
-        cfg.fused_divergence = use_fused;
-        Driver driver(world, cfg);
-        driver.initialize(driver.default_ic());
-        driver.run(3);
-        if (world.rank() == 0) {
-          auto f = driver.field(0);
-          auto& out = use_fused ? fused : separate;
-          out.assign(f.begin(), f.end());
-        }
-      });
+// --- per-point operation order ----------------------------------------------------
+
+// One forward-Euler step assembled from public pieces, in the operation
+// order every RHS implementation must keep per point:
+//   volume: rhs = ((0 - s_r g_r) - s_s g_s) - s_t g_t, s_axis = 2 / h_axis,
+//           from single-point HyperbolicSystem::flux_range calls and the
+//           basic derivative loops;
+//   surface: face by face in order 0..5, rhs -= lift * sign * (f* - f_in)
+//           with f* = core::rusanov of single-point fluxes and lambda the
+//           larger single-point max_wavespeed of the two states;
+//   update: 0 * u + 1 * (u + dt * rhs), the one-stage Shu-Osher form.
+// Collective: the face exchange runs on every rank.
+std::vector<std::vector<double>> reference_euler_step(Driver& driver,
+                                                      double dt) {
+  namespace kernels = cmtbone::kernels;
+  namespace mesh = cmtbone::mesh;
+  const Config& cfg = driver.config();
+  const cmtbone::core::HyperbolicSystem& sys = driver.system();
+  const mesh::ElementLayout& layout = driver.element_layout();
+  const int n = cfg.n;
+  const int nf = driver.nfields();
+  const int nel = layout.nel();
+  const std::size_t epts = std::size_t(n) * n * n;
+  const std::size_t pts = epts * nel;
+  const int counts[3] = {cfg.ex, cfg.ey, cfg.ez};
+  std::array<std::vector<double>, 3> widths;
+  for (int axis = 0; axis < 3; ++axis) {
+    widths[axis] = mesh::axis_widths(cfg.mesh_map[axis], counts[axis]);
+  }
+  auto extent = [&](int e, int axis) {
+    return widths[axis][std::size_t(layout.global_coords(e)[axis])];
+  };
+
+  std::vector<std::vector<double>> u(nf), rhs(nf, std::vector<double>(pts, 0.0));
+  const double* uptr[cmtbone::core::kMaxFields];
+  for (int f = 0; f < nf; ++f) {
+    u[f].assign(driver.field(f).begin(), driver.field(f).end());
+    uptr[f] = u[f].data();
+  }
+
+  std::vector<std::vector<double>> flux(nf, std::vector<double>(pts));
+  std::vector<double> g(epts);
+  double* fptr[cmtbone::core::kMaxFields];
+  for (int f = 0; f < nf; ++f) fptr[f] = flux[f].data();
+  for (int axis = 0; axis < 3; ++axis) {
+    for (std::size_t p = 0; p < pts; ++p) sys.flux_range(uptr, fptr, p, p + 1, axis);
+    for (int f = 0; f < nf; ++f) {
+      for (int e = 0; e < nel; ++e) {
+        const double* in = flux[f].data() + e * epts;
+        const double* d = driver.operators().d.data();
+        const auto v = kernels::GradVariant::kBasic;
+        if (axis == 0) kernels::grad_r(v, d, in, g.data(), n, 1);
+        if (axis == 1) kernels::grad_s(v, d, in, g.data(), n, 1);
+        if (axis == 2) kernels::grad_t(v, d, in, g.data(), n, 1);
+        const double scale = 2.0 / extent(e, axis);
+        for (std::size_t p = 0; p < epts; ++p) rhs[f][e * epts + p] -= scale * g[p];
+      }
     }
-    ASSERT_EQ(separate.size(), fused.size());
-    for (std::size_t i = 0; i < separate.size(); ++i) {
-      ASSERT_NEAR(fused[i], separate[i], 1e-12)
-          << cmtbone::core::physics_name(physics) << " index " << i;
+  }
+
+  const std::size_t fsz = mesh::face_array_size(n, nel);
+  std::vector<double> mine(fsz * nf), nbr(fsz * nf);
+  for (int f = 0; f < nf; ++f) mesh::full2face(uptr[f], mine.data() + f * fsz, n, nel);
+  driver.face_exchange().exchange(mine.data(), nbr.data(), nf);
+  const double w_edge = driver.operators().rule.weights[0];
+  double uin[cmtbone::core::kMaxFields], uout[cmtbone::core::kMaxFields];
+  double fin[cmtbone::core::kMaxFields], fout[cmtbone::core::kMaxFields];
+  const double *pin[cmtbone::core::kMaxFields], *pout[cmtbone::core::kMaxFields];
+  double *pfin[cmtbone::core::kMaxFields], *pfout[cmtbone::core::kMaxFields];
+  for (int f = 0; f < nf; ++f) {
+    pin[f] = &uin[f];
+    pout[f] = &uout[f];
+    pfin[f] = &fin[f];
+    pfout[f] = &fout[f];
+  }
+  for (int e = 0; e < nel; ++e) {
+    for (int face = 0; face < mesh::kFacesPerElement; ++face) {
+      const int axis = mesh::face_axis(face);
+      const double sign = mesh::face_side(face) == 0 ? -1.0 : 1.0;
+      const double lift = 2.0 / extent(e, axis) / w_edge;
+      for (int b = 0; b < n; ++b) {
+        for (int a = 0; a < n; ++a) {
+          const std::size_t q = mesh::face_offset(face, e, n) + a + std::size_t(n) * b;
+          const std::size_t v = e * epts + mesh::face_point_volume_index(face, a, b, n);
+          for (int f = 0; f < nf; ++f) {
+            uin[f] = mine[f * fsz + q];
+            uout[f] = nbr[f * fsz + q];
+          }
+          sys.flux_range(pin, pfin, 0, 1, axis);
+          sys.flux_range(pout, pfout, 0, 1, axis);
+          const double lambda = std::max(sys.max_wavespeed(pin, 0, 1, axis),
+                                         sys.max_wavespeed(pout, 0, 1, axis));
+          for (int f = 0; f < nf; ++f) {
+            const double fstar = cmtbone::core::rusanov(fin[f], fout[f], uin[f],
+                                                        uout[f], lambda, sign);
+            rhs[f][v] -= lift * sign * (fstar - fin[f]);
+          }
+        }
+      }
+    }
+  }
+
+  for (int f = 0; f < nf; ++f) {
+    for (std::size_t p = 0; p < pts; ++p) {
+      u[f][p] = 0.0 * u[f][p] + 1.0 * (u[f][p] + dt * rhs[f][p]);
+    }
+  }
+  return u;
+}
+
+class RhsOrder
+    : public ::testing::TestWithParam<std::tuple<Physics, int>> {};
+
+TEST_P(RhsOrder, ForwardEulerStepMatchesReferenceBitForBit) {
+  // Comparing configurations with each other cannot catch a rewrite that
+  // reorders a point's operations everywhere at once; this pins the order
+  // against a reference built from the public pieces. N = 26 lies outside
+  // the specialized kernel range (basic-loop fallback).
+  const auto [physics, n] = GetParam();
+  cmtbone::kernels::ScopedBackendForce force(cmtbone::kernels::Backend::kBatched);
+  for (bool geometric : {false, true}) {
+    for (int ranks : {1, 2}) {
+      Config cfg;
+      cfg.physics = physics;
+      cfg.n = n;
+      cfg.ex = 2;
+      cfg.ey = cfg.ez = n > 10 ? 1 : 2;
+      if (geometric) {
+        cfg.mesh_map[0] = {cmtbone::mesh::AxisMapKind::kGeometric, 1.3, 1.0};
+      }
+      cfg.integrator = cmtbone::core::TimeIntegrator::kForwardEuler;
+      cfg.use_dssum = false;
+      cfg.fixed_dt = 1e-3;
+      for (bool overlap : {false, true}) {
+        cfg.overlap = overlap;
+        SCOPED_TRACE(::testing::Message()
+                     << cmtbone::core::physics_name(physics) << " n=" << n
+                     << (geometric ? " geometric-x" : " uniform") << " ranks="
+                     << ranks << " overlap=" << overlap);
+        cmtbone::comm::run(ranks, [&](Comm& world) {
+          Driver driver(world, cfg);
+          driver.initialize(driver.default_ic());
+          const auto want = reference_euler_step(driver, cfg.fixed_dt);
+          driver.step();
+          for (int f = 0; f < driver.nfields(); ++f) {
+            const auto got = driver.field(f);
+            ASSERT_EQ(got.size(), want[f].size());
+            for (std::size_t p = 0; p < got.size(); ++p) {
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(got[p]),
+                        std::bit_cast<std::uint64_t>(want[f][p]))
+                  << "rank " << world.rank() << " field " << f << " point " << p
+                  << ": " << got[p] << " vs " << want[f][p];
+            }
+          }
+        });
+      }
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PhysicsByN, RhsOrder,
+    ::testing::Combine(::testing::Values(Physics::kProxyAdvection,
+                                         Physics::kBurgers, Physics::kEuler),
+                       ::testing::Values(2, 5, 10, 26)),
+    [](const ::testing::TestParamInfo<std::tuple<Physics, int>>& info) {
+      const Physics physics = std::get<0>(info.param);
+      return std::string(physics == Physics::kProxyAdvection ? "proxy"
+                         : physics == Physics::kBurgers      ? "burgers"
+                                                             : "euler") +
+             "_n" + std::to_string(std::get<1>(info.param));
+    });
 
 // --- face-exchange backends -----------------------------------------------------
 

@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chaos_workloads.hpp"
@@ -31,6 +33,7 @@ using cmtbone::core::FaceBackend;
 using cmtbone::core::Physics;
 using cmtbone::kernels::all_backends;
 using cmtbone::kernels::Backend;
+using cmtbone::kernels::backend_bit_identical;
 using cmtbone::kernels::backend_from_name;
 using cmtbone::kernels::backend_name;
 using cmtbone::kernels::clear_tune_table;
@@ -206,6 +209,44 @@ TEST_F(DispatchTest, EnvForcedBackendWinsOverCacheAndAutotune) {
   EXPECT_TRUE(out.entries.empty());
   EXPECT_EQ(selected_backend(5), Backend::kSimdFma);
   std::remove(path.c_str());
+}
+
+TEST_F(DispatchTest, SelectionIsConsistentWhileForceAndEnvChange) {
+  // Every rank thread and pool worker reads the selection on every
+  // contraction; in the steady state that is one acquire load, no lock.
+  // Readers must always get a valid backend and a kernel that computes the
+  // runtime mxm exactly while a writer flips the force and re-reads the
+  // environment (the TSan jobs check the accesses themselves).
+  setenv(cmtbone::kernels::kBackendEnvVar, "fixed-n", 1);
+  std::atomic<bool> stop{false};
+  std::atomic<long> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      cmtbone::util::SplitMix64 rng(100 + t);
+      std::vector<double> a(3 * 8), b(8 * 2), want(3 * 2), got(3 * 2);
+      for (double& x : a) x = rng.uniform(-1, 1);
+      for (double& x : b) x = rng.uniform(-1, 1);
+      cmtbone::kernels::mxm(a.data(), 3, b.data(), 8, want.data(), 2);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const Backend sel = selected_backend(8);
+        EXPECT_TRUE(backend_bit_identical(sel)) << backend_name(sel);
+        if (cmtbone::kernels::MxmFixedFn f = cmtbone::kernels::dispatch_mxm(8)) {
+          f(a.data(), 3, b.data(), got.data(), 2);
+          EXPECT_EQ(got, want);
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (int i = 0; i < 200 || reads.load() < 2000; ++i) {
+    set_forced_backend(i % 2 ? Backend::kScalar : Backend::kBatched);
+    if (i % 10 == 0) cmtbone::kernels::reload_env_selection();
+  }
+  stop = true;
+  for (std::thread& t : readers) t.join();
+  cmtbone::kernels::reload_env_selection();
+  EXPECT_EQ(forced_backend(), Backend::kFixedN);
 }
 
 // --- tune-table round-trip and rejection -------------------------------------
