@@ -4,7 +4,7 @@
 //
 // The paper's communication figures (8-10) all come from one profiled
 // CMT-bone execution; fig8/fig9/fig10 each perform an equivalent run and
-// print their slice of the profile.
+// print their slice of the per-rank profiles.
 
 #include <fstream>
 #include <string>
@@ -71,18 +71,18 @@ inline ProfiledRun parse_run(int argc, char** argv, int default_steps = 3,
   return run;
 }
 
-/// Execute the proxy mini-app under the comm profiler; fills `profiler`
-/// (and per-rank call profiles when requested).
-inline void execute(const ProfiledRun& run, prof::CommProfiler* profiler,
-                    std::vector<prof::CallProfile>* call_profiles = nullptr) {
+/// Execute the proxy mini-app; returns each rank's profile (call tree,
+/// comm operations per region, wall time), indexed by rank.
+inline std::vector<prof::CallProfile> execute(const ProfiledRun& run) {
+  std::vector<prof::CallProfile> profiles;
   comm::RunOptions opts;
-  opts.comm_profiler = profiler;
-  opts.call_profiles = call_profiles;
+  opts.call_profiles = &profiles;
   comm::run(run.ranks, [&](comm::Comm& world) {
     core::Driver driver(world, run.config);
     driver.initialize(driver.default_ic());
     driver.run(run.steps);
   }, opts);
+  return profiles;
 }
 
 }  // namespace cmtbone::bench

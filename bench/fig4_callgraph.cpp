@@ -22,12 +22,8 @@ int main(int argc, char** argv) {
       bench::parse_run(argc, argv, /*default_steps=*/10, /*default_n=*/12);
   run.config.use_dssum = true;  // include the gs_op_ kernel, as in Fig. 4
 
-  prof::CommProfiler comm_prof(run.ranks);
-  std::vector<prof::CallProfile> call_profiles;
-  bench::execute(run, &comm_prof, &call_profiles);
-
   prof::CallProfile merged;
-  for (const auto& p : call_profiles) merged.merge(p);
+  for (const auto& p : bench::execute(run)) merged.merge(p);
 
   std::printf(
       "=== Fig. 4: CMT-bone call graph and execution profile ===\n"

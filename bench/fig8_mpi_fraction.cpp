@@ -14,19 +14,18 @@ int main(int argc, char** argv) {
   using namespace cmtbone;
 
   bench::ProfiledRun run = bench::parse_run(argc, argv);
-  prof::CommProfiler profiler(run.ranks);
-  bench::execute(run, &profiler);
+  const std::vector<prof::CallProfile> profiles = bench::execute(run);
 
   std::printf(
       "=== Fig. 8: %% of execution time in comm routines, per rank ===\n"
       "%d ranks, N=%d, %dx%dx%d elements, %d steps\n\n",
       run.ranks, run.config.n, run.config.ex, run.config.ey, run.config.ez,
       run.steps);
-  auto table = profiler.table_fraction_per_rank();
+  auto table = prof::comm_fraction_table(profiles);
   std::printf("%s\n", table.str().c_str());
   bench::write_csv(run.csv_dir, "fig8_mpi_fraction", table);
 
-  auto frac = profiler.comm_fraction_per_rank();
+  auto frac = prof::comm_fraction_per_rank(profiles);
   double mean = std::accumulate(frac.begin(), frac.end(), 0.0) / frac.size();
   double lo = *std::min_element(frac.begin(), frac.end());
   double hi = *std::max_element(frac.begin(), frac.end());

@@ -24,6 +24,7 @@
 #include "chaos/chaos.hpp"
 #include "comm/runtime.hpp"
 #include "core/driver.hpp"
+#include "prof/callprof.hpp"
 #include "prof/timer.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -65,19 +66,31 @@ int elems_for(int n) {
 RunResult best_run(int nranks, const Config& cfg, int steps,
                    const ChaosPolicy* policy, int reps);
 
+// compute / (compute + finish) over the timed steps: the share of the
+// exchange the window hid. 1.0 means the wait had fully drained by the time
+// finish ran; 0.0 means nothing was hidden (the blocking path has no
+// window).
+double hidden_fraction(const cmtbone::prof::CallProfile& profile) {
+  const double compute = profile.region("overlap_window").inclusive;
+  const double finish = profile.region("exchange_finish").inclusive;
+  return compute + finish > 0.0 ? compute / (compute + finish) : 0.0;
+}
+
 RunResult time_run(int nranks, const Config& cfg, int steps,
                    const ChaosPolicy* policy) {
   RunResult result;
   cmtbone::comm::RunOptions options;
   ChaosEngine engine(policy ? *policy : ChaosPolicy{}, nranks);
   if (policy) options.chaos = &engine;
+  std::vector<cmtbone::prof::CallProfile> profiles;
+  options.call_profiles = &profiles;
   cmtbone::comm::run(
       nranks,
       [&](Comm& world) {
         Driver driver(world, cfg);
         driver.initialize(driver.default_ic());
         driver.run(1);  // warm up allocations and message buffers
-        driver.reset_overlap_stats();
+        cmtbone::prof::reset_thread_profile();
         driver.reset_balance_stats();
         world.barrier();
         cmtbone::prof::WallTimer t;
@@ -89,11 +102,11 @@ RunResult time_run(int nranks, const Config& cfg, int steps,
                 world, driver.balance_stats().busy_seconds());
         if (world.rank() == 0) {
           result.seconds = wall;
-          result.hidden_fraction = driver.overlap_stats().hidden_fraction();
           result.imbalance = imb.factor();
         }
       },
       options);
+  result.hidden_fraction = hidden_fraction(profiles.at(0));
   return result;
 }
 

@@ -33,10 +33,8 @@ int main(int argc, char** argv) {
   cfg.ex = cfg.ey = cfg.ez = cli.get_int("elems", 4);
   const int steps = cli.get_int("steps", 5);
 
-  prof::CommProfiler comm_prof(ranks);
   std::vector<prof::CallProfile> call_profiles;
   comm::RunOptions opts;
-  opts.comm_profiler = &comm_prof;
   opts.call_profiles = &call_profiles;
 
   double l2 = 0.0, mass0 = 0.0, mass1 = 0.0;
@@ -66,6 +64,6 @@ int main(int argc, char** argv) {
   std::printf("Execution profile (all ranks merged):\n%s\n",
               merged.tree_report().c_str());
 
-  std::printf("%s\n", comm_prof.report_fraction_per_rank().c_str());
+  std::printf("%s\n", prof::comm_fraction_table(call_profiles).str().c_str());
   return 0;
 }

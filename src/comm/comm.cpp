@@ -8,20 +8,6 @@
 
 namespace cmtbone::comm {
 
-// ---- SiteScope -------------------------------------------------------------
-
-namespace {
-thread_local std::string t_site;
-}
-
-SiteScope::SiteScope(std::string site) : previous_(t_site) {
-  t_site = std::move(site);
-}
-
-SiteScope::~SiteScope() { t_site = previous_; }
-
-const std::string& SiteScope::current() { return t_site; }
-
 // ---- construction ----------------------------------------------------------
 
 Comm::Comm(Universe& universe, int rank)
@@ -49,40 +35,32 @@ int Comm::local_of_global(int global) const {
 
 // ---- profiling --------------------------------------------------------------
 
-void Comm::record(const char* op, double seconds, long long bytes,
-                  int global_peer, int tag) const {
-  prof::CommProfiler* prof = uni_->profiler();
-  if (prof != nullptr) {
-    const std::string& site = SiteScope::current();
-    if (site.empty()) {
-      prof->record(group_[rank_], op, seconds, bytes);
-    } else {
-      prof->record(group_[rank_], site + "/" + op, seconds, bytes);
+void Comm::record(prof::CommOp op, double seconds, long long bytes,
+                  int global_peer, int tag,
+                  std::span<const Request> completed) const {
+  prof::thread_profile().count(op, seconds, bytes);
+
+  trace::Recorder* tracer = uni_->tracer();
+  if (tracer == nullptr) return;
+  const double t_end = tracer->now();
+  const double t_start = t_end - seconds;
+  const int me = group_[rank_];
+  const prof::TraceRole role = prof::trace_role(op);
+  if (role == prof::TraceRole::kSend || role == prof::TraceRole::kSendRecv) {
+    tracer->on_send(me, global_peer, tag, bytes, t_start, t_end);
+  }
+  if (role == prof::TraceRole::kRecvCompletion ||
+      role == prof::TraceRole::kSendRecv) {
+    // Receives completed inside one call share its blocking interval.
+    for (const Request& r : completed) {
+      const RequestState* rs = r.state();
+      if (rs == nullptr || !rs->is_recv || rs->status.source < 0) continue;
+      tracer->on_recv(me, rs->status.source, rs->status.tag,
+                      (long long)rs->status.bytes, t_start, t_end);
     }
   }
-
-  trace::Tracer* tracer = uni_->tracer();
-  if (tracer != nullptr) {
-    const double t_end = tracer->now();
-    const double t_start = t_end - seconds;
-    const int me = group_[rank_];
-    if (std::strcmp(op, "MPI_Send") == 0 || std::strcmp(op, "MPI_Isend") == 0) {
-      tracer->on_send(me, global_peer, tag, bytes, t_start, t_end);
-    } else if (std::strcmp(op, "MPI_Sendrecv") == 0) {
-      // The receive half is traced separately by the caller.
-      tracer->on_send(me, global_peer, tag, bytes, t_start, t_end);
-    } else if (std::strcmp(op, "MPI_Recv") == 0) {
-      tracer->on_recv(me, global_peer, tag, bytes, t_start, t_end);
-    } else if (std::strcmp(op, "MPI_Wait") == 0 ||
-               std::strcmp(op, "MPI_Waitall") == 0 ||
-               std::strcmp(op, "MPI_Test") == 0 ||
-               std::strcmp(op, "MPI_Irecv") == 0 ||
-               std::strcmp(op, "MPI_Iprobe") == 0 ||
-               std::strcmp(op, "MPI_Probe") == 0) {
-      // Waits are traced per matched receive (see wait/waitall).
-    } else {
-      tracer->on_collective(me, op, bytes, t_start, t_end);
-    }
+  if (role == prof::TraceRole::kCollective) {
+    tracer->on_collective(me, prof::comm_op_name(op), bytes, t_start, t_end);
   }
 }
 
@@ -149,7 +127,8 @@ void Comm::send_bytes(const void* buf, std::size_t bytes, int dest, int tag) {
   assert(tag >= 0 && tag < kCollectiveTagBase && "user tags must stay below kCollectiveTagBase");
   prof::WallTimer t;
   send_raw(buf, bytes, dest, tag);
-  record("MPI_Send", t.seconds(), (long long)bytes, group_[dest], tag);
+  record(prof::CommOp::kSend, t.seconds(), (long long)bytes, group_[dest],
+         tag);
 }
 
 Request Comm::isend_bytes(const void* buf, std::size_t bytes, int dest, int tag) {
@@ -159,7 +138,8 @@ Request Comm::isend_bytes(const void* buf, std::size_t bytes, int dest, int tag)
   // request is already complete (matches MPI_Isend + instant MPI_Wait for
   // small messages on a real fabric).
   send_raw(buf, bytes, dest, tag);
-  record("MPI_Isend", t.seconds(), (long long)bytes, group_[dest], tag);
+  record(prof::CommOp::kIsend, t.seconds(), (long long)bytes, group_[dest],
+         tag);
   auto rs = std::make_shared<RequestState>();
   rs->done = true;
   rs->is_recv = false;
@@ -186,7 +166,7 @@ Request Comm::isend_payload(std::vector<std::byte>&& payload, int dest,
   env.tag = tag;
   env.payload = std::move(payload);
   uni_->mailbox(group_[dest]).deliver(std::move(env));
-  record("MPI_Isend", t.seconds(), bytes, group_[dest], tag);
+  record(prof::CommOp::kIsend, t.seconds(), bytes, group_[dest], tag);
   auto rs = std::make_shared<RequestState>();
   rs->done = true;
   rs->is_recv = false;
@@ -197,7 +177,7 @@ Request Comm::isend_payload(std::vector<std::byte>&& payload, int dest,
 Request Comm::irecv_bytes(void* buf, std::size_t capacity, int src, int tag) {
   prof::WallTimer t;
   Request req = post_recv_raw(buf, capacity, src, tag);
-  record("MPI_Irecv", t.seconds(), 0);
+  record(prof::CommOp::kIrecv, t.seconds(), 0);
   return req;
 }
 
@@ -205,22 +185,17 @@ Status Comm::recv_bytes(void* buf, std::size_t capacity, int src, int tag) {
   prof::WallTimer t;
   Request req = post_recv_raw(buf, capacity, src, tag);
   Status s = wait_raw(req);
-  int global_src = s.source;
   if (s.source >= 0) s.source = local_of_global(s.source);
-  record("MPI_Recv", t.seconds(), (long long)s.bytes, global_src, s.tag);
+  record(prof::CommOp::kRecv, t.seconds(), (long long)s.bytes, -1, 0,
+         {&req, 1});
   return s;
 }
 
 Status Comm::wait(Request& req) {
   prof::WallTimer t;
   Status s = wait_raw(req);
-  bool was_recv = req.valid() && req.state()->is_recv;
-  int global_src = s.source;
   if (s.source >= 0) s.source = local_of_global(s.source);
-  record("MPI_Wait", t.seconds(), 0);
-  if (was_recv && global_src >= 0) {
-    trace_recv_completion(global_src, s.tag, (long long)s.bytes, t.seconds());
-  }
+  record(prof::CommOp::kWait, t.seconds(), 0, -1, 0, {&req, 1});
   req = Request();
   return s;
 }
@@ -228,26 +203,8 @@ Status Comm::wait(Request& req) {
 void Comm::waitall(std::span<Request> reqs) {
   prof::WallTimer t;
   waitall_raw(reqs);
-  record("MPI_Waitall", t.seconds(), 0);
-  // Trace each matched receive; the blocking interval is shared.
-  for (Request& r : reqs) {
-    if (r.valid() && r.state()->is_recv) {
-      const Status& s = r.state()->status;
-      if (s.source >= 0) {
-        trace_recv_completion(s.source, s.tag, (long long)s.bytes, t.seconds());
-      }
-    }
-    r = Request();
-  }
-}
-
-void Comm::trace_recv_completion(int global_src, int tag, long long bytes,
-                                 double blocked_seconds) const {
-  trace::Tracer* tracer = uni_->tracer();
-  if (tracer == nullptr) return;
-  const double t_end = tracer->now();
-  tracer->on_recv(group_[rank_], global_src, tag, bytes,
-                  t_end - blocked_seconds, t_end);
+  record(prof::CommOp::kWaitall, t.seconds(), 0, -1, 0, reqs);
+  for (Request& r : reqs) r = Request();
 }
 
 int Comm::waitany(std::span<Request> reqs, Status* status) {
@@ -263,11 +220,8 @@ int Comm::waitany(std::span<Request> reqs, Status* status) {
       any_valid = true;
       if (my_box().test(reqs[i])) {
         Status s = reqs[i].state()->status;
-        bool was_recv = reqs[i].state()->is_recv;
-        record("MPI_Waitany", t.seconds(), 0);
-        if (was_recv && s.source >= 0) {
-          trace_recv_completion(s.source, s.tag, (long long)s.bytes,
-                                t.seconds());
+        record(prof::CommOp::kWaitany, t.seconds(), 0, -1, 0, {&reqs[i], 1});
+        if (reqs[i].state()->is_recv && s.source >= 0) {
           s.source = local_of_global(s.source);
         }
         if (status != nullptr) *status = s;
@@ -276,7 +230,7 @@ int Comm::waitany(std::span<Request> reqs, Status* status) {
       }
     }
     if (!any_valid) {
-      record("MPI_Waitany", t.seconds(), 0);
+      record(prof::CommOp::kWaitany, t.seconds(), 0);
       return -1;
     }
     try {
@@ -321,7 +275,8 @@ void Comm::cancel(Request& req) {
 bool Comm::test(Request& req) {
   prof::WallTimer t;
   bool done = my_box().test(req);
-  record("MPI_Test", t.seconds(), 0);
+  record(prof::CommOp::kTest, t.seconds(), 0, -1, 0,
+         done ? std::span<const Request>(&req, 1) : std::span<const Request>());
   if (done) req = Request();
   return done;
 }
@@ -331,7 +286,7 @@ Status Comm::probe(int src, int tag) {
   int global_src = src == kAnySource ? kAnySource : group_.at(src);
   Status s = my_box().probe(ctx_, global_src, tag, uni_);
   if (s.source >= 0) s.source = local_of_global(s.source);
-  record("MPI_Probe", t.seconds(), 0);
+  record(prof::CommOp::kProbe, t.seconds(), 0);
   return s;
 }
 
@@ -342,7 +297,7 @@ bool Comm::iprobe(int src, int tag, Status* status) {
   if (hit && status != nullptr && status->source >= 0) {
     status->source = local_of_global(status->source);
   }
-  record("MPI_Iprobe", t.seconds(), 0);
+  record(prof::CommOp::kIprobe, t.seconds(), 0);
   return hit;
 }
 
@@ -361,7 +316,7 @@ void Comm::barrier() {
     char in = 0;
     wait_raw(post_recv_raw(&in, 1, src, tag + 0));
   }
-  record("MPI_Barrier", t.seconds(), 0);
+  record(prof::CommOp::kBarrier, t.seconds(), 0);
 }
 
 void Comm::bcast_tree(void* buf, std::size_t bytes, int root, int tag) {
@@ -391,7 +346,7 @@ void Comm::bcast_tree(void* buf, std::size_t bytes, int root, int tag) {
 void Comm::bcast_bytes(void* buf, std::size_t bytes, int root) {
   prof::WallTimer t;
   bcast_tree(buf, bytes, root, next_coll_tag());
-  record("MPI_Bcast", t.seconds(), (long long)bytes);
+  record(prof::CommOp::kBcast, t.seconds(), (long long)bytes);
 }
 
 Comm Comm::split(int color, int key) {
@@ -438,7 +393,7 @@ Comm Comm::split(int color, int key) {
       std::lower_bound(colors.begin(), colors.end(), color) - colors.begin();
   int ctx = ctxs[color_idx];
   (void)p;
-  record("MPI_Comm_split", t.seconds(), 0);
+  record(prof::CommOp::kCommSplit, t.seconds(), 0);
   return Comm(*uni_, ctx, std::move(group), my_index);
 }
 

@@ -10,42 +10,24 @@
 // MPI job would exhibit — counts, sizes, partners — is preserved. That
 // structure is what the paper's communication study (Figs 7-10) measures.
 //
-// Every public operation is timed and recorded into the attached
-// prof::CommProfiler under a call-site label (see SiteScope), reproducing
-// mpiP-style attribution.
+// Every public operation is timed and counted on the innermost open
+// prof::ScopedRegion of the calling rank thread, so "<region>/<op>" is its
+// call site, as mpiP attributes time to call sites.
 
 #include <cstring>
 #include <functional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "comm/message.hpp"
 #include "comm/reduce_ops.hpp"
 #include "comm/request.hpp"
 #include "comm/universe.hpp"
+#include "prof/callprof.hpp"
 #include "prof/timer.hpp"
 #include "util/bytes.hpp"
 
 namespace cmtbone::comm {
-
-/// RAII call-site label. Library code brackets a phase with
-///   SiteScope site("gs_op.pairwise");
-/// and every comm operation inside records as "gs_op.pairwise/MPI_Isend",
-/// the same way mpiP attributes time to call sites.
-class SiteScope {
- public:
-  explicit SiteScope(std::string site);
-  ~SiteScope();
-  SiteScope(const SiteScope&) = delete;
-  SiteScope& operator=(const SiteScope&) = delete;
-
-  /// Current thread's innermost site label ("" when none).
-  static const std::string& current();
-
- private:
-  std::string previous_;
-};
 
 class Comm {
  public:
@@ -94,13 +76,10 @@ class Comm {
                                 recv_tag);
     send_raw(send_data.data(), send_data.size_bytes(), dest, send_tag);
     Status s = wait_raw(req);
-    int global_src = s.source;
     if (s.source >= 0) s.source = local_of_global(s.source);
-    record("MPI_Sendrecv", t.seconds(), (long long)send_data.size_bytes(),
-           group_.at(dest), send_tag);
-    if (global_src >= 0) {
-      trace_recv_completion(global_src, s.tag, (long long)s.bytes, 0.0);
-    }
+    record(prof::CommOp::kSendrecv, t.seconds(),
+           (long long)send_data.size_bytes(), group_.at(dest), send_tag,
+           {&req, 1});
     return s;
   }
   bool iprobe(int src, int tag, Status* status = nullptr);
@@ -119,7 +98,8 @@ class Comm {
     Request req = my_box().post_recv(ctx_, ps.source, ps.tag, out.data(),
                                      out.size() * sizeof(T));
     wait_raw(req);
-    record("MPI_Recv", t.seconds(), (long long)ps.bytes, ps.source, ps.tag);
+    record(prof::CommOp::kRecv, t.seconds(), (long long)ps.bytes, -1, 0,
+           {&req, 1});
     return out;
   }
 
@@ -224,15 +204,13 @@ class Comm {
   void waitall_raw(std::span<Request> reqs);
   int next_coll_tag() { return kCollectiveTagBase + (coll_seq_++ & 0xffff); }
 
-  // Report one completed operation to the profiler and (if attached) the
-  // trace recorder. `global_peer` is the partner's universe rank for p2p
-  // ops (-1 otherwise); operations named like collectives are traced as
-  // collective events, waits/probes are skipped (their completions are
-  // traced per matched receive).
-  void record(const char* op, double seconds, long long bytes,
-              int global_peer = -1, int tag = 0) const;
-  void trace_recv_completion(int global_src, int tag, long long bytes,
-                             double blocked_seconds) const;
+  // Count one completed operation on the innermost open region and, when
+  // a recorder is attached, trace it by its role (prof::trace_role): a send
+  // to `global_peer` (the partner's universe rank) with `tag` and `bytes`,
+  // each receive among `completed`, or a collective.
+  void record(prof::CommOp op, double seconds, long long bytes,
+              int global_peer = -1, int tag = 0,
+              std::span<const Request> completed = {}) const;
 
   // Collective building blocks (binomial trees rooted at `root`).
   void bcast_tree(void* buf, std::size_t bytes, int root, int tag);
@@ -282,7 +260,7 @@ void Comm::reduce(std::span<T> data, ReduceOp op, int root) {
   prof::WallTimer t;
   int tag = next_coll_tag();
   reduce_tree(data, op, root, tag);
-  record("MPI_Reduce", t.seconds(), (long long)(data.size_bytes()));
+  record(prof::CommOp::kReduce, t.seconds(), (long long)(data.size_bytes()));
 }
 
 template <class T>
@@ -291,7 +269,7 @@ void Comm::allreduce(std::span<T> data, ReduceOp op) {
   int tag = next_coll_tag();
   reduce_tree(data, op, /*root=*/0, tag);
   bcast_tree(data.data(), data.size_bytes(), /*root=*/0, next_coll_tag());
-  record("MPI_Allreduce", t.seconds(), (long long)(data.size_bytes()));
+  record(prof::CommOp::kAllreduce, t.seconds(), (long long)(data.size_bytes()));
 }
 
 template <class T>
@@ -317,7 +295,7 @@ std::vector<T> Comm::gather(std::span<const T> mine, int root) {
   } else {
     send_raw(mine.data(), mine.size_bytes(), root, tag);
   }
-  record("MPI_Gather", t.seconds(), (long long)(mine.size_bytes()));
+  record(prof::CommOp::kGather, t.seconds(), (long long)(mine.size_bytes()));
   return out;
 }
 
@@ -361,7 +339,7 @@ std::vector<T> Comm::gatherv(std::span<const T> mine, int root,
     send_raw(&n, sizeof(int), root, tag_count);
     if (n > 0) send_raw(mine.data(), mine.size_bytes(), root, tag_data);
   }
-  record("MPI_Gatherv", t.seconds(), (long long)(mine.size_bytes()));
+  record(prof::CommOp::kGatherv, t.seconds(), (long long)(mine.size_bytes()));
   return out;
 }
 
@@ -372,7 +350,7 @@ std::vector<T> Comm::allgather(std::span<const T> mine) {
   std::vector<T> all = gather(mine, /*root=*/0);
   if (rank_ != 0) all.resize(mine.size() * std::size_t(size()));
   bcast_tree(all.data(), all.size() * sizeof(T), /*root=*/0, next_coll_tag());
-  record("MPI_Allgather", t.seconds(), (long long)(mine.size_bytes()));
+  record(prof::CommOp::kAllgather, t.seconds(), (long long)(mine.size_bytes()));
   return all;
 }
 
@@ -389,7 +367,8 @@ std::vector<T> Comm::allgatherv(std::span<const T> mine,
   all.resize(total);
   bcast_tree(all.data(), all.size() * sizeof(T), /*root=*/0, next_coll_tag());
   if (counts != nullptr) *counts = std::move(cnt);
-  record("MPI_Allgatherv", t.seconds(), (long long)(mine.size_bytes()));
+  record(prof::CommOp::kAllgatherv, t.seconds(),
+         (long long)(mine.size_bytes()));
   return all;
 }
 
@@ -459,7 +438,7 @@ std::vector<T> Comm::alltoallv(std::span<const T> send,
   waitall_raw(std::span<Request>(reqs));
 
   if (recv_counts != nullptr) *recv_counts = std::move(rcnt);
-  record("MPI_Alltoallv", t.seconds(), sent_bytes);
+  record(prof::CommOp::kAlltoallv, t.seconds(), sent_bytes);
   return out;
 }
 
@@ -477,7 +456,7 @@ T Comm::scan_sum(T value) {
   if (rank_ + 1 < size()) {
     send_raw(&prefix, sizeof(T), rank_ + 1, tag);
   }
-  record("MPI_Scan", t.seconds(), (long long)sizeof(T));
+  record(prof::CommOp::kScan, t.seconds(), (long long)sizeof(T));
   return prefix;
 }
 

@@ -17,9 +17,12 @@ void run(int nranks, const std::function<void(Comm&)>& body,
     throw std::invalid_argument(
         "comm::run: chaos engine sized for fewer ranks than the job");
   }
+  if (options.tracer != nullptr && options.tracer->nranks() < nranks) {
+    throw std::invalid_argument(
+        "comm::run: trace recorder sized for fewer ranks than the job");
+  }
 
-  Universe universe(nranks, options.comm_profiler, options.tracer,
-                    options.chaos);
+  Universe universe(nranks, options.tracer, options.chaos);
   universe.set_epoch(options.epoch);
   std::vector<std::exception_ptr> errors(nranks);
   // Per-rank failure-detection latency, sampled at the moment a survivor's
@@ -54,9 +57,7 @@ void run(int nranks, const std::function<void(Comm&)>& body,
         universe.mark_failed(r);
       }
       universe.rank_finished();
-      if (options.comm_profiler != nullptr) {
-        options.comm_profiler->set_rank_walltime(r, wall.seconds());
-      }
+      prof::thread_profile().set_wall_seconds(wall.seconds());
       if (options.call_profiles != nullptr) {
         (*options.call_profiles)[r] = std::move(prof::thread_profile());
         prof::reset_thread_profile();

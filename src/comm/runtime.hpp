@@ -11,20 +11,18 @@
 
 #include "comm/comm.hpp"
 #include "prof/callprof.hpp"
-#include "prof/commprof.hpp"
 #include "prof/recovery.hpp"
 
 namespace cmtbone::comm {
 
 struct RunOptions {
-  /// Attach a communication profiler (mpiP proxy). Rank wall times are
-  /// recorded into it automatically.
-  prof::CommProfiler* comm_profiler = nullptr;
-  /// If non-null, receives each rank's call-tree profile (gprof proxy),
-  /// indexed by rank.
+  /// If non-null, receives each rank's profile, indexed by rank: its call
+  /// tree (gprof proxy), the comm operations counted per region (mpiP
+  /// proxy) and the rank body's wall time.
   std::vector<prof::CallProfile>* call_profiles = nullptr;
   /// Record a communication trace for behavioral emulation (trace/replay).
-  trace::Tracer* tracer = nullptr;
+  /// Construct the recorder with at least the job's rank count.
+  trace::Recorder* tracer = nullptr;
   /// Attach a chaos engine: seeded schedule perturbation and fault
   /// injection threaded through the mailbox and collective trees. The
   /// caller owns the engine (construct it with the job's rank count) and

@@ -1,7 +1,7 @@
 #pragma once
 // The Universe owns the shared state of one parallel "job": every rank's
 // mailbox, the communicator-context allocator, the abort flag, and the
-// (optional) communication profiler.
+// (optional) trace recorder and chaos engine.
 
 #include <atomic>
 #include <chrono>
@@ -11,18 +11,15 @@
 
 #include "chaos/chaos.hpp"
 #include "comm/mailbox.hpp"
-#include "prof/commprof.hpp"
 #include "trace/trace.hpp"
 
 namespace cmtbone::comm {
 
 class Universe : public JobControl {
  public:
-  explicit Universe(int nranks, prof::CommProfiler* profiler = nullptr,
-                    trace::Tracer* tracer = nullptr,
+  explicit Universe(int nranks, trace::Recorder* tracer = nullptr,
                     chaos::ChaosEngine* chaos = nullptr)
-      : boxes_(nranks), profiler_(profiler), tracer_(tracer), chaos_(chaos),
-        active_(nranks) {
+      : boxes_(nranks), tracer_(tracer), chaos_(chaos), active_(nranks) {
     for (int r = 0; r < nranks; ++r) {
       boxes_[r] = std::make_unique<Mailbox>();
       boxes_[r]->configure(r, chaos);
@@ -33,8 +30,7 @@ class Universe : public JobControl {
 
   Mailbox& mailbox(int global_rank) { return *boxes_.at(global_rank); }
 
-  prof::CommProfiler* profiler() const { return profiler_; }
-  trace::Tracer* tracer() const { return tracer_; }
+  trace::Recorder* tracer() const { return tracer_; }
   chaos::ChaosEngine* chaos() const { return chaos_; }
 
   /// Allocate a fresh communicator context id (collision-free by
@@ -98,8 +94,7 @@ class Universe : public JobControl {
   }
 
   std::vector<std::unique_ptr<Mailbox>> boxes_;
-  prof::CommProfiler* profiler_;
-  trace::Tracer* tracer_;
+  trace::Recorder* tracer_;
   chaos::ChaosEngine* chaos_;
   std::atomic<int> ctx_counter_{1};
   std::atomic<bool> aborted_{false};

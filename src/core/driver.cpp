@@ -384,10 +384,7 @@ void Driver::compute_rhs(const std::vector<std::vector<double>>& u,
   begin_faces();
   if (config_.overlap) {
     prof::ScopedRegion r("overlap_window");
-    prof::WallTimer t;
     rhs_window(kernel, u, rhs);
-    overlap_stats_.compute_seconds += t.seconds();
-    ++overlap_stats_.windows;
   }
   finish_faces();
   if (!config_.overlap) rhs_window(kernel, u, rhs);
@@ -433,7 +430,6 @@ void Driver::rhs_window(const ElementRhs& kernel,
 
 void Driver::begin_faces() {
   prof::ScopedRegion region("exchange_begin");
-  prof::WallTimer t;
   const int nf = nfields();
   if (config_.face_backend == FaceBackend::kDirect) {
     exchange_->begin(myfaces_.data(), nbrfaces_.data(), nf);
@@ -442,12 +438,10 @@ void Driver::begin_faces() {
     face_gs_->exec_many_begin(std::span<double>(nbrfaces_), nf,
                               gs::ReduceOp::kSum);
   }
-  overlap_stats_.begin_seconds += t.seconds();
 }
 
 void Driver::finish_faces() {
   prof::ScopedRegion region("exchange_finish");
-  prof::WallTimer t;
   if (config_.face_backend == FaceBackend::kDirect) {
     exchange_->finish();
   } else {
@@ -464,7 +458,6 @@ void Driver::finish_faces() {
       }
     }
   }
-  overlap_stats_.finish_seconds += t.seconds();
 }
 
 void Driver::volume_term(const ElementRhs& kernel,

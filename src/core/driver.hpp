@@ -32,7 +32,6 @@
 #include "mesh/partition.hpp"
 #include "particles/tracker.hpp"
 #include "prof/balance.hpp"
-#include "prof/overlap.hpp"
 #include "sem/operators.hpp"
 
 namespace cmtbone::core {
@@ -100,12 +99,6 @@ class Driver {
   mesh::FaceExchange& face_exchange() { return *exchange_; }
   /// Null unless config.particles_per_rank > 0.
   particles::Tracker* tracker() { return tracker_.get(); }
-
-  /// Accumulated face-exchange timing. Every RHS adds its begin/finish
-  /// seconds; windows and compute seconds count only windows that hold
-  /// work (config.overlap).
-  const prof::OverlapStats& overlap_stats() const { return overlap_stats_; }
-  void reset_overlap_stats() { overlap_stats_.reset(); }
 
   // --- dynamic load balancing ---------------------------------------------
   /// Adopt an explicit gid -> rank ownership map (collective): migrate the
@@ -238,7 +231,6 @@ class Driver {
   // Surface-term split: early elements' faces are valid after
   // begin_faces(), late ones only after finish_faces().
   std::vector<int> early_elems_, late_elems_;
-  prof::OverlapStats overlap_stats_;
   std::unique_ptr<mesh::FaceExchange> exchange_;
   std::unique_ptr<gs::GatherScatter> gs_;
   std::vector<double> inv_multiplicity_;

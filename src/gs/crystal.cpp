@@ -47,7 +47,6 @@ void unpack_into(const std::vector<std::byte>& buf, std::size_t record_bytes,
 std::vector<std::byte> CrystalRouter::route(std::span<const std::byte> records,
                                             std::span<const int> dest,
                                             std::size_t record_bytes) {
-  comm::SiteScope site("crystal_router");
   const int me = comm_->rank();
 
   Pool pool;

@@ -273,7 +273,6 @@ void GatherScatter::ordered_fold_shared(
 template <class T>
 void GatherScatter::exec_ordered(std::span<T> values, int nfields,
                                  ReduceOp op) {
-  comm::SiteScope site("gs_op");
   const std::size_t slots = values.size() / nfields;
   const std::size_t nf = std::size_t(nfields);
 
@@ -283,7 +282,6 @@ void GatherScatter::exec_ordered(std::span<T> values, int nfields,
 
   // Ship raw copies to every sharer (pairwise pattern, slightly larger
   // payload than the pre-reduced pairwise method for edge/corner ids).
-  comm::SiteScope psite("gs_op.pairwise");
   std::vector<std::vector<T>> sendbuf, recvbuf;
   std::vector<comm::Request> reqs;
   sendbuf.reserve(pairwise_plan_.size());
@@ -318,7 +316,6 @@ void GatherScatter::exec_ordered(std::span<T> values, int nfields,
 
 void GatherScatter::exec_ordered_begin(std::span<double> values, int nfields,
                                        ReduceOp op) {
-  comm::SiteScope site("gs_op");
   split_.active = true;
   split_.done_in_begin = false;
   split_.values = values;
@@ -329,7 +326,6 @@ void GatherScatter::exec_ordered_begin(std::span<double> values, int nfields,
                  nfields, op, split_.unique, split_.mine);
 
   const std::size_t nf = std::size_t(nfields);
-  comm::SiteScope psite("gs_op.pairwise");
   try {
     split_.sendbuf.resize(pairwise_plan_.size());
     split_.recvbuf.resize(pairwise_plan_.size());
@@ -365,20 +361,16 @@ void GatherScatter::exec_ordered_begin(std::span<double> values, int nfields,
 
 void GatherScatter::exec_ordered_finish() {
   split_.active = false;
-  comm::SiteScope site("gs_op");
   const std::size_t nf = std::size_t(split_.nfields);
   const std::size_t slots = split_.values.size() / split_.nfields;
 
-  {
-    comm::SiteScope psite("gs_op.pairwise");
-    try {
-      comm_->waitall(split_.reqs);
-    } catch (...) {
-      abandon_split();
-      throw;
-    }
-    split_.reqs.clear();
+  try {
+    comm_->waitall(split_.reqs);
+  } catch (...) {
+    abandon_split();
+    throw;
   }
+  split_.reqs.clear();
 
   ordered_fold_shared(split_.nfields, split_.op, split_.unique, split_.mine,
                       split_.recvbuf);
@@ -425,7 +417,6 @@ void GatherScatter::exec_many_begin(std::span<double> values, int nfields,
     exec_ordered_begin(values, nfields, op);
     return;
   }
-  comm::SiteScope site("gs_op");
   split_.active = true;
   split_.values = values;
   split_.nfields = nfields;
@@ -464,7 +455,6 @@ void GatherScatter::exec_many_begin(std::span<double> values, int nfields,
 
   // Phase 2a (pairwise): post all receives, pack and send. Mirrors
   // exec_pairwise exactly, with the buffers persisting across steps.
-  comm::SiteScope psite("gs_op.pairwise");
   try {
     split_.sendbuf.resize(pairwise_plan_.size());
     split_.recvbuf.resize(pairwise_plan_.size());
@@ -507,36 +497,32 @@ void GatherScatter::exec_many_finish() {
   split_.active = false;
   if (split_.done_in_begin) return;
 
-  comm::SiteScope site("gs_op");
   const std::size_t nf = std::size_t(split_.nfields);
   const std::size_t slots = split_.values.size() / split_.nfields;
 
-  {
-    // Phase 2b (pairwise): wait and accumulate in the same neighbor order
-    // as exec_pairwise, so the floating-point reduction order — and hence
-    // the result bits — match the blocking path.
-    comm::SiteScope psite("gs_op.pairwise");
-    try {
-      comm_->waitall(split_.reqs);
-    } catch (...) {
-      // waitall withdrew whatever was still posted; clear the split state
-      // so the handle is reusable (and the destructor has nothing stale).
-      abandon_split();
-      throw;
-    }
-    std::size_t b = 0;
-    for (const auto& [neighbor, entries] : pairwise_plan_) {
-      const std::vector<double>& buf = split_.recvbuf[b++];
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        double* u =
-            split_.unique.data() + topo_.shared[entries[i]].unique_index * nf;
-        for (std::size_t f = 0; f < nf; ++f) {
-          u[f] = comm::apply(split_.op, u[f], buf[i * nf + f]);
-        }
+  // Phase 2b (pairwise): wait and accumulate in the same neighbor order as
+  // exec_pairwise, so the floating-point reduction order — and hence the
+  // result bits — match the blocking path.
+  try {
+    comm_->waitall(split_.reqs);
+  } catch (...) {
+    // waitall withdrew whatever was still posted; clear the split state so
+    // the handle is reusable (and the destructor has nothing stale).
+    abandon_split();
+    throw;
+  }
+  std::size_t b = 0;
+  for (const auto& [neighbor, entries] : pairwise_plan_) {
+    const std::vector<double>& buf = split_.recvbuf[b++];
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      double* u =
+          split_.unique.data() + topo_.shared[entries[i]].unique_index * nf;
+      for (std::size_t f = 0; f < nf; ++f) {
+        u[f] = comm::apply(split_.op, u[f], buf[i * nf + f]);
       }
     }
-    split_.reqs.clear();
   }
+  split_.reqs.clear();
 
   // Phase 3: local scatter.
   for (std::size_t s = 0; s < slots; ++s) {
@@ -556,7 +542,6 @@ void GatherScatter::exec_impl(std::span<T> values, int nfields, ReduceOp op,
     exec_ordered(values, nfields, op);
     return;
   }
-  comm::SiteScope site("gs_op");
   const std::size_t slots = values.size() / nfields;
   const std::size_t nf = std::size_t(nfields);
 
@@ -596,7 +581,6 @@ void GatherScatter::exec_impl(std::span<T> values, int nfields, ReduceOp op,
 template <class T>
 void GatherScatter::exec_pairwise(std::vector<T>& unique_values, int nfields,
                                   ReduceOp op) {
-  comm::SiteScope site("gs_op.pairwise");
   constexpr int kTag = kPairwiseTag;
   const std::size_t nf = std::size_t(nfields);
 
@@ -664,7 +648,6 @@ const T* record_values(const std::byte* rec) {
 template <class T>
 void GatherScatter::exec_crystal(std::vector<T>& unique_values, int nfields,
                                  ReduceOp op) {
-  comm::SiteScope site("gs_op.crystal");
   const int me = comm_->rank();
   const std::size_t nf = std::size_t(nfields);
   const std::size_t record_bytes = sizeof(long long) + nf * sizeof(T);
@@ -721,7 +704,6 @@ void GatherScatter::exec_crystal(std::vector<T>& unique_values, int nfields,
 template <class T>
 void GatherScatter::exec_allreduce(std::vector<T>& unique_values, int nfields,
                                    ReduceOp op) {
-  comm::SiteScope site("gs_op.all_reduce");
   const std::size_t nf = std::size_t(nfields);
   // The big vector spans the whole global id space (as in gslib), with the
   // shared entries packed first; private entries ride along as identity and

@@ -12,7 +12,6 @@ std::size_t Topology::exchange_volume() const {
 }
 
 Topology gs_setup(comm::Comm& comm, std::span<const long long> slot_ids) {
-  comm::SiteScope site("gs_setup");
   const int p = comm.size();
   const int me = comm.rank();
 

@@ -107,7 +107,6 @@ void FaceExchange::abandon_exchange() {
 
 void FaceExchange::begin(const double* myfaces, double* nbrfaces,
                          int nfields) {
-  comm::SiteScope site("full2face_cmt.exchange");
   const std::size_t fpts = std::size_t(n_) * n_;
   const std::size_t field_stride = face_array_size(n_, nel_);
   pending_nbrfaces_ = nbrfaces;
@@ -182,7 +181,6 @@ void FaceExchange::begin(const double* myfaces, double* nbrfaces,
 
 void FaceExchange::finish() {
   if (!in_flight()) return;
-  comm::SiteScope site("full2face_cmt.exchange");
   const std::size_t fpts = std::size_t(n_) * n_;
   const std::size_t field_stride = face_array_size(n_, nel_);
   double* nbrfaces = pending_nbrfaces_;

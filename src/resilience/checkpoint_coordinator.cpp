@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "io/checkpoint.hpp"
+#include "prof/callprof.hpp"
 #include "prof/timer.hpp"
 
 namespace cmtbone::resilience {
@@ -121,7 +122,7 @@ long long CheckpointCoordinator::maybe_checkpoint(core::Driver& driver) {
 }
 
 long long CheckpointCoordinator::checkpoint_now(core::Driver& driver) {
-  comm::SiteScope site("resilience.checkpoint");
+  prof::ScopedRegion region("resilience.checkpoint");
   prof::WallTimer timer;
 
   // Epoch agreement: the epoch IS the step count, and a min/max allreduce
@@ -226,7 +227,7 @@ bool CheckpointCoordinator::try_load_epoch(core::Driver& driver,
 }
 
 long long CheckpointCoordinator::restore_latest(core::Driver& driver) {
-  comm::SiteScope site("resilience.restore");
+  prof::ScopedRegion region("resilience.restore");
 
   // Globally complete = every rank can restore it. Each rank reports the
   // epochs it can vouch for (valid primary or hosted-elsewhere replica of

@@ -76,7 +76,6 @@ RecoveryReport run_with_recovery(int nranks, const core::Config& config,
     restored.store(-1);
 
     comm::RunOptions run_options;
-    run_options.comm_profiler = options.comm_profiler;
     run_options.chaos = options.chaos;
     run_options.recovery = &report.stats;
     // Survivors of this attempt report failure against the attempt's base

@@ -55,8 +55,6 @@ struct RecoveryOptions {
   /// Runs on every rank after the final step of the successful attempt
   /// (e.g. to capture final fields for comparison). May use collectives.
   std::function<void(core::Driver&, comm::Comm&)> on_final;
-  /// Optional comm profiler passed through to comm::run.
-  prof::CommProfiler* comm_profiler = nullptr;
   /// Cooperative preemption: polled on rank 0's step hook and agreed by
   /// allreduce so every rank decides identically. When it turns true the
   /// job takes a coordinated checkpoint at the next step boundary and

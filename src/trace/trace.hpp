@@ -47,35 +47,23 @@ struct Trace {
   double recorded_makespan() const;
 };
 
-/// Abstract sink the comm runtime reports into (kept minimal so comm does
-/// not depend on the recorder implementation).
-class Tracer {
- public:
-  virtual ~Tracer() = default;
-  /// Trace clock (seconds); all event timestamps come from this.
-  virtual double now() const = 0;
-  virtual void on_send(int rank, int dest, int tag, long long bytes,
-                       double t_start, double t_end) = 0;
-  virtual void on_recv(int rank, int source, int tag, long long bytes,
-                       double t_start, double t_end) = 0;
-  virtual void on_collective(int rank, const char* name, long long bytes,
-                             double t_start, double t_end) = 0;
-};
-
-/// Concrete recorder: per-rank event vectors (each written only by its own
-/// rank thread, so recording is lock-free), timestamps relative to
-/// construction.
-class Recorder : public Tracer {
+/// Recorder the comm runtime reports into: per-rank event vectors (each
+/// written only by its own rank thread, so recording is lock-free),
+/// timestamps relative to construction.
+class Recorder {
  public:
   explicit Recorder(int nranks);
 
-  double now() const override;
+  int nranks() const { return trace_.nranks(); }
+
+  /// Trace clock (seconds); all event timestamps come from this.
+  double now() const;
   void on_send(int rank, int dest, int tag, long long bytes, double t_start,
-               double t_end) override;
+               double t_end);
   void on_recv(int rank, int source, int tag, long long bytes, double t_start,
-               double t_end) override;
+               double t_end);
   void on_collective(int rank, const char* name, long long bytes,
-                     double t_start, double t_end) override;
+                     double t_start, double t_end);
 
   /// Steal the recorded trace (recorder becomes empty).
   Trace take();

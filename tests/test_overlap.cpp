@@ -17,6 +17,7 @@
 #include "mesh/face_exchange.hpp"
 #include "mesh/faces.hpp"
 #include "mesh/partition.hpp"
+#include "prof/callprof.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -332,25 +333,37 @@ TEST(OverlapDriver, ThreadedOverlapUnderChaosStillBitIdentical) {
 }
 
 TEST(OverlapDriver, OverlapStatsAccumulateOnlyOnOverlapPath) {
+  // The overlap accounting is a view of the rank profile: one
+  // overlap_window entry per RHS on the overlapped path, none on the
+  // blocking path, and the hidden fraction window / (window + finish).
   cmtbone::comm::run(2, [](Comm& world) {
     Config cfg = overlap_config(FaceBackend::kDirect, Physics::kEuler);
     cfg.overlap = true;
     Driver driver(world, cfg);
     driver.initialize(driver.default_ic());
+    cmtbone::prof::reset_thread_profile();
     driver.run(2);
-    const auto& stats = driver.overlap_stats();
+    const auto& profile = cmtbone::prof::thread_profile();
     // RK4: four RHS evaluations per step, one window each.
-    EXPECT_EQ(stats.windows, 2 * 4);
-    EXPECT_GT(stats.compute_seconds, 0.0);
-    EXPECT_GE(stats.hidden_fraction(), 0.0);
-    EXPECT_LE(stats.hidden_fraction(), 1.0);
+    const auto window = profile.region("overlap_window");
+    const auto finish = profile.region("exchange_finish");
+    EXPECT_EQ(window.calls, 2 * 4);
+    EXPECT_EQ(finish.calls, 2 * 4);
+    EXPECT_GT(window.inclusive, 0.0);
+    const double hidden =
+        window.inclusive / (window.inclusive + finish.inclusive);
+    EXPECT_GE(hidden, 0.0);
+    EXPECT_LE(hidden, 1.0);
 
     Config off = cfg;
     off.overlap = false;
     Driver blocking_driver(world, off);
     blocking_driver.initialize(blocking_driver.default_ic());
+    cmtbone::prof::reset_thread_profile();
     blocking_driver.run(1);
-    EXPECT_EQ(blocking_driver.overlap_stats().windows, 0);
+    const auto& blocking = cmtbone::prof::thread_profile();
+    EXPECT_EQ(blocking.region("overlap_window").calls, 0);
+    EXPECT_EQ(blocking.region("exchange_finish").calls, 4);
   });
 }
 

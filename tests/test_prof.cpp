@@ -1,19 +1,22 @@
-// Profiling substrate: call trees, comm profiler reports, timers.
+// Profiling substrate: call trees, the comm tables over them, timers.
 
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "comm/runtime.hpp"
+#include "core/driver.hpp"
 #include "prof/callprof.hpp"
-#include "prof/commprof.hpp"
 #include "prof/perf_counters.hpp"
 #include "prof/timer.hpp"
 
 namespace {
 
 using cmtbone::prof::CallProfile;
-using cmtbone::prof::CommProfiler;
+using cmtbone::prof::CommOp;
 using cmtbone::prof::ScopedRegion;
 
 // Keep a computation observable without volatile arithmetic.
@@ -138,60 +141,134 @@ TEST(CallProf, MergeAccumulatesAcrossProfiles) {
 }
 
 TEST(CommProf, RecordsAndAggregates) {
-  CommProfiler prof(2);
-  prof.record(0, "gs/MPI_Isend", 0.5, 100);
-  prof.record(0, "gs/MPI_Isend", 0.25, 50);
-  prof.record(1, "gs/MPI_Wait", 1.0, 0);
-  prof.set_rank_walltime(0, 1.5);
-  prof.set_rank_walltime(1, 2.0);
+  // Comm operations count on the innermost open region; a site is
+  // "<region>/<op>", summed over ranks and over the region's tree positions.
+  std::vector<CallProfile> ranks(2);
+  ranks[0].enter("gs");
+  ranks[0].count(CommOp::kIsend, 0.5, 100);
+  ranks[0].leave(1.0);
+  ranks[0].enter("step");
+  ranks[0].enter("gs");
+  ranks[0].count(CommOp::kIsend, 0.25, 50);
+  ranks[0].leave(0.5);
+  ranks[0].leave(0.5);
+  ranks[1].enter("gs");
+  ranks[1].count(CommOp::kWait, 1.0, 0);
+  ranks[1].leave(1.5);
+  ranks[0].set_wall_seconds(1.5);
+  ranks[1].set_wall_seconds(2.0);
 
-  EXPECT_DOUBLE_EQ(prof.rank_comm_seconds(0), 0.75);
-  auto frac = prof.comm_fraction_per_rank();
+  EXPECT_DOUBLE_EQ(ranks[0].comm_seconds(), 0.75);
+  auto frac = cmtbone::prof::comm_fraction_per_rank(ranks);
   EXPECT_DOUBLE_EQ(frac[0], 0.5);
   EXPECT_DOUBLE_EQ(frac[1], 0.5);
 
-  auto sites = prof.site_totals();
+  auto sites = cmtbone::prof::site_totals(ranks);
   ASSERT_EQ(sites.size(), 2u);
   EXPECT_EQ(sites[0].site, "gs/MPI_Wait");  // sorted by time
+  EXPECT_EQ(sites[1].site, "gs/MPI_Isend");
   EXPECT_EQ(sites[1].calls, 2);
   EXPECT_EQ(sites[1].total_bytes, 150);
   EXPECT_DOUBLE_EQ(sites[1].avg_bytes, 75.0);
 
-  auto top1 = prof.top_sites(1);
-  ASSERT_EQ(top1.size(), 1u);
-  EXPECT_EQ(top1[0].site, "gs/MPI_Wait");
+  const std::string top1 = cmtbone::prof::top_sites_table(ranks, 1).str();
+  EXPECT_NE(top1.find("gs/MPI_Wait"), std::string::npos);
+  EXPECT_EQ(top1.find("gs/MPI_Isend"), std::string::npos);
+
+  // Outside every region the site is the bare operation.
+  CallProfile bare;
+  bare.count(CommOp::kAllreduce, 0.1, 8);
+  auto bare_sites = cmtbone::prof::site_totals({&bare, 1});
+  ASSERT_EQ(bare_sites.size(), 1u);
+  EXPECT_EQ(bare_sites[0].site, "MPI_Allreduce");
+
+  // Merging keeps the counters on their nodes.
+  CallProfile merged;
+  for (const CallProfile& p : ranks) merged.merge(p);
+  EXPECT_DOUBLE_EQ(merged.comm_seconds(), 1.75);
+  EXPECT_DOUBLE_EQ(merged.wall_seconds(), 3.5);
+  EXPECT_EQ(cmtbone::prof::site_totals({&merged, 1}).size(), 2u);
 }
 
 TEST(CommProf, ReportsRenderWithoutCrashing) {
-  CommProfiler prof(2);
-  prof.record(0, "a/MPI_Send", 0.1, 64);
-  prof.set_rank_walltime(0, 0.2);
-  prof.set_rank_walltime(1, 0.2);
-  EXPECT_NE(prof.report_fraction_per_rank().find("rank"), std::string::npos);
-  EXPECT_NE(prof.report_top_sites(5).find("MPI_Send"), std::string::npos);
-  EXPECT_NE(prof.report_message_sizes(5).find("64"), std::string::npos);
-  prof.reset();
-  EXPECT_TRUE(prof.site_totals().empty());
+  std::vector<CallProfile> ranks(2);
+  ranks[0].enter("a");
+  ranks[0].count(CommOp::kSend, 0.1, 64);
+  ranks[0].leave(0.1);
+  ranks[0].set_wall_seconds(0.2);
+  ranks[1].set_wall_seconds(0.2);
+  EXPECT_NE(cmtbone::prof::comm_fraction_table(ranks).str().find("rank"),
+            std::string::npos);
+  EXPECT_NE(cmtbone::prof::top_sites_table(ranks, 5).str().find("a/MPI_Send"),
+            std::string::npos);
+  EXPECT_NE(cmtbone::prof::message_sizes_table(ranks, 5).str().find("64"),
+            std::string::npos);
+  ranks = std::vector<CallProfile>(2);
+  EXPECT_TRUE(cmtbone::prof::site_totals(ranks).empty());
 }
 
 TEST(CommProf, RuntimeIntegrationAttributesSites) {
-  CommProfiler prof(2);
+  std::vector<CallProfile> profiles;
   cmtbone::comm::RunOptions opts;
-  opts.comm_profiler = &prof;
+  opts.call_profiles = &profiles;
   cmtbone::comm::run(2, [](cmtbone::comm::Comm& world) {
-    cmtbone::comm::SiteScope site("unit_test_phase");
+    ScopedRegion region("unit_test_phase");
     double x = world.rank();
     world.allreduce(std::span<double>(&x, 1), cmtbone::comm::ReduceOp::kSum);
   }, opts);
   bool found = false;
-  for (const auto& s : prof.site_totals()) {
+  for (const auto& s : cmtbone::prof::site_totals(profiles)) {
     if (s.site == "unit_test_phase/MPI_Allreduce") {
       found = true;
       EXPECT_EQ(s.calls, 2);  // one per rank
+      EXPECT_EQ(s.total_bytes, 2 * 8);
     }
   }
   EXPECT_TRUE(found);
-  EXPECT_GT(prof.rank_walltime(0), 0.0);
+  EXPECT_GT(profiles.at(0).wall_seconds(), 0.0);
+}
+
+TEST(CommProf, TablesMatchTheExchangePlans) {
+  // Summed over ranks, the face exchange sends face_bytes_per_rhs() per RHS
+  // evaluation and each pairwise gs_op sends pairwise_send_values() doubles:
+  // one multiplicity gs_op at set-up plus one per field per step (dssum).
+  constexpr int kRanks = 2;
+  constexpr int kSteps = 3;
+  cmtbone::core::Config cfg;
+  cfg.n = 4;
+  cfg.ex = cfg.ey = cfg.ez = 2;
+  cfg.fixed_dt = 1e-3;
+  cfg.gs_method = cmtbone::gs::Method::kPairwise;
+  cfg.use_dssum = true;
+  const int stages = cmtbone::core::integrator_stages(cfg.integrator);
+  long long face_bytes = 0, gs_values = 0;
+  int nfields = 0;
+  std::vector<CallProfile> profiles;
+  cmtbone::comm::RunOptions opts;
+  opts.call_profiles = &profiles;
+  std::mutex mu;
+  cmtbone::comm::run(kRanks, [&](cmtbone::comm::Comm& world) {
+    cmtbone::core::Driver driver(world, cfg);
+    driver.initialize(driver.default_ic());
+    driver.run(kSteps);
+    std::lock_guard<std::mutex> lock(mu);
+    face_bytes += driver.face_bytes_per_rhs();
+    gs_values +=
+        (long long)driver.gather_scatter().pairwise_send_values();
+    nfields = driver.nfields();
+  }, opts);
+
+  long long face_sent = 0, dssum_sent = 0, setup_sent = 0;
+  for (const auto& s : cmtbone::prof::site_totals(profiles)) {
+    if (s.site == "exchange_begin/MPI_Isend") face_sent = s.total_bytes;
+    if (s.site == "gs_op_ (dssum)/MPI_Isend") dssum_sent = s.total_bytes;
+    if (s.site == "MPI_Isend") setup_sent = s.total_bytes;
+  }
+  EXPECT_GT(face_bytes, 0);
+  EXPECT_EQ(face_sent, face_bytes * kSteps * stages);
+  EXPECT_GT(gs_values, 0);
+  EXPECT_EQ(dssum_sent, gs_values * 8 * kSteps * nfields);
+  EXPECT_EQ(setup_sent, gs_values * 8);
 }
 
 TEST(PerfCounters, GracefulWhetherAvailableOrNot) {
