@@ -11,13 +11,14 @@
 // Usage: fig5_fig6_derivative_opt [--nel 200] [--steps 100] [--n 10]
 //        (--nel 1563 --steps 1000 for the paper's exact workload)
 //        [--json FILE] instead sweeps N=5..25 timing every kernel-dispatch
-//        backend (scalar, fixed-N, SIMD, SIMD+FMA, batched) on the
-//        derivative contraction shapes, reports GFLOP/s and % of the
-//        measured machine peak per backend, and writes JSON. Fails loudly
+//        backend (scalar, SIMD+FMA, batched) and the paper's fused+unrolled
+//        loops on the derivative contraction shapes, reports GFLOP/s and %
+//        of the measured machine peak, and writes JSON. Fails loudly
 //        (exit 1) if any dispatched backend loses to scalar across the
-//        sweep, printing the losing variant and every N where it lost.
-//        [--smoke] autotunes a subset of N and gates that the autotuned
-//        selection is not slower than forced-scalar (the CI smoke check).
+//        sweep, printing the losing variant and every N where it lost, or
+//        if batched does not beat fused+unrolled over N=5..16.
+//        [--smoke] gates that the default kernel selection is not slower
+//        than forced-scalar on a subset of N (the CI smoke check).
 
 #include <algorithm>
 #include <cmath>
@@ -96,9 +97,10 @@ Measurement measure(cmtbone::kernels::GradVariant v, int dir, const double* d,
 // Times every kernel-dispatch backend on the derivative contraction pair
 // (dudr + dudt over a batch of elements, the shapes the solver routes
 // through mxm), via the same grad_backend entry point the dispatch layer
-// uses in production. Best-of-k timing; element batch scaled so every N
-// does comparable work. Reports GFLOP/s and percent of the measured
-// machine compute peak per backend.
+// uses in production, next to GradVariant::kFusedUnrolled — the paper's
+// compile-time-N production form (Fig. 5). Best-of-k timing; element
+// batch scaled so every N does comparable work. Reports GFLOP/s and
+// percent of the measured machine compute peak per kernel.
 double best_of_sweeps(const std::function<void()>& body) {
   body();  // warm up
   double best = 1e300;
@@ -124,8 +126,9 @@ int run_backend_json_sweep(const std::string& path) {
   std::fprintf(out,
                "{\n"
                "  \"bench\": \"fig5_fig6_derivative_opt --json\",\n"
-               "  \"compare\": \"kernel dispatch backends (scalar, fixed-n, "
-               "simd-fma, batched) on the derivative contraction pair\",\n"
+               "  \"compare\": \"kernel dispatch backends (scalar, simd-fma, "
+               "batched) and the paper's fused+unrolled loops on the "
+               "derivative contraction pair\",\n"
                "  \"shapes\": \"per element: dudr (NxN * NxN^2) + dudt "
                "(N^2xN * NxN) via kernels::grad_backend\",\n"
                "  \"timing\": \"best of 7 samples, 20 sweeps per sample\",\n"
@@ -140,10 +143,10 @@ int run_backend_json_sweep(const std::string& path) {
 
   // Per-backend log-speedup accumulators vs scalar, plus every N where a
   // backend lost — the loud-failure check gates each dispatched backend and
-  // names the loser, not just fixed-N.
+  // names the loser.
   std::vector<double> log_speedup(backends.size(), 0.0);
   std::vector<std::vector<int>> losses(backends.size());
-  double log_simd_over_fixed_5_16 = 0.0;
+  double log_batched_over_fu_5_16 = 0.0;
   int points_5_16 = 0;
   int sweep_points = 0;
   bool first = true;
@@ -163,6 +166,7 @@ int run_backend_json_sweep(const std::string& path) {
     const double intensity = flops / bytes;
 
     std::vector<double> secs(backends.size());
+    double batched_s = 0.0;
     for (std::size_t bi = 0; bi < backends.size(); ++bi) {
       const Backend b = backends[bi];
       secs[bi] = best_of_sweeps([&] {
@@ -171,10 +175,15 @@ int run_backend_json_sweep(const std::string& path) {
         kernels::grad_backend(b, 2, d.data(), u.data(), scratch.data(), n,
                               nel);
       });
+      if (b == Backend::kBatched) batched_s = secs[bi];
     }
+    const auto fu = kernels::GradVariant::kFusedUnrolled;
+    const double fu_s = best_of_sweeps([&] {
+      kernels::grad_r(fu, d.data(), u.data(), scratch.data(), n, nel);
+      kernels::grad_t(fu, d.data(), u.data(), scratch.data(), n, nel);
+    });
 
     const double scalar_s = secs[0];
-    double fixed_s = scalar_s, best_simd_s = 1e300;
     std::size_t best_bi = 0;
     std::fprintf(out,
                  "%s    {\"n\": %d, \"nel\": %d, \"intensity\": %.3f, "
@@ -194,20 +203,22 @@ int run_backend_json_sweep(const std::string& path) {
       std::printf(" %s %.1fGF(%2.0f%%)", kernels::backend_name(b), gflops,
                   prof::percent_of_peak(mach, gflops));
       if (secs[bi] < secs[best_bi]) best_bi = bi;
-      if (b == Backend::kFixedN) fixed_s = secs[bi];
-      if (b == Backend::kSimdFma || b == Backend::kBatched) {
-        best_simd_s = std::min(best_simd_s, secs[bi]);
-      }
       if (bi > 0) {
         log_speedup[bi] += std::log(speedup);
         if (speedup < 1.0) losses[bi].push_back(n);
       }
     }
-    std::fprintf(out, "}, \"best\": \"%s\"}",
-                 kernels::backend_name(backends[best_bi]));
-    std::printf("  best=%s\n", kernels::backend_name(backends[best_bi]));
+    const double fu_gflops = flops / fu_s / 1e9;
+    std::fprintf(out,
+                 "}, \"best\": \"%s\", \"fused_unrolled\": {\"seconds\": "
+                 "%.9e, \"gflops\": %.3f, \"pct_peak\": %.2f, "
+                 "\"speedup_vs_scalar\": %.3f}}",
+                 kernels::backend_name(backends[best_bi]), fu_s, fu_gflops,
+                 prof::percent_of_peak(mach, fu_gflops), scalar_s / fu_s);
+    std::printf("  best=%s  fused+unrolled %.1fGF\n",
+                kernels::backend_name(backends[best_bi]), fu_gflops);
     if (n >= 5 && n <= 16) {
-      log_simd_over_fixed_5_16 += std::log(fixed_s / best_simd_s);
+      log_batched_over_fu_5_16 += std::log(fu_s / batched_s);
       ++points_5_16;
     }
     ++sweep_points;
@@ -221,14 +232,16 @@ int run_backend_json_sweep(const std::string& path) {
                  kernels::backend_name(backends[bi]), g);
     std::printf("  %s %.2fx", kernels::backend_name(backends[bi]), g);
   }
-  const double simd_over_fixed =
-      std::exp(log_simd_over_fixed_5_16 / points_5_16);
+  const double batched_over_fu =
+      std::exp(log_batched_over_fu_5_16 / points_5_16);
   std::fprintf(out,
-               "},\n  \"geomean_best_simd_over_fixed_n5_16\": %.3f\n}\n",
-               simd_over_fixed);
+               "},\n  \"geomean_batched_over_fused_unrolled_n5_16\": "
+               "%.3f\n}\n",
+               batched_over_fu);
   std::fclose(out);
-  std::printf("\ngeomean best-SIMD speedup over fixed-N (N=5..16): %.2fx\n",
-              simd_over_fixed);
+  std::printf("\ngeomean batched speedup over fused+unrolled (N=5..16): "
+              "%.2fx\n",
+              batched_over_fu);
   std::printf("(json written to %s)\n", path.c_str());
 
   // Every dispatched backend exists purely as an optimization over the
@@ -249,29 +262,28 @@ int run_backend_json_sweep(const std::string& path) {
       rc = 1;
     }
   }
-  if (simd_over_fixed < 1.0) {
+  // The default backend must beat the paper's production loop form, or
+  // the dispatch layer is not earning its place.
+  if (batched_over_fu < 1.0) {
     std::fprintf(stderr,
-                 "FAIL: best SIMD/batched backend loses to fixed-N on the "
+                 "FAIL: batched backend loses to fused+unrolled on the "
                  "paper range N=5..16 (geomean %.3fx < 1.0)\n",
-                 simd_over_fixed);
+                 batched_over_fu);
     rc = 1;
   }
   return rc;
 }
 
-// --- autotune smoke gate (--smoke) ------------------------------------------
+// --- default-selection smoke gate (--smoke) ---------------------------------
 //
-// CI check: autotune a few paper-range sizes, install the table, and verify
-// the dispatched (autotuned) selection is not slower than forced-scalar on
-// an independent re-measurement. The 0.9 floor absorbs timer noise on a
-// shared host; a genuine inversion (mis-tuned table, broken TU flags)
-// lands far below it.
+// CI check: on a few paper-range sizes, the default kernel selection must
+// not be slower than forced-scalar. The 0.9 floor absorbs timer noise on a
+// shared host; a genuine inversion (broken TU flags) lands far below it.
 int run_smoke() {
   using namespace cmtbone;
   const std::vector<int> ns = {5, 8, 10, 13, 16};
-  kernels::TuneTable table = kernels::autotune(ns);
-  kernels::apply_tune_table(table);
-  std::printf("=== autotune smoke (isa %s) ===\n", kernels::isa_name());
+  std::printf("=== default kernel selection smoke (isa %s) ===\n",
+              kernels::isa_name());
 
   double log_sum = 0.0;
   for (int n : ns) {
@@ -290,19 +302,19 @@ int run_smoke() {
       });
     };
     const double scalar_s = time_backend(kernels::Backend::kScalar);
-    const double tuned_s = time_backend(std::nullopt);
-    const double speedup = scalar_s / tuned_s;
-    std::printf("  N=%2d tuned=%s  %.2fx vs scalar\n", n,
+    const double default_s = time_backend(std::nullopt);
+    const double speedup = scalar_s / default_s;
+    std::printf("  N=%2d default=%s  %.2fx vs scalar\n", n,
                 kernels::backend_name(kernels::selected_backend(n)), speedup);
     log_sum += std::log(speedup);
   }
   const double geomean = std::exp(log_sum / double(ns.size()));
-  std::printf("geomean autotuned speedup vs scalar: %.2fx\n", geomean);
+  std::printf("geomean default-selection speedup vs scalar: %.2fx\n",
+              geomean);
   if (geomean < 0.9) {
     std::fprintf(stderr,
-                 "FAIL: autotuned kernel selection is slower than scalar "
-                 "(geomean %.3fx < 0.9) — tuning picked a mis-built or "
-                 "mis-measured backend\n",
+                 "FAIL: default kernel selection is slower than scalar "
+                 "(geomean %.3fx < 0.9) — a mis-built backend\n",
                  geomean);
     return 1;
   }
@@ -322,7 +334,7 @@ int main(int argc, char** argv) {
       .describe("json",
                 "sweep N=5..25 over every kernel backend and write JSON here")
       .describe("smoke",
-                "autotune a few N and gate autotuned-vs-scalar (CI check)");
+                "gate default selection vs scalar on a few N (CI check)");
   if (cli.help_requested()) {
     std::printf("%s", cli.usage().c_str());
     return 0;

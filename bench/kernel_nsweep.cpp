@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "kernels/dispatch.hpp"
-#include "kernels/div.hpp"
 #include "kernels/gradient.hpp"
 #include "kernels/mxm.hpp"
 #include "kernels/tensor.hpp"
@@ -98,15 +97,6 @@ void GradTunedS(benchmark::State& s) {
 void GradTunedT(benchmark::State& s) {
   bench_grad(s, GradVariant::kFusedUnrolled, 2);
 }
-void GradFixedNR(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kFixedN, 0);
-}
-void GradFixedNS(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kFixedN, 1);
-}
-void GradFixedNT(benchmark::State& s) {
-  bench_grad_backend(s, Backend::kFixedN, 2);
-}
 void GradSimdFmaR(benchmark::State& s) {
   bench_grad_backend(s, Backend::kSimdFma, 0);
 }
@@ -124,34 +114,6 @@ void GradBatchedS(benchmark::State& s) {
 }
 void GradBatchedT(benchmark::State& s) {
   bench_grad_backend(s, Backend::kBatched, 2);
-}
-
-void Div3Fused(benchmark::State& state) {
-  const int n = int(state.range(0));
-  const int nel = 32;
-  Workload w(n, nel);
-  std::vector<double> fy = w.u, fz = w.u;
-  for (auto _ : state) {
-    cmtbone::kernels::div3(w.op.d.data(), w.u.data(), fy.data(), fz.data(),
-                           w.out.data(), n, nel, 1.0, 1.0, 1.0,
-                           /*fused=*/true);
-    benchmark::DoNotOptimize(w.out.data());
-  }
-  set_flop_counters(state, cmtbone::kernels::div3_flops(n, nel));
-}
-
-void Div3ThreeSweeps(benchmark::State& state) {
-  const int n = int(state.range(0));
-  const int nel = 32;
-  Workload w(n, nel);
-  std::vector<double> fy = w.u, fz = w.u, work(w.u.size());
-  for (auto _ : state) {
-    cmtbone::kernels::div3(w.op.d.data(), w.u.data(), fy.data(), fz.data(),
-                           w.out.data(), n, nel, 1.0, 1.0, 1.0,
-                           /*fused=*/false, work.data());
-    benchmark::DoNotOptimize(w.out.data());
-  }
-  set_flop_counters(state, cmtbone::kernels::div3_flops(n, nel));
 }
 
 void Mxm(benchmark::State& state) {
@@ -193,17 +155,12 @@ BENCHMARK(GradBasicT)->DenseRange(5, 25, 5);
 BENCHMARK(GradTunedR)->DenseRange(5, 25, 5);
 BENCHMARK(GradTunedS)->DenseRange(5, 25, 5);
 BENCHMARK(GradTunedT)->DenseRange(5, 25, 5);
-BENCHMARK(GradFixedNR)->DenseRange(5, 25, 5);
-BENCHMARK(GradFixedNS)->DenseRange(5, 25, 5);
-BENCHMARK(GradFixedNT)->DenseRange(5, 25, 5);
 BENCHMARK(GradSimdFmaR)->DenseRange(5, 25, 5);
 BENCHMARK(GradSimdFmaS)->DenseRange(5, 25, 5);
 BENCHMARK(GradSimdFmaT)->DenseRange(5, 25, 5);
 BENCHMARK(GradBatchedR)->DenseRange(5, 25, 5);
 BENCHMARK(GradBatchedS)->DenseRange(5, 25, 5);
 BENCHMARK(GradBatchedT)->DenseRange(5, 25, 5);
-BENCHMARK(Div3Fused)->DenseRange(5, 25, 10);
-BENCHMARK(Div3ThreeSweeps)->DenseRange(5, 25, 10);
 BENCHMARK(Mxm)->DenseRange(5, 25, 5);
 BENCHMARK(DealiasRoundTrip)->DenseRange(5, 25, 10);
 

@@ -108,13 +108,13 @@ struct Config {
   kernels::GradVariant variant = kernels::GradVariant::kDispatch;
   gs::Method gs_method = gs::Method::kPairwise;
 
-  /// Concrete value: force that kernel backend (scalar / fixed-N / SIMD /
+  /// Concrete value: force that kernel backend (scalar / simd-fma /
   /// batched, see kernels/dispatch.hpp) process-wide at Driver
   /// construction. Kernel selection is process-global shared state — the
   /// kernels are stateless and every in-process rank uses the same ones —
   /// so the last Driver constructed wins. nullopt (default) leaves the
-  /// process selection alone: CMTBONE_KERNEL_BACKEND, an applied tuning
-  /// table, or the built-in default.
+  /// process selection alone: CMTBONE_KERNEL_BACKEND or the built-in
+  /// batched default.
   std::optional<kernels::Backend> kernel_backend;
 
   /// Overlap the nearest-neighbor surface exchange with element compute.
@@ -167,12 +167,9 @@ struct Config {
   /// Rebalance only when max/mean cost load exceeds this factor.
   double balance_threshold = 1.05;
   /// Cost attribution: measured EWMA rates, or the deterministic
-  /// particle-count surrogate (see balance/cost_model.hpp).
+  /// particle-count surrogate (see balance/cost_model.hpp, whose defaults
+  /// set the EWMA weight and the per-particle cost).
   balance::CostMode balance_cost_mode = balance::CostMode::kMeasured;
-  /// EWMA weight of the newest measurement window (measured mode).
-  double balance_ewma = 0.5;
-  /// Cost units per resident particle (particle-count mode).
-  double balance_particle_weight = 4.0;
 
   /// Use ordered (key-canonical) gather-scatter folds even without dynamic
   /// balancing — the static reference configuration the balanced-vs-static

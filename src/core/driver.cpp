@@ -134,26 +134,24 @@ Driver::Driver(comm::Comm& comm, const Config& config)
 
   balance::CostModelConfig cm;
   cm.mode = config_.balance_cost_mode;
-  cm.ewma = config_.balance_ewma;
-  cm.particle_weight = config_.balance_particle_weight;
   cost_model_ = balance::CostModel(cm);
 
   // Per-axis geometry. Uniform maps keep the historical constant-extent
   // fast path (h_ only); stretched maps additionally tabulate per-slab
-  // widths and left edges.
+  // widths and left edges. Every map, uniform or not, goes through
+  // axis_breakpoints, which rejects a bad length or parameter.
   uniform_mesh_ = config_.uniform_mesh();
   h_ = {config_.mesh_map[0].length / spec_.ex,
         config_.mesh_map[1].length / spec_.ey,
         config_.mesh_map[2].length / spec_.ez};
-  if (!uniform_mesh_) {
-    const int counts[3] = {spec_.ex, spec_.ey, spec_.ez};
-    for (int axis = 0; axis < 3; ++axis) {
-      widths_[axis] = mesh::axis_widths(config_.mesh_map[axis], counts[axis]);
-      std::vector<double> bp =
-          mesh::axis_breakpoints(config_.mesh_map[axis], counts[axis]);
-      bp.pop_back();
-      offsets_[axis] = std::move(bp);
-    }
+  const int counts[3] = {spec_.ex, spec_.ey, spec_.ez};
+  for (int axis = 0; axis < 3; ++axis) {
+    std::vector<double> bp =
+        mesh::axis_breakpoints(config_.mesh_map[axis], counts[axis]);
+    if (uniform_mesh_) continue;
+    widths_[axis] = mesh::axis_widths(config_.mesh_map[axis], counts[axis]);
+    bp.pop_back();
+    offsets_[axis] = std::move(bp);
   }
 
   rebuild_topology();
@@ -354,6 +352,13 @@ double Driver::compute_dt() {
   // The per-step vector reduction of §VI.
   dt = comm_->allreduce_one(dt, comm::ReduceOp::kMin);
   if (dt < 0.0) throw SolverDiverged(steps_, comm_->rank(), why);
+  // Every signal speed is zero: no CFL bound exists. Every rank holds the
+  // same reduced value, so all ranks throw together.
+  if (!std::isfinite(dt)) {
+    throw std::invalid_argument(
+        "Driver::compute_dt: every signal speed is zero, so the CFL time "
+        "step is unbounded; set Config::fixed_dt");
+  }
   return config_.cfl * dt;
 }
 
@@ -473,8 +478,9 @@ void Driver::volume_term(const ElementRhs& kernel,
 }
 
 void Driver::dealias_term(const std::vector<std::vector<double>>& u) {
-  // Always whole-rank in ascending element order: the checksum accumulates
-  // across elements, so its order must not depend on the overlap split.
+  // The round trip stands for the cost of §V's dealiasing path; nothing
+  // reads its output. It runs serially over the whole rank because every
+  // element reuses the one set of scratch buffers.
   if (!config_.dealias) return;
   prof::ScopedRegion dl_region("dealias (intp_rstd)");
   const int n = config_.n;
@@ -485,7 +491,6 @@ void Driver::dealias_term(const std::vector<std::vector<double>>& u) {
                                ops_.m, n, u[last].data() + e * elem,
                                dealias_fine_.data(), dealias_back_.data(),
                                dealias_work_.data());
-    dealias_checksum_ += dealias_back_[0];
   }
 }
 

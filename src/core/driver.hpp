@@ -261,7 +261,6 @@ class Driver {
   std::vector<std::vector<double>> u_, u1_, u2_, rhs_;
   std::vector<double> myfaces_, nbrfaces_;  // nfields stacked face arrays
   std::vector<double> dealias_fine_, dealias_back_, dealias_work_;
-  double dealias_checksum_ = 0.0;
   // Particle carrier velocity scratch (allocated only with a tracker); the
   // system fills it pointwise and the tracker interpolates from it.
   std::array<std::vector<double>, 3> carrier_;

@@ -318,7 +318,7 @@ long long grad_instruction_estimate(GradVariant v, int n, int nel) {
     case GradVariant::kFused: overhead = 3 * n4 + 2 * n3; break;
     case GradVariant::kUnrolled: overhead = 4 * n3; break;
     case GradVariant::kFusedUnrolled: overhead = 2 * n3; break;
-    // Dispatch (fixed-N or SIMD kernels): unrolled contraction, register
+    // Dispatch (SIMD kernels): unrolled contraction, register
     // accumulators, one store per output and no zero-fill pass.
     case GradVariant::kDispatch: overhead = n3; break;
   }

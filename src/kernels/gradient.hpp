@@ -21,8 +21,8 @@
 //   kUnrolled       inner contraction fully unrolled (compile-time N)
 //   kFusedUnrolled  both — the production CMT-bone / Nek5000 form
 //   kDispatch       routed through the runtime backend-dispatch layer
-//                   (kernels/dispatch.hpp): scalar / fixed-N / SIMD+FMA /
-//                   batched, chosen by force, tuning table, or default.
+//                   (kernels/dispatch.hpp): scalar / SIMD+FMA / batched,
+//                   chosen by force or the batched default.
 //                   Bit-identical to kBasic for every backend except the
 //                   explicitly opted-into fused-multiply-add one.
 
@@ -36,9 +36,9 @@ enum class GradVariant {
   kFused,
   kUnrolled,
   kFusedUnrolled,
-  // 4 and 5 belonged to retired variants (cache-blocked and mxm-fixed, the
-  // latter now Backend::kFixedN). The value stays so that anything keyed
-  // by it, such as parameterized test names, does not shift.
+  // 4 and 5 belonged to retired variants (cache-blocked and mxm-fixed).
+  // The value stays so that anything keyed by it, such as parameterized
+  // test names, does not shift.
   kDispatch = 6,
 };
 

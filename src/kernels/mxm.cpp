@@ -32,104 +32,4 @@ void mxm_acc(const double* a, int n1, const double* b, int n2, double* c,
   }
 }
 
-// With N2 known at compile time the contraction fully unrolls and each C
-// entry lives in a register for its whole accumulation: one store per
-// result instead of the runtime loop's zero-fill pass plus N2 read-modify-
-// write sweeps over the C column. A 4-wide i-block keeps enough independent
-// accumulator chains in flight to hide the fma latency. Accumulation runs
-// over l ascending from zero — the same floating-point sequence per C entry
-// as mxm(), so the results are bit-identical.
-template <int N2>
-void mxm_fixed(const double* a, int n1, const double* b, double* c, int n3) {
-  const double* __restrict ar = a;
-  for (int j = 0; j < n3; ++j) {
-    double* __restrict cj = c + std::size_t(j) * n1;
-    const double* __restrict bj = b + std::size_t(j) * N2;
-    int i = 0;
-    for (; i + 4 <= n1; i += 4) {
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-#pragma GCC unroll 32
-      for (int l = 0; l < N2; ++l) {
-        const double blj = bj[l];
-        const double* __restrict al = ar + std::size_t(l) * n1 + i;
-        s0 += al[0] * blj;
-        s1 += al[1] * blj;
-        s2 += al[2] * blj;
-        s3 += al[3] * blj;
-      }
-      cj[i] = s0;
-      cj[i + 1] = s1;
-      cj[i + 2] = s2;
-      cj[i + 3] = s3;
-    }
-    for (; i < n1; ++i) {
-      double s = 0.0;
-#pragma GCC unroll 32
-      for (int l = 0; l < N2; ++l) s += ar[std::size_t(l) * n1 + i] * bj[l];
-      cj[i] = s;
-    }
-  }
-}
-
-MxmFixedFn mxm_fixed_kernel(int n2) {
-  switch (n2) {
-#define CMTBONE_CASE(N) \
-  case N: return &mxm_fixed<N>;
-    CMTBONE_CASE(2)
-    CMTBONE_CASE(3)
-    CMTBONE_CASE(4)
-    CMTBONE_CASE(5)
-    CMTBONE_CASE(6)
-    CMTBONE_CASE(7)
-    CMTBONE_CASE(8)
-    CMTBONE_CASE(9)
-    CMTBONE_CASE(10)
-    CMTBONE_CASE(11)
-    CMTBONE_CASE(12)
-    CMTBONE_CASE(13)
-    CMTBONE_CASE(14)
-    CMTBONE_CASE(15)
-    CMTBONE_CASE(16)
-    CMTBONE_CASE(17)
-    CMTBONE_CASE(18)
-    CMTBONE_CASE(19)
-    CMTBONE_CASE(20)
-    CMTBONE_CASE(21)
-    CMTBONE_CASE(22)
-    CMTBONE_CASE(23)
-    CMTBONE_CASE(24)
-    CMTBONE_CASE(25)
-#undef CMTBONE_CASE
-    default: return nullptr;
-  }
-}
-
-#define CMTBONE_INSTANTIATE(N) \
-  template void mxm_fixed<N>(const double*, int, const double*, double*, int);
-CMTBONE_INSTANTIATE(2)
-CMTBONE_INSTANTIATE(3)
-CMTBONE_INSTANTIATE(4)
-CMTBONE_INSTANTIATE(5)
-CMTBONE_INSTANTIATE(6)
-CMTBONE_INSTANTIATE(7)
-CMTBONE_INSTANTIATE(8)
-CMTBONE_INSTANTIATE(9)
-CMTBONE_INSTANTIATE(10)
-CMTBONE_INSTANTIATE(11)
-CMTBONE_INSTANTIATE(12)
-CMTBONE_INSTANTIATE(13)
-CMTBONE_INSTANTIATE(14)
-CMTBONE_INSTANTIATE(15)
-CMTBONE_INSTANTIATE(16)
-CMTBONE_INSTANTIATE(17)
-CMTBONE_INSTANTIATE(18)
-CMTBONE_INSTANTIATE(19)
-CMTBONE_INSTANTIATE(20)
-CMTBONE_INSTANTIATE(21)
-CMTBONE_INSTANTIATE(22)
-CMTBONE_INSTANTIATE(23)
-CMTBONE_INSTANTIATE(24)
-CMTBONE_INSTANTIATE(25)
-#undef CMTBONE_INSTANTIATE
-
 }  // namespace cmtbone::kernels

@@ -16,36 +16,10 @@ void mxm(const double* a, int n1, const double* b, int n2, double* c, int n3);
 void mxm_acc(const double* a, int n1, const double* b, int n2, double* c,
              int n3);
 
-// --- fixed-N microkernels ----------------------------------------------------
-// The contraction length n2 is the polynomial order N in every tensor
-// contraction of the solver (paper range 5..25), so a compile-time-N fast
-// path pays everywhere: the inner accumulation fully unrolls, C columns stay
-// in registers, and the zero-then-accumulate memory round-trip of the
-// runtime loop disappears. Accumulation order over l is ascending in both
-// forms, so the fixed kernels are bit-identical to mxm().
-
-/// Same contract as mxm() with n2 = N2 fixed at compile time.
-template <int N2>
-void mxm_fixed(const double* a, int n1, const double* b, double* c, int n3);
-
-/// Signature of a fixed-N2 kernel (a, n1, b, c, n3).
+/// Signature of a contraction kernel with its length n2 fixed at compile
+/// time: (a, n1, b, c, n3), same contract as mxm() otherwise. Every SIMD
+/// kernel the dispatch layer hands out (kernels/dispatch.hpp) has this type.
 using MxmFixedFn = void (*)(const double*, int, const double*, double*, int);
-
-/// Dispatch-table lookup, done once per size by callers that loop: returns
-/// the specialized kernel for contraction length n2, or nullptr when n2 is
-/// outside the specialized range (2..25).
-MxmFixedFn mxm_fixed_kernel(int n2);
-
-/// mxm() routed through the fixed-N dispatch, falling back to the runtime
-/// loop for unspecialized sizes. Bit-identical to mxm() either way.
-inline void mxm_auto(const double* a, int n1, const double* b, int n2,
-                     double* c, int n3) {
-  if (MxmFixedFn f = mxm_fixed_kernel(n2)) {
-    f(a, n1, b, c, n3);
-  } else {
-    mxm(a, n1, b, n2, c, n3);
-  }
-}
 
 /// Flop count of one mxm call (multiplies + adds).
 inline long long mxm_flops(int n1, int n2, int n3) {

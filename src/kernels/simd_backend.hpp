@@ -1,11 +1,10 @@
 #pragma once
 // Explicit-SIMD mxm backends, one per instruction set, selected at runtime.
 //
-// The fixed-N kernels in mxm.cpp rely on the autovectorizer under the
-// project's baseline flags (-O2, no -march), which caps them at SSE2. To use
-// the wide units that the paper's contraction sizes (N=5..25) can feed, the
-// same register-blocked kernel body (simd_kernels.inc.hpp) is compiled into
-// three translation units with different ISA flags:
+// The project's baseline flags (-O2, no -march) cap the autovectorizer at
+// SSE2. To use the wide units that the paper's contraction sizes (N=5..25)
+// can feed, one register-blocked kernel body (simd_kernels.inc.hpp) is
+// compiled into three translation units with different ISA flags:
 //
 //   simd_portable.cpp   baseline flags       2-wide vectors (SSE2 on x86)
 //   simd_avx2.cpp       -mavx2 -mfma         4-wide (compiled only if the
@@ -19,7 +18,7 @@
 // (dispatch.hpp) checks CPU support with __builtin_cpu_supports before
 // handing out an ISA backend; the portable backend always exists.
 //
-// Accumulation-order policy (shared with mxm / mxm_fixed): every C entry
+// Accumulation-order policy (shared with mxm): every C entry
 // accumulates over l ascending from zero; SIMD parallelism is only across
 // output rows (i), never across the contraction. The fma=false kernels
 // round each multiply and each add separately (the TUs are compiled with

@@ -51,8 +51,8 @@ struct Vec {
 // mac<false>: c + a*b with two roundings — the scalar-reference order.
 // mac<true>: one fused multiply-add (single rounding). Hardware intrinsics
 // where the TU's ISA provides them; otherwise per-lane __builtin_fma, which
-// is correctly rounded but slow (libm) — a correctness path, never picked
-// by tuning.
+// is correctly rounded but slow (libm) — a correctness path that only a
+// forced simd-fma reaches.
 template <bool Fma, int W>
 inline Vec<W> mac(Vec<W> a, Vec<W> b, Vec<W> c) {
   if constexpr (!Fma) {

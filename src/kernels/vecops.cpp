@@ -32,19 +32,6 @@ void pointwise_scale(double* x, const double* s, std::size_t count) {
   for (; i < count; ++i) x[i] *= s[i];
 }
 
-void combine_div3(double* out, const double* gs, const double* gt, double sx,
-                  double sy, double sz, std::size_t count) {
-  const V4 vx = bcast4(sx), vy = bcast4(sy), vz = bcast4(sz);
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    store4(out + i,
-           vx * load4(out + i) + vy * load4(gs + i) + vz * load4(gt + i));
-  }
-  for (; i < count; ++i) {
-    out[i] = sx * out[i] + sy * gs[i] + sz * gt[i];
-  }
-}
-
 void ax_combine(double* w, const double* s, const double* m, const double* u,
                 double h1, double h2, std::size_t count) {
   const V4 v1 = bcast4(h1), v2 = bcast4(h2);

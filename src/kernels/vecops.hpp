@@ -1,14 +1,14 @@
 #pragma once
 // Pointwise vector kernels for the solver's non-contraction inner loops:
 // the dssum multiplicity scaling, the Runge-Kutta stage updates, the
-// fused-divergence combine, the Nekbone ax tail, and the CG inner products.
+// Nekbone ax tail, and the CG inner products.
 //
 // These loops are memory-bound streams; the win over leaving them to the
 // autovectorizer is a guaranteed vector shape (GCC generic vectors, so the
 // TU vectorizes under the baseline flags with no ISA gamble) and an
 // explicit accumulation-order contract:
 //
-//   * The elementwise ops (scale / combine / ax tail) touch each index
+//   * The elementwise ops (scale / stage updates / ax tail) touch each index
 //     independently — vector width cannot change a single result bit, so
 //     they are unconditionally safe for the bit-identity paths.
 //   * weighted_dot is a reduction, so lane-parallel accumulation IS a
@@ -19,8 +19,8 @@
 //     pick per the active kernel backend (scalar backend => strict).
 //
 // Compiled with -ffp-contract=off (see CMakeLists): the combine ops spell
-// multiply and add separately and must stay that way to match the fused
-// kernels they replace.
+// multiply and add separately and must stay that way to match the scalar
+// loops they replace.
 
 #include <cstddef>
 
@@ -42,11 +42,6 @@ void rk4_stage(double* acc, double* ustage, const double* u, const double* k,
 /// The RK4 finish: u[i] += w*(acc[i] + k[i]) with w = dt/6.
 void rk4_finish(double* u, const double* acc, const double* k, double w,
                 std::size_t count);
-
-/// out[i] = sx*out[i] + sy*gs[i] + sz*gt[i] — the div3 combine, evaluated
-/// left to right exactly like the fused kernel's (sx*ar + sy*as) + sz*at.
-void combine_div3(double* out, const double* gs, const double* gt, double sx,
-                  double sy, double sz, std::size_t count);
 
 /// w[i] = h1*(w[i] + s[i]) + h2*m[i]*u[i] — the Nekbone local_ax tail,
 /// in the historical scalar evaluation order (h2*m rounds first).

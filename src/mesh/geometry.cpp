@@ -15,13 +15,23 @@ const char* axis_map_name(AxisMapKind kind) {
   return "?";
 }
 
-std::vector<double> axis_breakpoints(const AxisMap& map, int count) {
+namespace {
+
+// The checks every map kind shares; the stretched kinds also check their
+// parameter in axis_breakpoints.
+void check_count_and_length(const AxisMap& map, int count) {
   if (count < 1) {
     throw std::invalid_argument("axis_breakpoints: count must be >= 1");
   }
   if (!(map.length > 0.0) || !std::isfinite(map.length)) {
     throw std::invalid_argument("axis_breakpoints: length must be positive");
   }
+}
+
+}  // namespace
+
+std::vector<double> axis_breakpoints(const AxisMap& map, int count) {
+  check_count_and_length(map, count);
   std::vector<double> x(std::size_t(count) + 1);
   switch (map.kind) {
     case AxisMapKind::kUniform: {
@@ -83,6 +93,7 @@ std::vector<double> axis_widths(const AxisMap& map, int count) {
   if (map.uniform()) {
     // Exactly the historical constant — not a breakpoint difference, so the
     // uniform path reproduces the seed geometry bit for bit.
+    check_count_and_length(map, count);
     return std::vector<double>(std::size_t(count), map.length / count);
   }
   const std::vector<double> x = axis_breakpoints(map, count);

@@ -55,7 +55,8 @@ struct AxisMap {
 std::vector<double> axis_breakpoints(const AxisMap& map, int count);
 
 /// The `count` per-layer widths (adjacent breakpoint differences, all
-/// positive). For kUniform every entry is exactly length / count.
+/// positive). For kUniform every entry is exactly length / count. Throws
+/// like axis_breakpoints.
 std::vector<double> axis_widths(const AxisMap& map, int count);
 
 /// Smallest layer width (the CFL-limiting extent along this axis).

@@ -7,6 +7,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -265,6 +267,36 @@ TEST(Driver, FixedDtOverridesCfl) {
     driver.run(4);
     EXPECT_NEAR(driver.time(), 4 * 1.25e-3, 1e-15);
   });
+}
+
+TEST(Driver, ZeroSignalSpeedWithoutFixedDtThrows) {
+  // With every signal speed zero the CFL bound is +inf. The step must be
+  // refused on every rank together instead of advancing by dt = inf.
+  for (int ranks : {1, 2}) {
+    std::mutex mu;
+    std::vector<std::string> thrown(static_cast<std::size_t>(ranks));
+    cmtbone::comm::run(ranks, [&](Comm& world) {
+      Config cfg;  // the proxy
+      cfg.n = 3;
+      cfg.ex = cfg.ey = cfg.ez = 2;
+      cfg.velocity = {0.0, 0.0, 0.0};
+      Driver driver(world, cfg);
+      driver.initialize(driver.default_ic());
+      try {
+        driver.step();
+      } catch (const std::invalid_argument& e) {
+        std::lock_guard<std::mutex> lock(mu);
+        thrown[std::size_t(world.rank())] = e.what();
+      }
+      EXPECT_EQ(driver.time(), 0.0);
+    });
+    for (int rank = 0; rank < ranks; ++rank) {
+      EXPECT_NE(thrown[std::size_t(rank)].find("Config::fixed_dt"),
+                std::string::npos)
+          << ranks << " ranks, rank " << rank << ": got '"
+          << thrown[std::size_t(rank)] << "'";
+    }
+  }
 }
 
 TEST(Driver, VariantsProduceSameTrajectory) {
@@ -707,6 +739,19 @@ TEST(Driver, MismatchedProcessorGridThrows) {
     cfg.py = 1;
     cfg.pz = 1;  // 3 != comm size 2
     EXPECT_THROW(Driver(world, cfg), std::invalid_argument);
+  });
+}
+
+TEST(Driver, NonPositiveUniformAxisLengthThrows) {
+  // A uniform axis map is checked like a stretched one: a zero or negative
+  // length is refused at construction instead of producing NaN fields or a
+  // spurious SolverDiverged on the first step.
+  cmtbone::comm::run(1, [](Comm& world) {
+    for (double length : {0.0, -1.0}) {
+      Config cfg = advection_config(4, 2);
+      cfg.mesh_map[0].length = length;
+      EXPECT_THROW(Driver(world, cfg), std::invalid_argument) << length;
+    }
   });
 }
 

@@ -1,19 +1,14 @@
-// The kernel-backend dispatch layer: selection precedence (forced > tuned >
-// default), environment knobs, the autotune table and its cache (round-trip,
-// corrupt/stale/foreign-ISA rejection, graceful re-tune), and the contract
-// the solver rests on — every forced backend drives the full driver matrix
-// (threads x overlap, plus chaos-perturbed communication) to bit-identical
-// results, run to run.
+// The kernel-backend dispatch layer: selection (a force beats the batched
+// default), the environment knob, and the contract the solver rests on —
+// every forced backend drives the full driver matrix (threads x overlap,
+// plus chaos-perturbed communication) to bit-identical results, run to
+// run.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <optional>
-#include <sstream>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,6 +17,7 @@
 #include "core/driver.hpp"
 #include "kernels/dispatch.hpp"
 #include "kernels/mxm.hpp"
+#include "kernels/simd_backend.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -36,55 +32,28 @@ using cmtbone::kernels::Backend;
 using cmtbone::kernels::backend_bit_identical;
 using cmtbone::kernels::backend_from_name;
 using cmtbone::kernels::backend_name;
-using cmtbone::kernels::clear_tune_table;
-using cmtbone::kernels::ensure_tuned;
 using cmtbone::kernels::forced_backend;
-using cmtbone::kernels::isa_name;
 using cmtbone::kernels::kMaxDispatchN;
 using cmtbone::kernels::kMinDispatchN;
 using cmtbone::kernels::kNumBackends;
-using cmtbone::kernels::load_tune_cache;
-using cmtbone::kernels::parse_tune_table;
-using cmtbone::kernels::save_tune_cache;
 using cmtbone::kernels::ScopedBackendForce;
 using cmtbone::kernels::selected_backend;
-using cmtbone::kernels::serialize_tune_table;
 using cmtbone::kernels::set_forced_backend;
-using cmtbone::kernels::TuneEntry;
-using cmtbone::kernels::TuneTable;
 
 // Every test leaves the process-global selection exactly as it found it:
-// no force, no tune table, no leftover environment knobs.
+// no force and no leftover environment knob.
 class DispatchTest : public ::testing::Test {
  protected:
   void SetUp() override { reset(); }
   void TearDown() override { reset(); }
   static void reset() {
     unsetenv(cmtbone::kernels::kBackendEnvVar);
-    unsetenv(cmtbone::kernels::kAutotuneEnvVar);
-    unsetenv(cmtbone::kernels::kTuneCacheEnvVar);
     cmtbone::kernels::reload_env_selection();
     set_forced_backend(std::nullopt);
-    clear_tune_table();
   }
 };
 
-TuneTable small_table() {
-  TuneTable t;
-  t.isa = isa_name();
-  TuneEntry e;
-  e.n = 5;
-  e.best = Backend::kFixedN;
-  for (int i = 0; i < kNumBackends; ++i) e.seconds[i] = 0.5 + 0.25 * i;
-  t.entries.push_back(e);
-  e.n = 12;
-  e.best = Backend::kScalar;
-  for (int i = 0; i < kNumBackends; ++i) e.seconds[i] = 1e-6 * (i + 1);
-  t.entries.push_back(e);
-  return t;
-}
-
-// --- selection precedence ----------------------------------------------------
+// --- selection --------------------------------------------------------------
 
 TEST_F(DispatchTest, NameRoundTripAndRejects) {
   ASSERT_EQ(int(all_backends().size()), kNumBackends);
@@ -99,25 +68,26 @@ TEST_F(DispatchTest, NameRoundTripAndRejects) {
   EXPECT_FALSE(backend_from_name("simd "));
 }
 
-TEST_F(DispatchTest, ForcedBeatsTunedBeatsDefault) {
-  EXPECT_EQ(selected_backend(7), Backend::kBatched);  // default
-  TuneTable t;
-  t.isa = isa_name();
-  TuneEntry e;
-  e.n = 7;
-  e.best = Backend::kFixedN;
-  t.entries.push_back(e);
-  cmtbone::kernels::apply_tune_table(t);
-  EXPECT_EQ(selected_backend(7), Backend::kFixedN);   // tuned n
-  EXPECT_EQ(selected_backend(8), Backend::kBatched);  // untuned n: default
+TEST_F(DispatchTest, ForcedBeatsDefault) {
+  // With no force, batched is the choice at every length, in the SIMD
+  // tables' range or not.
+  EXPECT_EQ(forced_backend(), std::nullopt);
+  for (int n : {kMinDispatchN - 1, kMinDispatchN, 7, kMaxDispatchN,
+                kMaxDispatchN + 1}) {
+    EXPECT_EQ(selected_backend(n), Backend::kBatched) << "n=" << n;
+  }
   {
     ScopedBackendForce force(Backend::kScalar);
     EXPECT_EQ(selected_backend(7), Backend::kScalar);  // force wins
     EXPECT_EQ(forced_backend(), Backend::kScalar);
+    {
+      ScopedBackendForce inner(Backend::kSimdFma);
+      EXPECT_EQ(selected_backend(7), Backend::kSimdFma);
+    }
+    EXPECT_EQ(selected_backend(7), Backend::kScalar);  // outer force restored
   }
-  EXPECT_EQ(selected_backend(7), Backend::kFixedN);  // force restored away
-  clear_tune_table();
-  EXPECT_EQ(selected_backend(7), Backend::kBatched);
+  EXPECT_EQ(forced_backend(), std::nullopt);
+  EXPECT_EQ(selected_backend(7), Backend::kBatched);  // force restored away
 }
 
 TEST_F(DispatchTest, DispatchMxmHonorsForceAndDegradesOutOfRange) {
@@ -125,10 +95,17 @@ TEST_F(DispatchTest, DispatchMxmHonorsForceAndDegradesOutOfRange) {
     ScopedBackendForce force(Backend::kScalar);
     EXPECT_EQ(cmtbone::kernels::dispatch_mxm(8), nullptr);  // caller uses mxm
   }
+  // The SIMD backends hand out the widest usable ISA's kernel, fused or
+  // not.
+  const cmtbone::kernels::SimdBackend* isa =
+      cmtbone::kernels::simd_backend_best();
   {
-    ScopedBackendForce force(Backend::kFixedN);
-    EXPECT_EQ(cmtbone::kernels::dispatch_mxm(8),
-              cmtbone::kernels::mxm_fixed_kernel(8));
+    ScopedBackendForce force(Backend::kSimdFma);
+    EXPECT_EQ(cmtbone::kernels::dispatch_mxm(8), isa->mxm_kernel(8, true));
+  }
+  {
+    ScopedBackendForce force(Backend::kBatched);
+    EXPECT_EQ(cmtbone::kernels::dispatch_mxm(8), isa->mxm_kernel(8, false));
   }
   // Outside the dispatch range every backend degrades to the runtime
   // kernel, reported as nullptr — never an abort, never a wrong kernel.
@@ -153,17 +130,17 @@ TEST_F(DispatchTest, DispatchMxmHonorsForceAndDegradesOutOfRange) {
   for (std::size_t p = 0; p < want.size(); ++p) ASSERT_EQ(want[p], got[p]);
 }
 
-// --- environment knobs -------------------------------------------------------
+// --- environment knob -------------------------------------------------------
 
 TEST_F(DispatchTest, EnvBackendForcesSelectionAndUnknownValueIsIgnored) {
-  setenv(cmtbone::kernels::kBackendEnvVar, "fixed-n", 1);
+  setenv(cmtbone::kernels::kBackendEnvVar, "scalar", 1);
   cmtbone::kernels::reload_env_selection();
-  EXPECT_EQ(forced_backend(), Backend::kFixedN);
-  EXPECT_EQ(selected_backend(9), Backend::kFixedN);
+  EXPECT_EQ(forced_backend(), Backend::kScalar);
+  EXPECT_EQ(selected_backend(9), Backend::kScalar);
 
-  // "simd" named a retired backend; like any unknown name it is warned
-  // about and ignored.
-  for (const char* name : {"warp-drive", "simd"}) {
+  // "simd" and "fixed-n" named retired backends; like any unknown name
+  // they are warned about and ignored.
+  for (const char* name : {"warp-drive", "simd", "fixed-n"}) {
     setenv(cmtbone::kernels::kBackendEnvVar, name, 1);
     cmtbone::kernels::reload_env_selection();
     EXPECT_EQ(forced_backend(), std::nullopt) << name;
@@ -171,44 +148,20 @@ TEST_F(DispatchTest, EnvBackendForcesSelectionAndUnknownValueIsIgnored) {
   }
 }
 
-TEST_F(DispatchTest, AutotuneEnvLoadsValidCacheAtReload) {
-  const std::string path = "dispatch_env_cache.tmp";
-  TuneTable t;
-  t.isa = isa_name();
-  TuneEntry e;
-  e.n = 6;
-  e.best = Backend::kScalar;  // deliberately not the default
-  t.entries.push_back(e);
-  ASSERT_TRUE(save_tune_cache(t, path));
-
-  setenv(cmtbone::kernels::kAutotuneEnvVar, "1", 1);
-  setenv(cmtbone::kernels::kTuneCacheEnvVar, path.c_str(), 1);
-  cmtbone::kernels::reload_env_selection();
-  EXPECT_EQ(selected_backend(6), Backend::kScalar);   // from the cache
-  EXPECT_EQ(selected_backend(10), Backend::kBatched);  // uncached n
-  std::remove(path.c_str());
-}
-
-TEST_F(DispatchTest, EnvForcedBackendWinsOverCacheAndAutotune) {
-  const std::string path = "dispatch_force_cache.tmp";
-  TuneTable t;
-  t.isa = isa_name();
-  TuneEntry e;
-  e.n = 5;
-  e.best = Backend::kFixedN;
-  t.entries.push_back(e);
-  ASSERT_TRUE(save_tune_cache(t, path));
-
+TEST_F(DispatchTest, EnvForcedBackendBeatsDefaultAndSurvivesReload) {
   setenv(cmtbone::kernels::kBackendEnvVar, "simd-fma", 1);
-  setenv(cmtbone::kernels::kAutotuneEnvVar, "1", 1);
-  setenv(cmtbone::kernels::kTuneCacheEnvVar, path.c_str(), 1);
   cmtbone::kernels::reload_env_selection();
-  EXPECT_EQ(selected_backend(5), Backend::kSimdFma);  // force, not the cache
-  // ensure_tuned also stands down under a force: empty table, no apply.
-  TuneTable out = ensure_tuned({5}, path);
-  EXPECT_TRUE(out.entries.empty());
+  EXPECT_EQ(selected_backend(5), Backend::kSimdFma);  // env force, not default
+  // A programmatic force replaces it until the environment is read again.
+  set_forced_backend(Backend::kScalar);
+  EXPECT_EQ(selected_backend(5), Backend::kScalar);
+  cmtbone::kernels::reload_env_selection();
   EXPECT_EQ(selected_backend(5), Backend::kSimdFma);
-  std::remove(path.c_str());
+  cmtbone::kernels::reload_env_selection();  // idempotent
+  EXPECT_EQ(forced_backend(), Backend::kSimdFma);
+  unsetenv(cmtbone::kernels::kBackendEnvVar);
+  cmtbone::kernels::reload_env_selection();
+  EXPECT_EQ(selected_backend(5), Backend::kBatched);
 }
 
 TEST_F(DispatchTest, SelectionIsConsistentWhileForceAndEnvChange) {
@@ -217,7 +170,7 @@ TEST_F(DispatchTest, SelectionIsConsistentWhileForceAndEnvChange) {
   // Readers must always get a valid backend and a kernel that computes the
   // runtime mxm exactly while a writer flips the force and re-reads the
   // environment (the TSan jobs check the accesses themselves).
-  setenv(cmtbone::kernels::kBackendEnvVar, "fixed-n", 1);
+  setenv(cmtbone::kernels::kBackendEnvVar, "scalar", 1);
   std::atomic<bool> stop{false};
   std::atomic<long> reads{0};
   std::vector<std::thread> readers;
@@ -246,130 +199,10 @@ TEST_F(DispatchTest, SelectionIsConsistentWhileForceAndEnvChange) {
   stop = true;
   for (std::thread& t : readers) t.join();
   cmtbone::kernels::reload_env_selection();
-  EXPECT_EQ(forced_backend(), Backend::kFixedN);
+  EXPECT_EQ(forced_backend(), Backend::kScalar);
 }
 
-// --- tune-table round-trip and rejection -------------------------------------
-
-TEST_F(DispatchTest, TuneTableTextRoundTrip) {
-  const TuneTable t = small_table();
-  auto back = parse_tune_table(serialize_tune_table(t));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->isa, t.isa);
-  ASSERT_EQ(back->entries.size(), t.entries.size());
-  for (std::size_t i = 0; i < t.entries.size(); ++i) {
-    EXPECT_EQ(back->entries[i].n, t.entries[i].n);
-    EXPECT_EQ(back->entries[i].best, t.entries[i].best);
-    for (int s = 0; s < kNumBackends; ++s) {
-      // %.17g serialization must round-trip measurements exactly.
-      EXPECT_EQ(back->entries[i].seconds[s], t.entries[i].seconds[s]);
-    }
-  }
-}
-
-TEST_F(DispatchTest, ParseRejectsCorruptAndStaleCaches) {
-  const std::string good = serialize_tune_table(small_table());
-  ASSERT_TRUE(parse_tune_table(good).has_value());
-
-  EXPECT_FALSE(parse_tune_table(""));
-  EXPECT_FALSE(parse_tune_table("garbage\n"));
-  EXPECT_FALSE(parse_tune_table(good + "trailing junk\n"));
-
-  // Truncation: a torn write can stop anywhere, including at a line
-  // boundary after a complete entry or inside the last number. Every
-  // proper prefix must be rejected, not parsed as a shorter table.
-  for (std::size_t len = 0; len < good.size(); ++len) {
-    EXPECT_FALSE(parse_tune_table(good.substr(0, len))) << "prefix " << len;
-  }
-
-  // A cache in the previous (v1) format has no closing line.
-  std::string v1 = good;
-  v1.replace(v1.find("v2"), 2, "v1");
-  EXPECT_FALSE(parse_tune_table(v1));
-
-  // Foreign ISA: a table measured on another machine must be rejected.
-  TuneTable alien = small_table();
-  alien.isa = "sparc-viz";
-  EXPECT_FALSE(parse_tune_table(serialize_tune_table(alien)));
-
-  // Stale backend list: the guard against a future backend-set change.
-  std::istringstream in(good);
-  std::ostringstream out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("backends ", 0) == 0) line = "backends scalar fixed-n";
-    out << line << '\n';
-  }
-  EXPECT_FALSE(parse_tune_table(out.str()));
-
-  // Entry-level damage: out-of-range n, unknown best, missing seconds.
-  auto mutate = [&](const std::string& from, const std::string& to) {
-    std::string text = good;
-    auto pos = text.find(from);
-    ASSERT_NE(pos, std::string::npos) << from;
-    text.replace(pos, from.size(), to);
-    EXPECT_FALSE(parse_tune_table(text)) << from << " -> " << to;
-  };
-  mutate("n 5 best", "n 1 best");
-  mutate("n 12 best", "n 99 best");
-  mutate("best fixed-n", "best banana");
-  mutate("best scalar", "best");
-  mutate("end 2", "end 3");  // count must match the entries present
-}
-
-TEST_F(DispatchTest, CacheFileRoundTripAndCorruptFileFallsBackToRetune) {
-  const std::string path = "dispatch_cache_roundtrip.tmp";
-  ASSERT_TRUE(save_tune_cache(small_table(), path));
-  auto back = load_tune_cache(path);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->entries.size(), 2u);
-
-  // Unreadable and corrupt files load as nullopt, never throw.
-  EXPECT_FALSE(load_tune_cache("no/such/dir/cache.txt"));
-  {
-    std::ofstream f(path, std::ios::trunc);
-    f << "cmtbone-kernel-tune v2\nisa " << isa_name() << "\nbroken";
-  }
-  EXPECT_FALSE(load_tune_cache(path));
-
-  // ensure_tuned on the corrupt cache re-tunes (no abort), applies the
-  // fresh result, and overwrites the file with a valid cache.
-  TuneTable tuned = ensure_tuned({4}, path);
-  ASSERT_EQ(tuned.entries.size(), 1u);
-  EXPECT_EQ(tuned.entries[0].n, 4);
-  EXPECT_EQ(selected_backend(4), tuned.entries[0].best);
-  auto healed = load_tune_cache(path);
-  ASSERT_TRUE(healed.has_value());
-  ASSERT_EQ(healed->entries.size(), 1u);
-  EXPECT_EQ(healed->entries[0].n, 4);
-  EXPECT_EQ(healed->entries[0].best, tuned.entries[0].best);
-
-  // A later startup loads the healed cache verbatim instead of re-tuning:
-  // the measured seconds come back bit-identical, which fresh timing
-  // could not reproduce.
-  clear_tune_table();
-  TuneTable again = ensure_tuned({4}, path);
-  ASSERT_EQ(again.entries.size(), 1u);
-  for (int s = 0; s < kNumBackends; ++s) {
-    EXPECT_EQ(again.entries[0].seconds[s], tuned.entries[0].seconds[s]);
-  }
-  std::remove(path.c_str());
-}
-
-TEST_F(DispatchTest, AutotunePicksTheFastestMeasuredBackend) {
-  TuneTable t = cmtbone::kernels::autotune({5});
-  ASSERT_EQ(t.entries.size(), 1u);
-  EXPECT_EQ(t.isa, isa_name());
-  const TuneEntry& e = t.entries[0];
-  EXPECT_EQ(e.n, 5);
-  const int best = int(e.best);
-  for (int s = 0; s < kNumBackends; ++s) {
-    EXPECT_GT(e.seconds[s], 0.0) << backend_name(Backend(s));
-    EXPECT_LE(e.seconds[best], e.seconds[s]) << backend_name(Backend(s));
-  }
-}
-
-// --- forced-backend driver determinism ---------------------------------------
+// --- forced-backend driver determinism --------------------------------------
 
 using Fields = std::vector<std::vector<double>>;
 

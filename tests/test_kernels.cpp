@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "kernels/dispatch.hpp"
-#include "kernels/div.hpp"
 #include "kernels/gradient.hpp"
 #include "kernels/mxm.hpp"
 #include "kernels/simd_backend.hpp"
@@ -65,77 +64,29 @@ TEST(Mxm, AccumulatingFormAddsToC) {
   for (int i = 0; i < n * n; ++i) EXPECT_NEAR(c0[i], c1[i] + 1.0, 1e-13);
 }
 
-// --- fixed-N microkernel dispatch ------------------------------------------
-
-TEST(MxmFixed, BitIdenticalToRuntimeMxmForEveryDispatchedN) {
-  // The fixed-N kernels accumulate over l in the same ascending order as the
-  // runtime loop, so the results must match bit for bit — which is what lets
-  // the driver switch kernels without perturbing physics results.
-  for (int n2 = 2; n2 <= 25; ++n2) {
-    cmtbone::kernels::MxmFixedFn f = cmtbone::kernels::mxm_fixed_kernel(n2);
-    ASSERT_NE(f, nullptr) << "n2=" << n2;
-    // Cover both the 4-wide blocked rows and the remainder rows.
-    for (int n1 : {8, 5, 3}) {
-      const int n3 = 6;
-      auto a = random_vec(std::size_t(n1) * n2, 100 + n2);
-      auto b = random_vec(std::size_t(n2) * n3, 200 + n2);
-      std::vector<double> c_ref(std::size_t(n1) * n3, 0.0);
-      std::vector<double> c_fix(std::size_t(n1) * n3, 0.0);
-      cmtbone::kernels::mxm(a.data(), n1, b.data(), n2, c_ref.data(), n3);
-      f(a.data(), n1, b.data(), c_fix.data(), n3);
-      for (std::size_t i = 0; i < c_ref.size(); ++i) {
-        ASSERT_EQ(c_ref[i], c_fix[i]) << "n2=" << n2 << " n1=" << n1
-                                      << " idx=" << i;
-      }
-    }
-  }
-}
-
-TEST(MxmFixed, DispatchTableBounds) {
-  EXPECT_EQ(cmtbone::kernels::mxm_fixed_kernel(1), nullptr);
-  EXPECT_EQ(cmtbone::kernels::mxm_fixed_kernel(26), nullptr);
-  EXPECT_EQ(cmtbone::kernels::mxm_fixed_kernel(0), nullptr);
-  EXPECT_NE(cmtbone::kernels::mxm_fixed_kernel(2), nullptr);
-  EXPECT_NE(cmtbone::kernels::mxm_fixed_kernel(25), nullptr);
-}
-
-TEST(MxmFixed, AutoFallsBackToRuntimeKernelBeyondTable) {
-  const int n2 = 30;  // outside the 2..25 dispatch range
-  const int n1 = 7, n3 = 5;
-  auto a = random_vec(std::size_t(n1) * n2, 11);
-  auto b = random_vec(std::size_t(n2) * n3, 12);
-  std::vector<double> c_ref(std::size_t(n1) * n3, 0.0);
-  std::vector<double> c_auto(std::size_t(n1) * n3, 0.0);
-  cmtbone::kernels::mxm(a.data(), n1, b.data(), n2, c_ref.data(), n3);
-  cmtbone::kernels::mxm_auto(a.data(), n1, b.data(), n2, c_auto.data(), n3);
-  for (std::size_t i = 0; i < c_ref.size(); ++i) {
-    EXPECT_EQ(c_ref[i], c_auto[i]);
-  }
-}
-
 TEST(Gradient, MxmFixedVariantBitIdenticalToBasic) {
-  // The fixed-N backend (mxm_fixed contractions, D^T staged once per call)
+  // The batched backend (per-N SIMD contractions, D^T staged once per call)
   // against the basic loops, through the dispatched variant.
   cmtbone::kernels::ScopedBackendForce force(
-      cmtbone::kernels::Backend::kFixedN);
+      cmtbone::kernels::Backend::kBatched);
   for (int n : {5, 9, 13}) {
     const int nel = 3;
     const std::size_t pts = std::size_t(n) * n * n * nel;
     auto ops = cmtbone::sem::Operators::build(n);
     auto u = random_vec(pts, 40 + n);
-    std::vector<double> ref(pts), fix(pts);
+    std::vector<double> ref(pts), got(pts);
     using cmtbone::kernels::grad_r;
     using cmtbone::kernels::grad_s;
     using cmtbone::kernels::grad_t;
     grad_r(GradVariant::kBasic, ops.d.data(), u.data(), ref.data(), n, nel);
-    grad_r(GradVariant::kDispatch, ops.d.data(), u.data(), fix.data(), n, nel);
-    for (std::size_t p = 0; p < pts; ++p) ASSERT_EQ(ref[p], fix[p]) << n;
+    grad_r(GradVariant::kDispatch, ops.d.data(), u.data(), got.data(), n, nel);
+    for (std::size_t p = 0; p < pts; ++p) ASSERT_EQ(ref[p], got[p]) << n;
     grad_s(GradVariant::kBasic, ops.d.data(), u.data(), ref.data(), n, nel);
-    grad_s(GradVariant::kDispatch, ops.d.data(), u.data(), fix.data(), n, nel);
-    for (std::size_t p = 0; p < pts; ++p) ASSERT_EQ(ref[p], fix[p]) << n;
+    grad_s(GradVariant::kDispatch, ops.d.data(), u.data(), got.data(), n, nel);
+    for (std::size_t p = 0; p < pts; ++p) ASSERT_EQ(ref[p], got[p]) << n;
     grad_t(GradVariant::kBasic, ops.d.data(), u.data(), ref.data(), n, nel);
-    grad_t(GradVariant::kDispatch, ops.d.data(), u.data(), fix.data(), n, nel);
-    for (std::size_t p = 0; p < pts; ++p) ASSERT_EQ(ref[p], fix[p]) << n;
+    grad_t(GradVariant::kDispatch, ops.d.data(), u.data(), got.data(), n, nel);
+    for (std::size_t p = 0; p < pts; ++p) ASSERT_EQ(ref[p], got[p]) << n;
   }
 }
 
@@ -237,53 +188,6 @@ TEST(Gradient, FlopAndInstructionModels) {
     EXPECT_GT(basic, unrolled);
     EXPECT_GT(unrolled, grad_flops(n, 10));  // model includes memory ops
   }
-}
-
-// --- fused divergence ---------------------------------------------------------
-
-TEST(Div3, FusedMatchesThreeSeparateDerivatives) {
-  const int n = 6, nel = 3;
-  const std::size_t pts = std::size_t(n) * n * n * nel;
-  auto op = cmtbone::sem::Operators::build(n);
-  auto fx = random_vec(pts, 41), fy = random_vec(pts, 42), fz = random_vec(pts, 43);
-  std::vector<double> fused(pts), reference(pts);
-  const double sx = 2.0, sy = -1.5, sz = 0.5;
-  cmtbone::kernels::div3(op.d.data(), fx.data(), fy.data(), fz.data(),
-                         fused.data(), n, nel, sx, sy, sz, /*fused=*/true);
-  cmtbone::kernels::div3(op.d.data(), fx.data(), fy.data(), fz.data(),
-                         reference.data(), n, nel, sx, sy, sz,
-                         /*fused=*/false);
-  for (std::size_t p = 0; p < pts; ++p) {
-    ASSERT_NEAR(fused[p], reference[p], 1e-11);
-  }
-}
-
-TEST(Div3, DivergenceOfLinearFieldIsExact) {
-  // fx = x (in reference coords r), fy = 2s, fz = -t: div = 1 + 2 - 1 = 2
-  // with unit scales.
-  const int n = 5, nel = 1;
-  auto op = cmtbone::sem::Operators::build(n);
-  const auto& x = op.rule.nodes;
-  std::vector<double> fx(n * n * n), fy(fx.size()), fz(fx.size()), out(fx.size());
-  for (int k = 0; k < n; ++k) {
-    for (int j = 0; j < n; ++j) {
-      for (int i = 0; i < n; ++i) {
-        std::size_t p = i + n * (j + std::size_t(n) * k);
-        fx[p] = x[i];
-        fy[p] = 2.0 * x[j];
-        fz[p] = -x[k];
-      }
-    }
-  }
-  cmtbone::kernels::div3(op.d.data(), fx.data(), fy.data(), fz.data(),
-                         out.data(), n, nel, 1.0, 1.0, 1.0);
-  for (double v : out) EXPECT_NEAR(v, 2.0, 1e-11);
-}
-
-TEST(Div3, FlopModelPositiveAndScales) {
-  using cmtbone::kernels::div3_flops;
-  EXPECT_GT(div3_flops(10, 1), 0);
-  EXPECT_EQ(div3_flops(10, 4), 4 * div3_flops(10, 1));
 }
 
 // --- tensor-product application ---------------------------------------------
@@ -484,8 +388,8 @@ TEST(SimdParity, FmaWithinDataDerivedBoundAndDeterministic) {
 
 TEST(DispatchParity, EveryBackendGradMatchesScalarForAllNAndDirections) {
   // grad_backend under every Backend vs the kScalar reference, for every
-  // dispatched n plus one beyond the table (n=27: the SIMD/fixed-N paths
-  // must degrade to the runtime kernel, still bit-exact). The fma bound
+  // dispatched n plus one beyond the table (n=27: the SIMD paths must
+  // degrade to the runtime kernel, still bit-exact). The fma bound
   // reuses the absolute-value trick: running the scalar gradient on
   // |d|, |u| yields sum_l |d * u| at every output point.
   const int nel = 3;
@@ -545,7 +449,10 @@ TEST(DispatchParity, TensorApplyBitIdenticalUnderEveryBitExactBackend) {
                                       n, u.data(), fine.data(), work.data());
       want = fine;
     }
-    for (Backend b : {Backend::kFixedN, Backend::kBatched}) {
+    for (Backend b : cmtbone::kernels::all_backends()) {
+      if (b == Backend::kScalar || !cmtbone::kernels::backend_bit_identical(b)) {
+        continue;
+      }
       ScopedBackendForce force(b);
       std::fill(fine.begin(), fine.end(), -9.0);
       cmtbone::kernels::tensor_apply3(op.interp.data(), op.interp_t.data(), m,

@@ -533,6 +533,13 @@ TEST(AxisMap, InvalidParametersThrow) {
   EXPECT_THROW(cmtbone::mesh::axis_breakpoints(
                    AxisMap{AxisMapKind::kTanh, 0.0, 1.0}, 4),
                std::invalid_argument);
+  // The uniform widths take the same length check as the breakpoints.
+  for (double length : {0.0, -1.0}) {
+    EXPECT_THROW(cmtbone::mesh::axis_widths(
+                     AxisMap{AxisMapKind::kUniform, 1.0, length}, 4),
+                 std::invalid_argument)
+        << length;
+  }
 }
 
 }  // namespace

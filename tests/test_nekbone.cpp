@@ -269,26 +269,26 @@ TEST(Nekbone, GsMethodDoesNotChangeTheSolve) {
 
 TEST(Nekbone, MxmFixedVariantBitIdenticalStiffnessOperator) {
   // The stiffness operator routes its derivative contractions through the
-  // gradient kernels; the fixed-N backend must not change a single bit of
+  // gradient kernels; the batched backend must not change a single bit of
   // the result relative to the basic reference loops.
   cmtbone::comm::run(1, [](Comm& world) {
     cmtbone::kernels::ScopedBackendForce force(
-        cmtbone::kernels::Backend::kFixedN);
+        cmtbone::kernels::Backend::kBatched);
     NekboneConfig cfg = small_config(5, 2);
     cfg.variant = cmtbone::kernels::GradVariant::kBasic;
     Nekbone basic(world, cfg);
     cfg.variant = cmtbone::kernels::GradVariant::kDispatch;
-    Nekbone fixed(world, cfg);
+    Nekbone batched(world, cfg);
 
     std::vector<double> u(basic.points());
     basic.evaluate([](double x, double y, double z) {
       return std::sin(2 * M_PI * x) * std::cos(2 * M_PI * y) + z * z * x;
     }, std::span<double>(u));
-    std::vector<double> au_basic(u.size()), au_fixed(u.size());
+    std::vector<double> au_basic(u.size()), au_batched(u.size());
     basic.apply_ax(u, std::span<double>(au_basic));
-    fixed.apply_ax(u, std::span<double>(au_fixed));
+    batched.apply_ax(u, std::span<double>(au_batched));
     for (std::size_t p = 0; p < u.size(); ++p) {
-      ASSERT_EQ(au_basic[p], au_fixed[p]) << "point " << p;
+      ASSERT_EQ(au_basic[p], au_batched[p]) << "point " << p;
     }
   });
 }
