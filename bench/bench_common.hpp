@@ -43,7 +43,8 @@ inline ProfiledRun parse_run(int argc, char** argv, int default_steps = 3,
       .describe("csv-dir", "also write result tables as CSV into this directory")
       .describe("paper-scale",
                 "use the paper's Fig. 7 scale: 256 ranks, 40x40x16 elements, "
-                "N=10 (slow on one core)");
+                "N=10 (default 1 step; a 1-step run takes about 13 s and "
+                "5 GB on a 4-core host, each further step about 1.5 s)");
   if (cli.help_requested()) {
     std::printf("%s", cli.usage().c_str());
     std::exit(0);
@@ -61,7 +62,7 @@ inline ProfiledRun parse_run(int argc, char** argv, int default_steps = 3,
     run.config.px = 8;
     run.config.py = 8;
     run.config.pz = 4;
-    run.steps = 1;
+    run.steps = cli.get_int("steps", 1);
   } else {
     run.ranks = cli.get_int("ranks", 8);
     run.config.n = cli.get_int("n", default_n);

@@ -228,8 +228,10 @@ void Driver::rebuild_topology() {
     v.assign(nf, std::vector<double>(pts_, 0.0));
   };
   if (u_.empty()) alloc_fields(u_);
-  alloc_fields(u1_);
-  alloc_fields(u2_);
+  // Stage buffers only for an integrator that reads them: forward Euler's
+  // one stage writes u_, and only RK4 accumulates its ks in u2_.
+  if (config_.integrator != TimeIntegrator::kForwardEuler) alloc_fields(u1_);
+  if (config_.integrator == TimeIntegrator::kRk4) alloc_fields(u2_);
   alloc_fields(rhs_);
   if (config_.particles_per_rank > 0) {
     for (auto& buf : carrier_) buf.assign(pts_, 0.0);

@@ -1,9 +1,69 @@
 #include "gs/topology.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace cmtbone::gs {
+
+namespace {
+
+// A global id with a small payload: a local slot, or the rank that reported
+// the id to its home.
+struct IdEntry {
+  long long id;
+  int value;
+};
+
+// Stable LSD radix sort of `v` by id over 8-bit digits; `tmp` is scratch.
+// Flipping the sign bit maps ids to unsigned keys in signed order, and a
+// digit on which every key agrees is skipped, so ids below 2^16 take two
+// passes.
+void sort_by_id(std::vector<IdEntry>& v, std::vector<IdEntry>& tmp) {
+  if (v.size() < 2) return;
+  auto key = [](long long id) {
+    return static_cast<unsigned long long>(id) ^ (1ull << 63);
+  };
+  unsigned long long differ = 0;
+  for (const IdEntry& e : v) differ |= key(e.id) ^ key(v[0].id);
+  tmp.resize(v.size());
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((differ >> shift) & 0xff) == 0) continue;
+    std::size_t start[257] = {};
+    for (const IdEntry& e : v) ++start[((key(e.id) >> shift) & 0xff) + 1];
+    for (int d = 0; d < 256; ++d) start[d + 1] += start[d];
+    for (const IdEntry& e : v) tmp[start[(key(e.id) >> shift) & 0xff]++] = e;
+    v.swap(tmp);
+  }
+}
+
+// Calls f(b, e) for each run [b, e) of equal ids in `v`, which is sorted by
+// id.
+template <class F>
+void for_each_run(const std::vector<IdEntry>& v, F&& f) {
+  std::size_t b = 0;
+  while (b < v.size()) {
+    std::size_t e = b + 1;
+    while (e < v.size() && v[e].id == v[b].id) ++e;
+    f(b, e);
+    b = e;
+  }
+}
+
+// The rank that collates id: the non-negative remainder of id mod p.
+int home_rank(long long id, int p) {
+  const long long r = id % p;
+  return int(r < 0 ? r + p : r);
+}
+
+// Exclusive prefix sum of `counts`: where each destination's block starts.
+std::vector<std::size_t> block_starts(const std::vector<int>& counts) {
+  std::vector<std::size_t> start(counts.size() + 1, 0);
+  for (std::size_t r = 0; r < counts.size(); ++r) {
+    start[r + 1] = start[r] + std::size_t(counts[r]);
+  }
+  return start;
+}
+
+}  // namespace
 
 std::size_t Topology::exchange_volume() const {
   std::size_t v = 0;
@@ -16,90 +76,97 @@ Topology gs_setup(comm::Comm& comm, std::span<const long long> slot_ids) {
   const int me = comm.rank();
 
   Topology topo;
+  std::vector<IdEntry> entries(slot_ids.size()), scratch;
 
   // --- local dedup: slots -> unique ids ---------------------------------
-  topo.unique_ids.assign(slot_ids.begin(), slot_ids.end());
-  std::sort(topo.unique_ids.begin(), topo.unique_ids.end());
-  topo.unique_ids.erase(
-      std::unique(topo.unique_ids.begin(), topo.unique_ids.end()),
-      topo.unique_ids.end());
-  topo.unique_of_slot.resize(slot_ids.size());
+  // Sorted (id, slot) pairs: each run of equal ids is one unique id.
   for (std::size_t s = 0; s < slot_ids.size(); ++s) {
-    topo.unique_of_slot[s] = int(
-        std::lower_bound(topo.unique_ids.begin(), topo.unique_ids.end(),
-                         slot_ids[s]) -
-        topo.unique_ids.begin());
+    entries[s] = {slot_ids[s], int(s)};
   }
+  sort_by_id(entries, scratch);
+  topo.unique_of_slot.resize(slot_ids.size());
+  for_each_run(entries, [&](std::size_t b, std::size_t e) {
+    const int u = int(topo.unique_ids.size());
+    topo.unique_ids.push_back(entries[b].id);
+    for (std::size_t i = b; i < e; ++i) {
+      topo.unique_of_slot[std::size_t(entries[i].value)] = u;
+    }
+  });
 
   // --- ship ids to their home ranks (generalized all-to-all) ------------
-  // Ids are already sorted, and id % p groups them arbitrarily, so bucket
-  // explicitly.
-  std::vector<std::vector<long long>> bucket(p);
-  for (long long id : topo.unique_ids) {
-    bucket[int(id % p)].push_back(id);
+  // A stable counting sort by home keeps each home's ids ascending.
+  std::vector<int> home(topo.unique_ids.size());
+  std::vector<int> send_counts(p, 0);
+  for (std::size_t u = 0; u < home.size(); ++u) {
+    home[u] = home_rank(topo.unique_ids[u], p);
+    ++send_counts[home[u]];
   }
-  std::vector<long long> send;
-  std::vector<int> send_counts(p);
-  send.reserve(topo.unique_ids.size());
-  for (int r = 0; r < p; ++r) {
-    send_counts[r] = int(bucket[r].size());
-    send.insert(send.end(), bucket[r].begin(), bucket[r].end());
+  std::vector<long long> send(topo.unique_ids.size());
+  {
+    std::vector<std::size_t> next = block_starts(send_counts);
+    for (std::size_t u = 0; u < home.size(); ++u) {
+      send[next[home[u]]++] = topo.unique_ids[u];
+    }
   }
   std::vector<int> recv_counts;
   std::vector<long long> incoming = comm.alltoallv(
       std::span<const long long>(send), send_counts, &recv_counts);
 
   // --- home-side collation ----------------------------------------------
-  // For each id this rank is home for: the set of ranks that reported it.
-  std::map<long long, std::vector<int>> holders;
+  // (id, source) pairs arrive grouped by ascending source; a stable sort by
+  // id makes each id's sharer list a run, sources still ascending.
+  entries.resize(incoming.size());
   {
     std::size_t pos = 0;
     for (int src = 0; src < p; ++src) {
-      for (int c = 0; c < recv_counts[src]; ++c) {
-        holders[incoming[pos++]].push_back(src);
+      for (int c = 0; c < recv_counts[src]; ++c, ++pos) {
+        entries[pos] = {incoming[pos], src};
       }
     }
   }
+  sort_by_id(entries, scratch);
+  long long my_id_count = 0, my_shared_count = 0;
+  for_each_run(entries, [&](std::size_t b, std::size_t e) {
+    ++my_id_count;
+    if (e - b > 1) ++my_shared_count;
+  });
 
   // Dense global indices for shared ids: exclusive scan of per-home counts
   // (deterministic: homes index their shared ids in ascending id order).
-  long long my_shared_count = 0;
-  for (const auto& [id, ranks] : holders) {
-    (void)id;
-    if (ranks.size() > 1) ++my_shared_count;
-  }
   long long scan_incl = comm.scan_sum(my_shared_count);
   long long my_base = scan_incl - my_shared_count;
   topo.total_shared = comm.allreduce_one(my_shared_count, comm::ReduceOp::kSum);
-  topo.total_global = comm.allreduce_one(
-      static_cast<long long>(holders.size()), comm::ReduceOp::kSum);
+  topo.total_global = comm.allreduce_one(my_id_count, comm::ReduceOp::kSum);
 
   // --- reply to sharers ---------------------------------------------------
   // Flattened record per (shared id, sharer): [id, shared_index, nsharers,
-  // r0..r_{n-1}] sent to every sharer.
-  std::vector<std::vector<long long>> reply(p);
-  {
-    long long next_index = my_base;
-    for (const auto& [id, ranks] : holders) {
-      if (ranks.size() < 2) continue;
-      long long shared_index = next_index++;
-      for (int dest : ranks) {
-        auto& out = reply[dest];
-        out.push_back(id);
-        out.push_back(shared_index);
-        out.push_back(static_cast<long long>(ranks.size()));
-        for (int r : ranks) out.push_back(r);
-      }
+  // r0..r_{n-1}] sent to every sharer, in ascending id order.
+  std::vector<int> reply_counts(p, 0);
+  for_each_run(entries, [&](std::size_t b, std::size_t e) {
+    if (e - b < 2) return;
+    for (std::size_t i = b; i < e; ++i) {
+      reply_counts[entries[i].value] += int(3 + e - b);
     }
-  }
-  std::vector<long long> reply_flat;
-  std::vector<int> reply_counts(p);
-  for (int r = 0; r < p; ++r) {
-    reply_counts[r] = int(reply[r].size());
-    reply_flat.insert(reply_flat.end(), reply[r].begin(), reply[r].end());
+  });
+  std::vector<long long> reply;
+  {
+    std::vector<std::size_t> next = block_starts(reply_counts);
+    reply.resize(next.back());
+    long long shared_index = my_base;
+    for_each_run(entries, [&](std::size_t b, std::size_t e) {
+      if (e - b < 2) return;
+      for (std::size_t i = b; i < e; ++i) {
+        std::size_t& at = next[entries[i].value];
+        reply[at++] = entries[b].id;
+        reply[at++] = shared_index;
+        reply[at++] = static_cast<long long>(e - b);
+        for (std::size_t j = b; j < e; ++j) reply[at++] = entries[j].value;
+      }
+      ++shared_index;
+    });
   }
   std::vector<long long> answers = comm.alltoallv(
-      std::span<const long long>(reply_flat), reply_counts, nullptr);
+      std::span<const long long>(reply), reply_counts, nullptr);
 
   // --- parse answers into SharedId entries --------------------------------
   std::size_t pos = 0;

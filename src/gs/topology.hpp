@@ -8,12 +8,19 @@
 // to identify for every global index i on processes p, all the processes q
 // that also have i."
 //
-// Implementation: ids hash to a "home" rank (id mod P); every rank ships
-// its distinct ids to their homes (alltoallv); each home collates the
-// sharer set of every id it is responsible for, assigns a dense index to
-// the shared ones, and replies to every sharer with (id, shared index,
-// sharer list). The result is the topology all three exchange algorithms
-// are built on.
+// Implementation: ids hash to a "home" rank, the non-negative remainder of
+// id mod P; every rank ships its distinct ids to their homes (alltoallv);
+// each home collates the sharer set of every id it is responsible for,
+// assigns a dense index to the shared ones, and replies to every sharer
+// with (id, shared index, sharer list). The result is the topology all
+// three exchange algorithms are built on.
+//
+// The local work is sort-and-scan. A stable radix sort of (id, slot) pairs
+// gives the distinct ids and each slot's index among them; a counting sort
+// by home builds the first message; a stable radix sort of the received
+// (id, source) pairs turns each sharer list into a run; and a count-then-
+// fill pass builds the reply. Each destination receives its ids, and its
+// reply records, in ascending id order, with sharers in ascending rank.
 
 #include <cstdint>
 #include <span>

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "chaos/chaos.hpp"
@@ -11,8 +14,10 @@
 #include "core/driver.hpp"
 #include "gs/crystal.hpp"
 #include "gs/gather_scatter.hpp"
+#include "mesh/face_numbering.hpp"
 #include "mesh/numbering.hpp"
 #include "mesh/partition.hpp"
+#include "prof/callprof.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -178,6 +183,279 @@ TEST(GsSetup, NoSharingMeansEmptyTopology) {
     EXPECT_TRUE(topo.shared.empty());
     EXPECT_EQ(topo.total_shared, 0);
   });
+}
+
+TEST(GsSetup, NegativeIdsReduceOnEveryMethod) {
+  // Negative ids home on the non-negative remainder of id mod P.
+  const std::vector<std::vector<long long>> ids = {
+      {-3, -3, 5, -8}, {-3, 7, -8}, {-7, -3, 4}};
+  const std::vector<std::vector<double>> copies = {
+      {4, 4, 1, 2}, {4, 1, 2}, {1, 4, 1}};
+  for (Method m : {Method::kPairwise, Method::kCrystalRouter,
+                   Method::kAllReduce}) {
+    cmtbone::comm::run(3, [&](Comm& world) {
+      const auto& my_ids = ids[world.rank()];
+      GatherScatter gs(world, my_ids, m);
+      std::vector<double> ones(my_ids.size(), 1.0);
+      gs.exec(std::span<double>(ones), ReduceOp::kSum);
+      EXPECT_EQ(ones, copies[world.rank()])
+          << "method=" << cmtbone::gs::method_name(m)
+          << " rank=" << world.rank();
+    });
+  }
+}
+
+// --- discovery against the map-based reference ------------------------------
+//
+// The map-based gs_setup that sort-and-scan replaced, kept here as the
+// reference: it collates ids on their home rank in a map of sharer
+// vectors. The production code must return the identical Topology and send
+// the identical messages.
+
+cmtbone::gs::Topology reference_gs_setup(Comm& comm,
+                                         std::span<const long long> slot_ids) {
+  const int p = comm.size();
+  const int me = comm.rank();
+  cmtbone::gs::Topology topo;
+
+  topo.unique_ids.assign(slot_ids.begin(), slot_ids.end());
+  std::sort(topo.unique_ids.begin(), topo.unique_ids.end());
+  topo.unique_ids.erase(
+      std::unique(topo.unique_ids.begin(), topo.unique_ids.end()),
+      topo.unique_ids.end());
+  topo.unique_of_slot.resize(slot_ids.size());
+  for (std::size_t s = 0; s < slot_ids.size(); ++s) {
+    topo.unique_of_slot[s] = int(
+        std::lower_bound(topo.unique_ids.begin(), topo.unique_ids.end(),
+                         slot_ids[s]) -
+        topo.unique_ids.begin());
+  }
+
+  std::vector<std::vector<long long>> bucket(p);
+  for (long long id : topo.unique_ids) {
+    bucket[int((id % p + p) % p)].push_back(id);
+  }
+  std::vector<long long> send;
+  std::vector<int> send_counts(p);
+  for (int r = 0; r < p; ++r) {
+    send_counts[r] = int(bucket[r].size());
+    send.insert(send.end(), bucket[r].begin(), bucket[r].end());
+  }
+  std::vector<int> recv_counts;
+  std::vector<long long> incoming = comm.alltoallv(
+      std::span<const long long>(send), send_counts, &recv_counts);
+
+  std::map<long long, std::vector<int>> holders;
+  std::size_t in = 0;
+  for (int src = 0; src < p; ++src) {
+    for (int c = 0; c < recv_counts[src]; ++c) {
+      holders[incoming[in++]].push_back(src);
+    }
+  }
+  long long my_shared_count = 0;
+  for (const auto& [id, ranks] : holders) {
+    if (ranks.size() > 1) ++my_shared_count;
+  }
+  long long my_base = comm.scan_sum(my_shared_count) - my_shared_count;
+  topo.total_shared =
+      comm.allreduce_one(my_shared_count, cmtbone::comm::ReduceOp::kSum);
+  topo.total_global = comm.allreduce_one(
+      static_cast<long long>(holders.size()), cmtbone::comm::ReduceOp::kSum);
+
+  std::vector<std::vector<long long>> reply(p);
+  for (const auto& [id, ranks] : holders) {
+    if (ranks.size() < 2) continue;
+    long long shared_index = my_base++;
+    for (int dest : ranks) {
+      auto& out = reply[dest];
+      out.push_back(id);
+      out.push_back(shared_index);
+      out.push_back(static_cast<long long>(ranks.size()));
+      for (int r : ranks) out.push_back(r);
+    }
+  }
+  std::vector<long long> reply_flat;
+  std::vector<int> reply_counts(p);
+  for (int r = 0; r < p; ++r) {
+    reply_counts[r] = int(reply[r].size());
+    reply_flat.insert(reply_flat.end(), reply[r].begin(), reply[r].end());
+  }
+  std::vector<long long> answers = comm.alltoallv(
+      std::span<const long long>(reply_flat), reply_counts, nullptr);
+
+  std::size_t pos = 0;
+  while (pos < answers.size()) {
+    cmtbone::gs::SharedId entry;
+    entry.id = answers[pos++];
+    entry.shared_index = answers[pos++];
+    long long nsharers = answers[pos++];
+    for (long long i = 0; i < nsharers; ++i) {
+      int r = int(answers[pos++]);
+      if (r != me) entry.sharers.push_back(r);
+    }
+    std::sort(entry.sharers.begin(), entry.sharers.end());
+    entry.unique_index = int(
+        std::lower_bound(topo.unique_ids.begin(), topo.unique_ids.end(),
+                         entry.id) -
+        topo.unique_ids.begin());
+    topo.shared.push_back(std::move(entry));
+  }
+  std::sort(topo.shared.begin(), topo.shared.end(),
+            [](const auto& a, const auto& b) { return a.id < b.id; });
+  return topo;
+}
+
+// Runs gs_setup and the reference on ids.size() ranks and compares every
+// field of the two topologies on every rank.
+void expect_reference_topology(const std::vector<std::vector<long long>>& ids,
+                               const std::string& label) {
+  cmtbone::comm::run(int(ids.size()), [&](Comm& world) {
+    const auto& my_ids = ids[world.rank()];
+    const auto want = reference_gs_setup(world, my_ids);
+    const auto got = cmtbone::gs::gs_setup(world, my_ids);
+    const std::string where =
+        label + " ranks=" + std::to_string(ids.size()) +
+        " rank=" + std::to_string(world.rank());
+    EXPECT_EQ(got.unique_ids, want.unique_ids) << where;
+    EXPECT_EQ(got.unique_of_slot, want.unique_of_slot) << where;
+    EXPECT_EQ(got.total_shared, want.total_shared) << where;
+    EXPECT_EQ(got.total_global, want.total_global) << where;
+    ASSERT_EQ(got.shared.size(), want.shared.size()) << where;
+    for (std::size_t i = 0; i < want.shared.size(); ++i) {
+      EXPECT_EQ(got.shared[i].id, want.shared[i].id) << where << " i=" << i;
+      EXPECT_EQ(got.shared[i].unique_index, want.shared[i].unique_index)
+          << where << " i=" << i;
+      EXPECT_EQ(got.shared[i].shared_index, want.shared[i].shared_index)
+          << where << " i=" << i;
+      EXPECT_EQ(got.shared[i].sharers, want.shared[i].sharers)
+          << where << " i=" << i;
+    }
+  });
+}
+
+// Processor grids for 1..8 ranks.
+const std::array<int, 3> kProcGrids[] = {{1, 1, 1}, {2, 1, 1}, {3, 1, 1},
+                                         {2, 2, 1}, {5, 1, 1}, {3, 2, 1},
+                                         {7, 1, 1}, {2, 2, 2}};
+
+// Up to 59 ids per rank drawn from [lo, lo + span): repeats within a rank
+// and across ranks both occur when span is small.
+std::vector<std::vector<long long>> fuzzed_ids(int ranks, std::uint64_t seed,
+                                               long long lo, long long span) {
+  cmtbone::util::SplitMix64 rng(seed);
+  std::vector<std::vector<long long>> ids(ranks);
+  for (auto& rank_ids : ids) {
+    rank_ids.resize(rng.below(60));
+    for (long long& id : rank_ids) {
+      id = lo + static_cast<long long>(rng.below(std::uint64_t(span)));
+    }
+  }
+  return ids;
+}
+
+TEST(GsReference, BlockMeshGllIdsPeriodicAndNot) {
+  for (const auto& g : kProcGrids) {
+    for (bool periodic : {true, false}) {
+      auto spec = small_spec(g[0], g[1], g[2]);
+      spec.periodic = periodic;
+      expect_reference_topology(mesh_ids(spec), periodic ? "periodic"
+                                                         : "non-periodic");
+    }
+  }
+}
+
+TEST(GsReference, FacePointGids) {
+  for (const auto& g : kProcGrids) {
+    for (bool periodic : {true, false}) {
+      auto spec = small_spec(g[0], g[1], g[2]);
+      spec.periodic = periodic;
+      std::vector<std::vector<long long>> ids(spec.nranks());
+      for (int r = 0; r < spec.nranks(); ++r) {
+        ids[r] = cmtbone::mesh::face_point_gids(
+            cmtbone::mesh::Partition(spec, r));
+      }
+      expect_reference_topology(ids, "face points");
+    }
+  }
+}
+
+TEST(GsReference, FuzzedIdsWithLocalDuplicates) {
+  for (int p = 1; p <= 8; ++p) {
+    for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      expect_reference_topology(fuzzed_ids(p, seed * 31 + p, 0, 40),
+                                "fuzzed seed=" + std::to_string(seed));
+    }
+  }
+}
+
+TEST(GsReference, IdsAbove2To40) {
+  for (int p = 1; p <= 8; ++p) {
+    // Narrow span: many shared ids, and the high bytes all keys share.
+    expect_reference_topology(
+        fuzzed_ids(p, 100 + p, (1ll << 40) + 0x123456789ll, 50), "2^40");
+    // Wide span up to 2^50: nearly all ids private, seven digits to sort.
+    expect_reference_topology(fuzzed_ids(p, 200 + p, 1ll << 40, 1ll << 50),
+                              "2^50");
+  }
+}
+
+TEST(GsReference, RanksWithNoIds) {
+  for (int p = 1; p <= 8; ++p) {
+    auto ids = fuzzed_ids(p, 300 + p, 0, 30);
+    for (int r = 0; r < p; r += 2) ids[r].clear();
+    expect_reference_topology(ids, "even ranks empty");
+    expect_reference_topology(std::vector<std::vector<long long>>(p),
+                              "all empty");
+  }
+}
+
+TEST(GsReference, EveryIdSharedByEveryRank) {
+  for (int p = 1; p <= 8; ++p) {
+    std::vector<std::vector<long long>> ids(p);
+    for (int r = 0; r < p; ++r) {
+      // Same ids everywhere, in a rank-dependent order, with a duplicate.
+      for (long long id = 0; id < 20; ++id) ids[r].push_back((id + 7 * r) % 20);
+      ids[r].push_back(7);
+    }
+    expect_reference_topology(ids, "all shared");
+  }
+}
+
+TEST(GsReference, NegativeIds) {
+  for (int p = 1; p <= 8; ++p) {
+    expect_reference_topology(fuzzed_ids(p, 400 + p, -25, 50), "around 0");
+    expect_reference_topology(
+        fuzzed_ids(p, 500 + p, -(1ll << 45), 1ll << 46), "wide");
+    expect_reference_topology(
+        std::vector<std::vector<long long>>(
+            p, {std::numeric_limits<long long>::min(), -1, 0,
+                std::numeric_limits<long long>::max()}),
+        "extremes");
+  }
+}
+
+TEST(GsSetup, SetupMessagesMatchFigs9And10) {
+  // The set-up rows of the Fig. 9-10 tables at 4 ranks, N=6, 4^3 elements:
+  // two alltoallvs, two allreduces and one scan per rank.
+  cmtbone::core::Config cfg;
+  cfg.n = 6;
+  cfg.ex = cfg.ey = cfg.ez = 4;
+  std::vector<cmtbone::prof::CallProfile> profiles;
+  cmtbone::comm::RunOptions opts;
+  opts.call_profiles = &profiles;
+  cmtbone::comm::run(4, [&](Comm& world) {
+    cmtbone::core::Driver driver(world, cfg);
+    driver.initialize(driver.default_ic());
+    driver.run(2);
+  }, opts);
+  std::map<std::string, std::pair<long, long long>> sites;
+  for (const auto& s : cmtbone::prof::site_totals(profiles)) {
+    sites[s.site] = {s.calls, s.total_bytes};
+  }
+  using Row = std::pair<long, long long>;
+  EXPECT_EQ(sites["gs_setup/MPI_Alltoallv"], Row(8, 157920));
+  EXPECT_EQ(sites["gs_setup/MPI_Allreduce"], Row(8, 64));
+  EXPECT_EQ(sites["gs_setup/MPI_Scan"], Row(4, 32));
 }
 
 TEST(GsOp, LocalGatherHandlesDuplicatesWithinRank) {
