@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
   std::vector<gs::GatherScatter::TuneRow> measured;
   comm::run(ranks, [&](comm::Comm& world) {
     netmodel::LogGPParams params = netmodel::calibrate(world);
-    if (world.rank() == 0) netmodel::set_calibrated_machine(params);
     mesh::Partition part(spec, world.rank());
     auto ids = mesh::global_gll_ids(part);
     gs::GatherScatter handle(world, ids, gs::Method::kPairwise);

@@ -3,19 +3,24 @@
 //
 // The matrix is physics {proxy, burgers, euler} x ranks {1, 2, 3} x overlap
 // x face backend x integrator {RK3, RK4} x {plain; two threads per rank +
-// dealias + coupled particles + ordered gs}, plus a stretched, non-periodic
-// Sod case on 1-3 ranks. Each configuration runs a few steps from the
-// default initial condition. The tool uses only public Driver API, so the
-// same file builds against older trees: bench/bits_vs_base.sh builds it at
-// HEAD and at a base commit and fails on any differing line, which is how
-// a refactor shows that it keeps every bit.
+// dealias + coupled particles + ordered gs}, all on the pairwise gs method;
+// a stretched, non-periodic Sod case on 1-3 ranks; and the two collective
+// gs methods, {crystal router, allreduce} x physics {proxy, euler} x ranks
+// {2, 3} x overlap on the gs face backend, so dssum and the face exchange
+// run through each of the three exchange algorithms. Each configuration
+// runs a few steps from the default initial condition. The tool uses only
+// public Driver API, so the same file builds against older trees:
+// bench/bits_vs_base.sh builds it at HEAD and at a base commit and fails on
+// any differing line, which is how a refactor shows that it keeps every
+// bit.
 //
-//   state_hashes            # prints 150 lines
+//   state_hashes            # prints 166 lines
 
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/runtime.hpp"
@@ -127,6 +132,29 @@ int main(int argc, char** argv) {
       print(std::string("euler-sod-geometric/r") + std::to_string(ranks) +
                 (overlap ? "/overlap" : "/blocking"),
             ranks, c);
+    }
+  }
+  // The collective gs methods, which complete inside exec_many_begin.
+  const std::pair<gs::Method, const char*> collective_methods[] = {
+      {gs::Method::kCrystalRouter, "gs-crystal"},
+      {gs::Method::kAllReduce, "gs-allreduce"}};
+  for (core::Physics ph :
+       {core::Physics::kProxyAdvection, core::Physics::kEuler}) {
+    for (int ranks = 2; ranks <= 3; ++ranks) {
+      for (bool overlap : {false, true}) {
+        for (const auto& [method, label] : collective_methods) {
+          core::Config c = base_config();
+          c.physics = ph;
+          c.overlap = overlap;
+          c.face_backend = core::FaceBackend::kGatherScatter;
+          c.gs_method = method;
+          print(std::string(core::physics_name(ph)) + "/r" +
+                    std::to_string(ranks) +
+                    (overlap ? "/overlap" : "/blocking") + "/" +
+                    core::face_backend_name(c.face_backend) + "/" + label,
+                ranks, c);
+        }
+      }
     }
   }
   return 0;

@@ -97,7 +97,14 @@ Request Comm::post_recv_raw(void* buf, std::size_t capacity, int src, int tag) {
 
 Status Comm::wait_raw(const Request& req) {
   if (chaos::ChaosEngine* eng = uni_->chaos()) {
-    eng->on_rank_op(group_[rank_], chaos::Hook::kWait);
+    try {
+      eng->on_rank_op(group_[rank_], chaos::Hook::kWait);
+    } catch (...) {
+      // An injected abort before the wait starts: withdraw the receive, or
+      // a late delivery writes into a buffer this unwind is destroying.
+      my_box().cancel(req);
+      throw;
+    }
   }
   // Block on the poster's mailbox; job-aware so a crashed peer or a
   // provable deadlock unwinds this rank instead of hanging it.
@@ -109,9 +116,8 @@ void Comm::waitall_raw(std::span<Request> reqs) {
     try {
       wait_raw(reqs[i]);
     } catch (...) {
-      // The mailbox withdrew the request it was waiting on (and a chaos
-      // hook may have thrown before the wait even started), so withdraw
-      // from i onward: the rest are still posted against buffers this
+      // wait_raw withdrew the request it was waiting on (cancelling it
+      // again is a no-op); the rest are still posted against buffers this
       // unwind is about to destroy.
       for (std::size_t j = i; j < reqs.size(); ++j) {
         my_box().cancel(reqs[j]);

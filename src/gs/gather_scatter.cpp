@@ -1,8 +1,9 @@
 #include "gs/gather_scatter.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "prof/timer.hpp"
 #include "util/bytes.hpp"
@@ -14,6 +15,16 @@ constexpr int kPairwiseTag = 7;
 // Ordered-mode setup handshake (copy counts, then copy keys, per neighbor).
 constexpr int kOrderedCountTag = 8;
 constexpr int kOrderedKeyTag = 9;
+
+double identity(ReduceOp op) {
+  switch (op) {
+    case ReduceOp::kSum: return 0.0;
+    case ReduceOp::kProd: return 1.0;
+    case ReduceOp::kMin: return std::numeric_limits<double>::max();
+    case ReduceOp::kMax: return std::numeric_limits<double>::lowest();
+  }
+  return 0.0;
+}
 }  // namespace
 
 const char* method_name(Method m) {
@@ -22,20 +33,8 @@ const char* method_name(Method m) {
     case Method::kCrystalRouter: return "crystal router";
     case Method::kAllReduce: return "all_reduce";
     case Method::kAuto: return "auto";
-    case Method::kModel: return "model";
   }
   return "?";
-}
-
-template <class T>
-T GatherScatter::identity(ReduceOp op) {
-  switch (op) {
-    case ReduceOp::kSum: return T(0);
-    case ReduceOp::kProd: return T(1);
-    case ReduceOp::kMin: return std::numeric_limits<T>::max();
-    case ReduceOp::kMax: return std::numeric_limits<T>::lowest();
-  }
-  return T(0);
 }
 
 GatherScatter::GatherScatter(comm::Comm& comm,
@@ -68,18 +67,12 @@ GatherScatter::GatherScatter(comm::Comm& comm,
 
   if (!slot_keys.empty()) setup_ordered(slot_keys);
 
-  // Ordered mode always runs its own (pairwise-pattern) exchange; kAuto
-  // would time algorithms the handle never uses.
-  if (method_ == Method::kAuto) {
-    method_ = ordered_ ? Method::kPairwise : tune();
-  } else if (method_ == Method::kModel) {
-    if (ordered_) {
-      method_ = Method::kPairwise;
-    } else if (auto machine = netmodel::calibrated_machine()) {
-      method_ = select_from_model(*machine);
-    } else {
-      method_ = tune();
-    }
+  // Ordered mode always runs its own pairwise-pattern exchange, so that is
+  // its method; kAuto would time algorithms the handle never uses.
+  if (ordered_) {
+    method_ = Method::kPairwise;
+  } else if (method_ == Method::kAuto) {
+    tune();
   }
 }
 
@@ -218,267 +211,65 @@ void GatherScatter::setup_ordered(std::span<const long long> slot_keys) {
   }
 }
 
-template <class T>
-void GatherScatter::ordered_gather(std::span<const T> values, int nfields,
-                                   ReduceOp op, std::vector<T>& unique,
-                                   std::vector<T>& mine) const {
-  const std::size_t slots = values.size() / nfields;
-  const std::size_t nf = std::size_t(nfields);
-  unique.assign(topo_.unique_ids.size() * nf, identity<T>(op));
-  mine.resize(std::size_t(my_copy_offset_.back()) * nf);
-  for (std::size_t u = 0; u < topo_.unique_ids.size(); ++u) {
-    const int s = shared_of_unique_[u];
-    if (s < 0) {
-      // Private id: fold local copies ascending by key — the same sequence
-      // the merge program would produce were the copies split across ranks.
-      T* uv = unique.data() + u * nf;
-      for (int i = ordered_begin_[u]; i < ordered_begin_[u + 1]; ++i) {
-        const std::size_t slot = std::size_t(ordered_slots_[i]);
-        for (std::size_t f = 0; f < nf; ++f) {
-          uv[f] = comm::apply(op, uv[f], values[f * slots + slot]);
-        }
-      }
-    } else {
-      // Shared id: stage raw copies; folding happens after the exchange.
-      for (int i = ordered_begin_[u]; i < ordered_begin_[u + 1]; ++i) {
-        const std::size_t slot = std::size_t(ordered_slots_[i]);
-        T* dst =
-            mine.data() +
-            (std::size_t(my_copy_offset_[s]) + (i - ordered_begin_[u])) * nf;
-        for (std::size_t f = 0; f < nf; ++f) dst[f] = values[f * slots + slot];
-      }
-    }
-  }
-}
-
-template <class T>
-void GatherScatter::ordered_fold_shared(
-    int nfields, ReduceOp op, std::vector<T>& unique,
-    const std::vector<T>& mine,
-    const std::vector<std::vector<T>>& recvbuf) const {
-  const std::size_t nf = std::size_t(nfields);
-  for (std::size_t s = 0; s < topo_.shared.size(); ++s) {
-    T* uv = unique.data() + std::size_t(topo_.shared[s].unique_index) * nf;
-    for (int m = merge_begin_[s]; m < merge_begin_[s + 1]; ++m) {
-      const MergeStep& st = merge_steps_[m];
-      const T* v = (st.src < 0 ? mine.data() : recvbuf[st.src].data()) +
-                   std::size_t(st.idx) * nf;
-      for (std::size_t f = 0; f < nf; ++f) {
-        uv[f] = comm::apply(op, uv[f], v[f]);
-      }
-    }
-  }
-}
-
-template <class T>
-void GatherScatter::exec_ordered(std::span<T> values, int nfields,
-                                 ReduceOp op) {
-  const std::size_t slots = values.size() / nfields;
-  const std::size_t nf = std::size_t(nfields);
-
-  std::vector<T> unique, mine;
-  ordered_gather(std::span<const T>(values.data(), values.size()), nfields, op,
-                 unique, mine);
-
-  // Ship raw copies to every sharer (pairwise pattern, slightly larger
-  // payload than the pre-reduced pairwise method for edge/corner ids).
-  std::vector<std::vector<T>> sendbuf, recvbuf;
-  std::vector<comm::Request> reqs;
-  sendbuf.reserve(pairwise_plan_.size());
-  recvbuf.reserve(pairwise_plan_.size());
-  reqs.reserve(pairwise_plan_.size());
-  std::size_t b = 0;
-  for (const auto& [neighbor, entries] : pairwise_plan_) {
-    (void)entries;
-    recvbuf.emplace_back(nbr_copy_total_[b++] * nf);
-    reqs.push_back(
-        comm_->irecv(std::span<T>(recvbuf.back()), neighbor, kPairwiseTag));
-  }
-  for (const auto& [neighbor, entries] : pairwise_plan_) {
-    auto& buf = sendbuf.emplace_back();
-    for (int s : entries) {
-      const T* src = mine.data() + std::size_t(my_copy_offset_[s]) * nf;
-      buf.insert(buf.end(), src,
-                 src + std::size_t(my_copy_offset_[s + 1] -
-                                   my_copy_offset_[s]) * nf);
-    }
-    comm_->isend(std::span<const T>(buf), neighbor, kPairwiseTag);
-  }
-  comm_->waitall(reqs);
-
-  ordered_fold_shared(nfields, op, unique, mine, recvbuf);
-
-  for (std::size_t s = 0; s < slots; ++s) {
-    const T* u = unique.data() + topo_.unique_of_slot[s] * nf;
-    for (std::size_t f = 0; f < nf; ++f) values[f * slots + s] = u[f];
-  }
-}
-
-void GatherScatter::exec_ordered_begin(std::span<double> values, int nfields,
-                                       ReduceOp op) {
-  split_.active = true;
-  split_.done_in_begin = false;
-  split_.values = values;
-  split_.nfields = nfields;
-  split_.op = op;
-
-  ordered_gather(std::span<const double>(values.data(), values.size()),
-                 nfields, op, split_.unique, split_.mine);
-
-  const std::size_t nf = std::size_t(nfields);
-  try {
-    split_.sendbuf.resize(pairwise_plan_.size());
-    split_.recvbuf.resize(pairwise_plan_.size());
-    split_.reqs.clear();
-    split_.reqs.reserve(pairwise_plan_.size());
-    std::size_t b = 0;
-    for (const auto& [neighbor, entries] : pairwise_plan_) {
-      (void)entries;
-      std::vector<double>& rb = split_.recvbuf[b];
-      rb.resize(nbr_copy_total_[b] * nf);
-      ++b;
-      split_.reqs.push_back(
-          comm_->irecv(std::span<double>(rb), neighbor, kPairwiseTag));
-    }
-    b = 0;
-    for (const auto& [neighbor, entries] : pairwise_plan_) {
-      std::vector<double>& sb = split_.sendbuf[b++];
-      sb.clear();
-      for (int s : entries) {
-        const double* src =
-            split_.mine.data() + std::size_t(my_copy_offset_[s]) * nf;
-        sb.insert(sb.end(), src,
-                  src + std::size_t(my_copy_offset_[s + 1] -
-                                    my_copy_offset_[s]) * nf);
-      }
-      comm_->isend(std::span<const double>(sb), neighbor, kPairwiseTag);
-    }
-  } catch (...) {
-    abandon_split();
-    throw;
-  }
-}
-
-void GatherScatter::exec_ordered_finish() {
-  split_.active = false;
-  const std::size_t nf = std::size_t(split_.nfields);
-  const std::size_t slots = split_.values.size() / split_.nfields;
-
-  try {
-    comm_->waitall(split_.reqs);
-  } catch (...) {
-    abandon_split();
-    throw;
-  }
-  split_.reqs.clear();
-
-  ordered_fold_shared(split_.nfields, split_.op, split_.unique, split_.mine,
-                      split_.recvbuf);
-
-  for (std::size_t s = 0; s < slots; ++s) {
-    const double* u = split_.unique.data() + topo_.unique_of_slot[s] * nf;
-    for (std::size_t f = 0; f < nf; ++f) {
-      split_.values[f * slots + s] = u[f];
-    }
-  }
-}
+// --- the gs_op pipeline -------------------------------------------------------
 
 void GatherScatter::exec(std::span<double> values, ReduceOp op) {
-  exec_impl<double>(values, 1, op, method_);
-}
-
-void GatherScatter::exec_with(std::span<double> values, ReduceOp op,
-                              Method method) {
-  exec_impl<double>(values, 1, op, method);
+  exec_many(values, 1, op);
 }
 
 void GatherScatter::exec_many(std::span<double> values, int nfields,
                               ReduceOp op) {
-  exec_impl<double>(values, nfields, op, method_);
-}
-
-void GatherScatter::exec_many_with(std::span<double> values, int nfields,
-                                   ReduceOp op, Method method) {
-  exec_impl<double>(values, nfields, op, method);
+  exec_many_begin(values, nfields, op);
+  exec_many_finish();
 }
 
 GatherScatter::~GatherScatter() { abandon_split(); }
 
 void GatherScatter::abandon_split() {
-  for (comm::Request& r : split_.reqs) comm_->cancel(r);
-  split_.reqs.clear();
-  split_.active = false;
-  split_.done_in_begin = false;
+  for (comm::Request& r : op_.reqs) comm_->cancel(r);
+  op_.reqs.clear();
+  op_.active = false;
+  op_.done_in_begin = false;
 }
 
 void GatherScatter::exec_many_begin(std::span<double> values, int nfields,
                                     ReduceOp op) {
-  if (ordered_) {
-    exec_ordered_begin(values, nfields, op);
-    return;
+  if (op_.active) {
+    throw std::logic_error(
+        "GatherScatter::exec_many_begin: a gs_op is already in flight on "
+        "this handle; call exec_many_finish() first");
   }
-  split_.active = true;
-  split_.values = values;
-  split_.nfields = nfields;
-  split_.op = op;
-
-  const std::size_t slots = values.size() / nfields;
-  const std::size_t nf = std::size_t(nfields);
-
-  // Phase 1: local gather — identical code path to exec_impl, into the
-  // persistent buffer.
-  split_.unique.assign(topo_.unique_ids.size() * nf, identity<double>(op));
-  for (std::size_t s = 0; s < slots; ++s) {
-    double* u = split_.unique.data() + topo_.unique_of_slot[s] * nf;
-    for (std::size_t f = 0; f < nf; ++f) {
-      u[f] = comm::apply(op, u[f], values[f * slots + s]);
-    }
+  const std::size_t slots = topo_.unique_of_slot.size();
+  if (nfields < 1 || values.size() != std::size_t(nfields) * slots) {
+    throw std::invalid_argument(
+        "GatherScatter::exec_many_begin: got " + std::to_string(values.size()) +
+        " values for nfields = " + std::to_string(nfields) + " over " +
+        std::to_string(slots) + " slots; need nfields >= 1 and nfields x "
+        "slots values");
   }
+  op_.values = values;
+  op_.nfields = std::size_t(nfields);
+  op_.op = op;
+  gather(values);
 
   if (method_ == Method::kCrystalRouter || method_ == Method::kAllReduce) {
     // These methods are built on unsplittable collectives: run the whole
     // gs_op to completion now. The result is the same either way; only the
-    // overlap opportunity is lost.
+    // overlap opportunity is lost. They leave no receive posted when they
+    // return or unwind, so there is nothing to withdraw here.
     if (method_ == Method::kCrystalRouter) {
-      exec_crystal(split_.unique, nfields, op);
+      exec_crystal();
     } else {
-      exec_allreduce(split_.unique, nfields, op);
+      exec_allreduce();
     }
-    for (std::size_t s = 0; s < slots; ++s) {
-      const double* u = split_.unique.data() + topo_.unique_of_slot[s] * nf;
-      for (std::size_t f = 0; f < nf; ++f) values[f * slots + s] = u[f];
-    }
-    split_.done_in_begin = true;
+    scatter();
+    op_.active = true;
+    op_.done_in_begin = true;
     return;
   }
-  split_.done_in_begin = false;
-
-  // Phase 2a (pairwise): post all receives, pack and send. Mirrors
-  // exec_pairwise exactly, with the buffers persisting across steps.
+  op_.active = true;
   try {
-    split_.sendbuf.resize(pairwise_plan_.size());
-    split_.recvbuf.resize(pairwise_plan_.size());
-    split_.reqs.clear();
-    split_.reqs.reserve(pairwise_plan_.size());
-    std::size_t b = 0;
-    for (const auto& [neighbor, entries] : pairwise_plan_) {
-      std::vector<double>& rb = split_.recvbuf[b++];
-      rb.resize(entries.size() * nf);
-      split_.reqs.push_back(
-          comm_->irecv(std::span<double>(rb), neighbor, kPairwiseTag));
-    }
-    b = 0;
-    for (const auto& [neighbor, entries] : pairwise_plan_) {
-      std::vector<double>& sb = split_.sendbuf[b++];
-      sb.clear();
-      sb.reserve(entries.size() * nf);
-      for (int s : entries) {
-        const double* u =
-            split_.unique.data() + topo_.shared[s].unique_index * nf;
-        sb.insert(sb.end(), u, u + nf);
-      }
-      comm_->isend(std::span<const double>(sb), neighbor, kPairwiseTag);
-    }
+    post_and_send();
   } catch (...) {
     // A chaos abort or peer failure can fire from the hooks inside
     // irecv/isend with some receives already posted: withdraw them so
@@ -489,132 +280,141 @@ void GatherScatter::exec_many_begin(std::span<double> values, int nfields,
 }
 
 void GatherScatter::exec_many_finish() {
-  if (!split_.active) return;
-  if (ordered_) {
-    exec_ordered_finish();
+  if (!op_.active) return;
+  if (!op_.done_in_begin) {
+    try {
+      comm_->waitall(op_.reqs);
+    } catch (...) {
+      // waitall withdrew whatever was still posted; clear the in-flight
+      // state so the handle is reusable (and the destructor has nothing
+      // stale).
+      abandon_split();
+      throw;
+    }
+    op_.reqs.clear();
+    fold();
+    scatter();
+  }
+  op_.active = false;
+  op_.done_in_begin = false;
+}
+
+void GatherScatter::gather(std::span<const double> values) {
+  const std::size_t slots = topo_.unique_of_slot.size();
+  const std::size_t nf = op_.nfields;
+  const ReduceOp op = op_.op;
+  op_.unique.assign(topo_.unique_ids.size() * nf, identity(op));
+  double* unique = op_.unique.data();
+  if (!ordered_) {
+    for (std::size_t s = 0; s < slots; ++s) {
+      double* u = unique + topo_.unique_of_slot[s] * nf;
+      for (std::size_t f = 0; f < nf; ++f) {
+        u[f] = comm::apply(op, u[f], values[f * slots + s]);
+      }
+    }
     return;
   }
-  split_.active = false;
-  if (split_.done_in_begin) return;
-
-  const std::size_t nf = std::size_t(split_.nfields);
-  const std::size_t slots = split_.values.size() / split_.nfields;
-
-  // Phase 2b (pairwise): wait and accumulate in the same neighbor order as
-  // exec_pairwise, so the floating-point reduction order — and hence the
-  // result bits — match the blocking path.
-  try {
-    comm_->waitall(split_.reqs);
-  } catch (...) {
-    // waitall withdrew whatever was still posted; clear the split state so
-    // the handle is reusable (and the destructor has nothing stale).
-    abandon_split();
-    throw;
-  }
-  std::size_t b = 0;
-  for (const auto& [neighbor, entries] : pairwise_plan_) {
-    const std::vector<double>& buf = split_.recvbuf[b++];
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      double* u =
-          split_.unique.data() + topo_.shared[entries[i]].unique_index * nf;
-      for (std::size_t f = 0; f < nf; ++f) {
-        u[f] = comm::apply(split_.op, u[f], buf[i * nf + f]);
+  op_.mine.resize(std::size_t(my_copy_offset_.back()) * nf);
+  for (std::size_t u = 0; u < topo_.unique_ids.size(); ++u) {
+    const int s = shared_of_unique_[u];
+    if (s < 0) {
+      // Private id: fold local copies ascending by key — the same sequence
+      // the merge program would produce were the copies split across ranks.
+      double* uv = unique + u * nf;
+      for (int i = ordered_begin_[u]; i < ordered_begin_[u + 1]; ++i) {
+        const std::size_t slot = std::size_t(ordered_slots_[i]);
+        for (std::size_t f = 0; f < nf; ++f) {
+          uv[f] = comm::apply(op, uv[f], values[f * slots + slot]);
+        }
+      }
+    } else {
+      // Shared id: stage raw copies; folding happens after the exchange.
+      for (int i = ordered_begin_[u]; i < ordered_begin_[u + 1]; ++i) {
+        const std::size_t slot = std::size_t(ordered_slots_[i]);
+        double* dst =
+            op_.mine.data() +
+            (std::size_t(my_copy_offset_[s]) + (i - ordered_begin_[u])) * nf;
+        for (std::size_t f = 0; f < nf; ++f) dst[f] = values[f * slots + slot];
       }
     }
   }
-  split_.reqs.clear();
-
-  // Phase 3: local scatter.
-  for (std::size_t s = 0; s < slots; ++s) {
-    const double* u = split_.unique.data() + topo_.unique_of_slot[s] * nf;
-    for (std::size_t f = 0; f < nf; ++f) {
-      split_.values[f * slots + s] = u[f];
-    }
-  }
 }
 
-template <class T>
-void GatherScatter::exec_impl(std::span<T> values, int nfields, ReduceOp op,
-                              Method method) {
-  if (ordered_) {
-    // The ordered fold program replaces all three exchange methods; a
-    // per-call method request cannot be honored without changing the bits.
-    exec_ordered(values, nfields, op);
-    return;
-  }
-  const std::size_t slots = values.size() / nfields;
-  const std::size_t nf = std::size_t(nfields);
-
-  // Phase 1: local gather — fold duplicate local copies per unique id.
-  // Unique values interleave fields per id (id major, field minor) so one
-  // exchange message carries all fields of an id contiguously.
-  std::vector<T> unique(topo_.unique_ids.size() * nf, identity<T>(op));
-  for (std::size_t s = 0; s < slots; ++s) {
-    T* u = unique.data() + topo_.unique_of_slot[s] * nf;
-    for (std::size_t f = 0; f < nf; ++f) {
-      u[f] = comm::apply(op, u[f], values[f * slots + s]);
-    }
-  }
-
-  // Phase 2: nonlocal exchange.
-  switch (method) {
-    case Method::kPairwise: exec_pairwise(unique, nfields, op); break;
-    case Method::kCrystalRouter: exec_crystal(unique, nfields, op); break;
-    case Method::kAllReduce: exec_allreduce(unique, nfields, op); break;
-    // kAuto/kModel are resolved to a concrete method at construction; a
-    // per-call request for them degrades to the pairwise exchange.
-    case Method::kAuto: exec_pairwise(unique, nfields, op); break;
-    case Method::kModel: exec_pairwise(unique, nfields, op); break;
-  }
-
-  // Phase 3: local scatter.
-  for (std::size_t s = 0; s < slots; ++s) {
-    const T* u = unique.data() + topo_.unique_of_slot[s] * nf;
-    for (std::size_t f = 0; f < nf; ++f) {
-      values[f * slots + s] = u[f];
-    }
-  }
-}
-
-// --- pairwise exchange -------------------------------------------------------
-
-template <class T>
-void GatherScatter::exec_pairwise(std::vector<T>& unique_values, int nfields,
-                                  ReduceOp op) {
-  constexpr int kTag = kPairwiseTag;
-  const std::size_t nf = std::size_t(nfields);
-
-  // Snapshot outgoing values before any accumulation: each pair must see
-  // the peer's locally-gathered value, not a partially reduced one.
-  std::vector<std::vector<T>> sendbuf, recvbuf;
-  std::vector<comm::Request> reqs;
-  sendbuf.reserve(pairwise_plan_.size());
-  recvbuf.reserve(pairwise_plan_.size());
-  reqs.reserve(pairwise_plan_.size());
+void GatherScatter::post_and_send() {
+  const std::size_t nf = op_.nfields;
+  op_.sendbuf.resize(pairwise_plan_.size());
+  op_.recvbuf.resize(pairwise_plan_.size());
+  op_.reqs.clear();
+  op_.reqs.reserve(pairwise_plan_.size());
+  std::size_t b = 0;
   for (const auto& [neighbor, entries] : pairwise_plan_) {
-    recvbuf.emplace_back(entries.size() * nf);
-    reqs.push_back(comm_->irecv(std::span<T>(recvbuf.back()), neighbor, kTag));
-  }
-  for (const auto& [neighbor, entries] : pairwise_plan_) {
-    auto& buf = sendbuf.emplace_back();
-    buf.reserve(entries.size() * nf);
+    std::vector<double>& rb = op_.recvbuf[b];
+    rb.resize((ordered_ ? nbr_copy_total_[b] : entries.size()) * nf);
+    op_.reqs.push_back(
+        comm_->irecv(std::span<double>(rb), neighbor, kPairwiseTag));
+    // Pack before any accumulation: each pair must see the peer's locally
+    // gathered values, not partially reduced ones.
+    std::vector<double>& sb = op_.sendbuf[b];
+    sb.clear();
     for (int s : entries) {
-      const T* u = unique_values.data() + topo_.shared[s].unique_index * nf;
-      buf.insert(buf.end(), u, u + nf);
+      const double* src;
+      std::size_t count;
+      if (ordered_) {
+        src = op_.mine.data() + std::size_t(my_copy_offset_[s]) * nf;
+        count = std::size_t(my_copy_offset_[s + 1] - my_copy_offset_[s]) * nf;
+      } else {
+        src = op_.unique.data() + topo_.shared[s].unique_index * nf;
+        count = nf;
+      }
+      sb.insert(sb.end(), src, src + count);
     }
-    comm_->isend(std::span<const T>(buf), neighbor, kTag);
+    comm_->isend(std::span<const double>(sb), neighbor, kPairwiseTag);
+    ++b;
   }
-  comm_->waitall(reqs);
+}
 
-  std::size_t b = 0;
-  for (const auto& [neighbor, entries] : pairwise_plan_) {
-    const std::vector<T>& buf = recvbuf[b++];
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      T* u = unique_values.data() + topo_.shared[entries[i]].unique_index * nf;
-      for (std::size_t f = 0; f < nf; ++f) {
-        u[f] = comm::apply(op, u[f], buf[i * nf + f]);
+void GatherScatter::fold() {
+  const std::size_t nf = op_.nfields;
+  const ReduceOp op = op_.op;
+  if (!ordered_) {
+    // Accumulate in neighbor order, so the floating-point reduction order
+    // is fixed by the plan.
+    std::size_t b = 0;
+    for (const auto& [neighbor, entries] : pairwise_plan_) {
+      const std::vector<double>& buf = op_.recvbuf[b++];
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        double* u =
+            op_.unique.data() + topo_.shared[entries[i]].unique_index * nf;
+        for (std::size_t f = 0; f < nf; ++f) {
+          u[f] = comm::apply(op, u[f], buf[i * nf + f]);
+        }
       }
     }
+    return;
+  }
+  for (std::size_t s = 0; s < topo_.shared.size(); ++s) {
+    double* uv =
+        op_.unique.data() + std::size_t(topo_.shared[s].unique_index) * nf;
+    for (int m = merge_begin_[s]; m < merge_begin_[s + 1]; ++m) {
+      const MergeStep& st = merge_steps_[m];
+      const double* v =
+          (st.src < 0 ? op_.mine.data() : op_.recvbuf[st.src].data()) +
+          std::size_t(st.idx) * nf;
+      for (std::size_t f = 0; f < nf; ++f) {
+        uv[f] = comm::apply(op, uv[f], v[f]);
+      }
+    }
+  }
+}
+
+void GatherScatter::scatter() {
+  const std::size_t slots = topo_.unique_of_slot.size();
+  const std::size_t nf = op_.nfields;
+  const double* unique = op_.unique.data();
+  double* values = op_.values.data();
+  for (std::size_t s = 0; s < slots; ++s) {
+    const double* u = unique + topo_.unique_of_slot[s] * nf;
+    for (std::size_t f = 0; f < nf; ++f) values[f * slots + s] = u[f];
   }
 }
 
@@ -622,15 +422,14 @@ void GatherScatter::exec_pairwise(std::vector<T>& unique_values, int nfields,
 
 namespace {
 // Crystal records carry the id followed by nfields values; the byte-level
-// router keeps the record size dynamic per exec and per value type.
-template <class T>
-void append_record(std::vector<std::byte>* buf, long long id, const T* values,
-                   std::size_t nf) {
+// router keeps the record size dynamic per exec.
+void append_record(std::vector<std::byte>* buf, long long id,
+                   const double* values, std::size_t nf) {
   std::size_t old = buf->size();
-  buf->resize(old + sizeof(long long) + nf * sizeof(T));
+  buf->resize(old + sizeof(long long) + nf * sizeof(double));
   util::copy_bytes(buf->data() + old, &id, sizeof(long long));
   util::copy_bytes(buf->data() + old + sizeof(long long), values,
-                   nf * sizeof(T));
+                   nf * sizeof(double));
 }
 
 inline long long record_id(const std::byte* rec) {
@@ -639,18 +438,17 @@ inline long long record_id(const std::byte* rec) {
   return id;
 }
 
-template <class T>
-const T* record_values(const std::byte* rec) {
-  return reinterpret_cast<const T*>(rec + sizeof(long long));
+const double* record_values(const std::byte* rec) {
+  return reinterpret_cast<const double*>(rec + sizeof(long long));
 }
 }  // namespace
 
-template <class T>
-void GatherScatter::exec_crystal(std::vector<T>& unique_values, int nfields,
-                                 ReduceOp op) {
+void GatherScatter::exec_crystal() {
   const int me = comm_->rank();
-  const std::size_t nf = std::size_t(nfields);
-  const std::size_t record_bytes = sizeof(long long) + nf * sizeof(T);
+  const std::size_t nf = op_.nfields;
+  const ReduceOp op = op_.op;
+  double* unique = op_.unique.data();
+  const std::size_t record_bytes = sizeof(long long) + nf * sizeof(double);
 
   // Pass 1: every sharer ships its gathered values to the id's owner.
   std::vector<std::byte> outbound;
@@ -658,7 +456,7 @@ void GatherScatter::exec_crystal(std::vector<T>& unique_values, int nfields,
   for (std::size_t s = 0; s < topo_.shared.size(); ++s) {
     if (owner_[s] == me) continue;
     append_record(&outbound, topo_.shared[s].id,
-                  unique_values.data() + topo_.shared[s].unique_index * nf, nf);
+                  unique + topo_.shared[s].unique_index * nf, nf);
     outbound_dest.push_back(owner_[s]);
   }
   std::vector<std::byte> arrived =
@@ -670,8 +468,8 @@ void GatherScatter::exec_crystal(std::vector<T>& unique_values, int nfields,
     auto it = std::lower_bound(owned_ids_.begin(), owned_ids_.end(),
                                record_id(rec));
     int s = owned_shared_entry_[it - owned_ids_.begin()];
-    T* u = unique_values.data() + topo_.shared[s].unique_index * nf;
-    const T* v = record_values<T>(rec);
+    double* u = unique + topo_.shared[s].unique_index * nf;
+    const double* v = record_values(rec);
     for (std::size_t f = 0; f < nf; ++f) u[f] = comm::apply(op, u[f], v[f]);
   }
 
@@ -680,7 +478,7 @@ void GatherScatter::exec_crystal(std::vector<T>& unique_values, int nfields,
   std::vector<int> results_dest;
   for (std::size_t o = 0; o < owned_ids_.size(); ++o) {
     int s = owned_shared_entry_[o];
-    const T* u = unique_values.data() + topo_.shared[s].unique_index * nf;
+    const double* u = unique + topo_.shared[s].unique_index * nf;
     for (int r : topo_.shared[s].sharers) {
       append_record(&results, owned_ids_[o], u, nf);
       results_dest.push_back(r);
@@ -694,31 +492,30 @@ void GatherScatter::exec_crystal(std::vector<T>& unique_values, int nfields,
     auto it = std::lower_bound(
         topo_.shared.begin(), topo_.shared.end(), record_id(rec),
         [](const SharedId& a, long long id) { return a.id < id; });
-    T* u = unique_values.data() + it->unique_index * nf;
-    util::copy_bytes(u, record_values<T>(rec), nf * sizeof(T));
+    util::copy_bytes(unique + it->unique_index * nf, record_values(rec),
+                     nf * sizeof(double));
   }
 }
 
 // --- allreduce on a big vector ------------------------------------------------
 
-template <class T>
-void GatherScatter::exec_allreduce(std::vector<T>& unique_values, int nfields,
-                                   ReduceOp op) {
-  const std::size_t nf = std::size_t(nfields);
+void GatherScatter::exec_allreduce() {
+  const std::size_t nf = op_.nfields;
+  double* unique = op_.unique.data();
   // The big vector spans the whole global id space (as in gslib), with the
   // shared entries packed first; private entries ride along as identity and
   // are never read back. This is what makes the method scale so poorly.
-  std::vector<T> big(std::size_t(topo_.total_global) * nf, identity<T>(op));
+  std::vector<double> big(std::size_t(topo_.total_global) * nf,
+                          identity(op_.op));
   for (const SharedId& sh : topo_.shared) {
     util::copy_bytes(big.data() + std::size_t(sh.shared_index) * nf,
-                     unique_values.data() + sh.unique_index * nf,
-                     nf * sizeof(T));
+                     unique + sh.unique_index * nf, nf * sizeof(double));
   }
-  comm_->allreduce(std::span<T>(big), op);
+  comm_->allreduce(std::span<double>(big), op_.op);
   for (const SharedId& sh : topo_.shared) {
-    util::copy_bytes(unique_values.data() + sh.unique_index * nf,
+    util::copy_bytes(unique + sh.unique_index * nf,
                      big.data() + std::size_t(sh.shared_index) * nf,
-                     nf * sizeof(T));
+                     nf * sizeof(double));
   }
 }
 
@@ -748,11 +545,12 @@ Method GatherScatter::tune(int repetitions) {
       continue;
     }
     // Warm-up once (first-touch allocation), then time.
-    exec_with(std::span<double>(dummy), ReduceOp::kSum, m);
+    method_ = m;
+    exec(std::span<double>(dummy), ReduceOp::kSum);
     comm_->barrier();
     prof::WallTimer t;
     for (int rep = 0; rep < repetitions; ++rep) {
-      exec_with(std::span<double>(dummy), ReduceOp::kSum, m);
+      exec(std::span<double>(dummy), ReduceOp::kSum);
     }
     double mine = t.seconds() / repetitions;
 
@@ -771,7 +569,7 @@ Method GatherScatter::tune(int repetitions) {
   return best;
 }
 
-// --- model-driven method selection -------------------------------------------
+// --- the analytic model's view of the exchange --------------------------------
 
 netmodel::ExchangeShape GatherScatter::exchange_shape() const {
   netmodel::ExchangeShape shape;
@@ -791,31 +589,6 @@ netmodel::ExchangeShape GatherScatter::exchange_shape() const {
   shape.big_vector_bytes =
       topo_.total_global * static_cast<long long>(sizeof(double));
   return shape;
-}
-
-Method GatherScatter::select_from_model(const netmodel::LogGPParams& machine) {
-  const netmodel::Prediction mine =
-      netmodel::predict_all(machine, exchange_shape());
-  // Per-rank shapes differ (corner ranks have fewer partners than interior
-  // ones); the run is gated by the slowest rank, and everyone must agree on
-  // the method or the exchange deadlocks. Reduce each algorithm's cost to
-  // its worst rank — a collective, so this is deterministic and identical
-  // everywhere.
-  const double pairwise = comm_->allreduce_one(mine.pairwise, ReduceOp::kMax);
-  const double crystal = comm_->allreduce_one(mine.crystal, ReduceOp::kMax);
-  const double allreduce = comm_->allreduce_one(mine.allreduce, ReduceOp::kMax);
-
-  tuning_.clear();
-  tuning_.push_back({Method::kPairwise, pairwise, pairwise, pairwise});
-  tuning_.push_back({Method::kCrystalRouter, crystal, crystal, crystal});
-  tuning_.push_back({Method::kAllReduce, allreduce, allreduce, allreduce});
-
-  // Ties break in enum order (pairwise first), matching tune().
-  Method best = Method::kPairwise;
-  double best_cost = pairwise;
-  if (crystal < best_cost) { best = Method::kCrystalRouter; best_cost = crystal; }
-  if (allreduce < best_cost) { best = Method::kAllReduce; }
-  return best;
 }
 
 // --- structure queries ----------------------------------------------------------
@@ -838,15 +611,5 @@ std::size_t GatherScatter::pairwise_send_values() const {
   }
   return v;
 }
-
-// Instantiate the typed pipeline for gslib's datatype set.
-template void GatherScatter::exec_impl<double>(std::span<double>, int,
-                                               ReduceOp, Method);
-template void GatherScatter::exec_impl<float>(std::span<float>, int, ReduceOp,
-                                              Method);
-template void GatherScatter::exec_impl<int>(std::span<int>, int, ReduceOp,
-                                            Method);
-template void GatherScatter::exec_impl<long long>(std::span<long long>, int,
-                                                  ReduceOp, Method);
 
 }  // namespace cmtbone::gs

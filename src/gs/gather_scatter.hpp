@@ -32,14 +32,10 @@ namespace cmtbone::gs {
 
 using comm::ReduceOp;
 
-/// kAuto times all three algorithms at setup and keeps the fastest.
-/// kModel skips the timing pass: it builds the handle's ExchangeShape from
-/// the live topology and asks netmodel::predict_all under the calibrated
-/// machine (netmodel::calibrated_machine()), falling back to the measured
-/// tune() when no calibration has been published. Either way the handle
-/// ends up running one of the three concrete algorithms, so results are
-/// bit-identical to forcing that method directly.
-enum class Method { kPairwise, kCrystalRouter, kAllReduce, kAuto, kModel };
+/// kAuto times all three algorithms at setup and keeps the fastest, so the
+/// handle always ends up running one of the three concrete algorithms and
+/// its results are bit-identical to forcing that method directly.
+enum class Method { kPairwise, kCrystalRouter, kAllReduce, kAuto };
 
 const char* method_name(Method m);
 
@@ -56,9 +52,9 @@ class GatherScatter {
   /// face_point_keys), so the reduction order — and hence every result
   /// bit — is invariant under element migration between ranks: the load
   /// balancer's "migration changes *where*, never *what*" anchor. Ordered
-  /// mode exchanges raw per-copy values with each sharer (a pairwise-style
-  /// pattern, slightly larger messages for edge/corner ids) and ignores
-  /// the configured exchange method.
+  /// mode exchanges raw per-copy values with each sharer (a pairwise
+  /// pattern, slightly larger messages for edge/corner ids), so an ordered
+  /// handle's method() is kPairwise whatever was requested.
   GatherScatter(comm::Comm& comm, std::span<const long long> slot_ids,
                 Method method = Method::kAuto,
                 std::span<const long long> slot_keys = {});
@@ -66,54 +62,45 @@ class GatherScatter {
   /// True when constructed with per-slot keys (layout-invariant folds).
   bool ordered() const { return ordered_; }
 
-  /// Withdraws any split-phase receives still posted (a chaos abort or
-  /// peer failure can unwind the owner between begin() and finish()), so
-  /// no late delivery ever writes into the freed recv buffers.
+  /// Withdraws any receives still posted (a chaos abort or peer failure can
+  /// unwind the owner between begin() and finish()), so no late delivery
+  /// ever writes into the freed recv buffers.
   ~GatherScatter();
   GatherScatter(const GatherScatter&) = delete;
   GatherScatter& operator=(const GatherScatter&) = delete;
 
   /// gs_op: in-place gather-scatter over `values` (one per slot).
+  /// Equivalent to exec_many(values, 1, op).
   void exec(std::span<double> values, ReduceOp op);
-
-  /// Like exec, but with a specific algorithm (for benchmarking).
-  void exec_with(std::span<double> values, ReduceOp op, Method method);
 
   /// gs_op over `nfields` fields at once (Nek's gs_op_fields): `values`
   /// holds the fields back to back, each one slot-count long. All fields of
   /// a shared id travel in the same message, so per-exec message *count*
   /// stays flat while payload scales with nfields — the batching CMT-nek
-  /// relies on when exchanging the five conserved variables.
+  /// relies on when exchanging the five conserved variables. Equivalent to
+  /// exec_many_begin() immediately followed by exec_many_finish().
   void exec_many(std::span<double> values, int nfields, ReduceOp op);
-  void exec_many_with(std::span<double> values, int nfields, ReduceOp op,
-                      Method method);
 
-  /// Split-phase exec_many for compute–communication overlap. begin() runs
-  /// the local gather and, under the pairwise method, posts all receives and
-  /// sends the shared values, returning with the messages in flight;
-  /// finish() waits, accumulates the remote contributions (in the same
-  /// neighbor order as exec_many — results are bit-identical) and scatters
-  /// back into the span passed to begin(). The crystal-router and allreduce
-  /// methods use unsplittable collectives, so for them the whole gs_op
-  /// completes inside begin() and finish() only clears the in-flight flag.
-  /// The span must stay alive until finish(); one gs_op in flight at a time.
+  /// The gs_op pipeline in two halves, for compute–communication overlap.
+  /// begin() checks its input and runs the local gather into buffers the
+  /// handle keeps across calls. Under the crystal router or allreduce,
+  /// which are unsplittable collectives, it then completes the exchange
+  /// and the scatter. Otherwise it posts every pairwise receive, sends the
+  /// shared values and returns with the messages in flight. finish() waits,
+  /// folds the remote contributions (in neighbor order, or by the ordered
+  /// merge program) and scatters back into the span passed to begin(),
+  /// which must stay alive until then. finish() without a begin() is a
+  /// no-op.
+  ///
+  /// begin() throws std::invalid_argument unless nfields >= 1 and `values`
+  /// holds nfields × slot-count values, and std::logic_error while a gs_op
+  /// is already in flight on this handle. Both throw before anything is
+  /// posted, so the handle, and the gs_op in flight, stay usable.
   void exec_many_begin(std::span<double> values, int nfields, ReduceOp op);
   void exec_many_finish();
 
   /// True between exec_many_begin() and the matching exec_many_finish().
-  bool split_in_flight() const { return split_.active; }
-
-  /// Typed gs_op, as gslib supports for its datatype set: T is one of
-  /// double, float, int, long long. Same semantics as exec/exec_many.
-  template <class T>
-  void exec_typed(std::span<T> values, ReduceOp op) {
-    exec_impl<T>(values, 1, op, method_);
-  }
-  template <class T>
-  void exec_many_typed(std::span<T> values, int nfields, ReduceOp op,
-                       Method method) {
-    exec_impl<T>(values, nfields, op, method);
-  }
+  bool split_in_flight() const { return op_.active; }
 
   Method method() const { return method_; }
   const Topology& topology() const { return topo_; }
@@ -126,12 +113,13 @@ class GatherScatter {
   };
   const std::vector<TuneRow>& tuning() const { return tuning_; }
 
-  /// Run (or re-run) the startup tuning pass; returns the winner.
+  /// Run (or re-run) the startup tuning pass; returns the winner. Ordered
+  /// handles run one fixed exchange and return it untimed.
   Method tune(int repetitions = 5);
 
   /// This rank's exchange structure as the analytic network model sees it
   /// (ranks, pairwise partners and bytes, crystal records, big-vector
-  /// bytes). What Method::kModel feeds to netmodel::predict_all.
+  /// bytes): the input to netmodel::predict_all.
   netmodel::ExchangeShape exchange_shape() const;
 
   // --- structure queries (for the communication-model benches) -----------
@@ -144,52 +132,31 @@ class GatherScatter {
   long long big_vector_size() const { return topo_.total_global; }
 
  private:
-  // The whole gs_op pipeline (local gather, exchange, local scatter) is
-  // templated over the value type; backends operate on locally-gathered
-  // unique values with `nfields` interleaved per unique id. Instantiated in
-  // the .cpp for double, float, int, long long.
-  template <class T>
-  void exec_impl(std::span<T> values, int nfields, ReduceOp op, Method method);
-  template <class T>
-  void exec_pairwise(std::vector<T>& unique_values, int nfields, ReduceOp op);
-  template <class T>
-  void exec_crystal(std::vector<T>& unique_values, int nfields, ReduceOp op);
-  template <class T>
-  void exec_allreduce(std::vector<T>& unique_values, int nfields, ReduceOp op);
-
-  template <class T>
-  static T identity(ReduceOp op);
-
   // Ordered mode: build the per-id fold programs from per-slot keys
   // (called at construction when slot_keys is non-empty).
   void setup_ordered(std::span<const long long> slot_keys);
-  // Ordered gs_op: private ids fold their local copies in key order;
-  // shared ids ship raw per-copy values to every sharer and every sharer
-  // folds the full copy list via the precomputed merge program.
-  template <class T>
-  void exec_ordered(std::span<T> values, int nfields, ReduceOp op);
-  // Split-phase ordered gs_op (double-only, like exec_many_begin/finish).
-  void exec_ordered_begin(std::span<double> values, int nfields, ReduceOp op);
-  void exec_ordered_finish();
-  // Shared phases: gather private folds + stage my shared copies (`mine`),
-  // and fold shared entries from mine + per-neighbor recv buffers.
-  template <class T>
-  void ordered_gather(std::span<const T> values, int nfields, ReduceOp op,
-                      std::vector<T>& unique, std::vector<T>& mine) const;
-  template <class T>
-  void ordered_fold_shared(int nfields, ReduceOp op, std::vector<T>& unique,
-                           const std::vector<T>& mine,
-                           const std::vector<std::vector<T>>& recvbuf) const;
 
-  // Model-driven method selection (collective): predict all three
-  // algorithms from the worst-rank exchange shape and return the cheapest.
-  // Reduces each prediction across ranks so every rank picks the same
-  // method deterministically.
-  Method select_from_model(const netmodel::LogGPParams& machine);
+  // The pipeline's stages over op_; begin() runs the gather and the send
+  // half, finish() the fold and the scatter.
+  //
+  // Local gather into op_.unique (one value per unique id per field, id
+  // major). Unordered: every slot folds into its id. Ordered: private ids
+  // fold their copies in key order; shared ids stage raw copies in op_.mine.
+  void gather(std::span<const double> values);
+  // Post every pairwise receive and send each neighbor its values: one
+  // gathered value per shared id, or (ordered) every raw copy of it.
+  void post_and_send();
+  // Fold the received values into op_.unique: neighbor-order accumulate,
+  // or (ordered) each shared id's merge program over all its copies.
+  void fold();
+  // Write op_.unique back to every slot of op_.values.
+  void scatter();
+  // The two collective exchanges, in place on op_.unique.
+  void exec_crystal();
+  void exec_allreduce();
 
-  // Withdraw any posted split-phase receives and clear the in-flight state;
-  // the unwind path shared by the destructor and begin()/finish() failure
-  // handling.
+  // Withdraw any posted receives and clear the in-flight state; the unwind
+  // path shared by the destructor and begin()/finish() failure handling.
   void abandon_split();
 
   comm::Comm* comm_;
@@ -231,21 +198,21 @@ class GatherScatter {
   std::vector<int> owned_shared_entry_;       // topo_.shared index per owned id
   CrystalRouter router_;
 
-  // Split-phase state between exec_many_begin() and exec_many_finish().
-  // The gather/pack/unpack buffers persist across steps so a steady-state
-  // time step allocates nothing on this path.
-  struct SplitState {
+  // The gs_op between exec_many_begin() and exec_many_finish(). The gather,
+  // pack and receive buffers persist across calls, so a steady-state time
+  // step allocates nothing on this path.
+  struct OpState {
     bool active = false;
-    bool done_in_begin = false;  // non-pairwise methods finish inside begin()
+    bool done_in_begin = false;  // the collective methods finish in begin()
     std::span<double> values;
-    int nfields = 0;
+    std::size_t nfields = 0;
     ReduceOp op = ReduceOp::kSum;
     std::vector<double> unique;
     std::vector<double> mine;  // ordered mode: my shared copies, flat
     std::vector<std::vector<double>> sendbuf, recvbuf;  // one per neighbor
     std::vector<comm::Request> reqs;
   };
-  SplitState split_;
+  OpState op_;
 };
 
 }  // namespace cmtbone::gs

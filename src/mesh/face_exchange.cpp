@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <map>
 #include <numeric>
+#include <stdexcept>
 #include <utility>
 
 #include "parallel/parallel.hpp"
@@ -107,6 +108,13 @@ void FaceExchange::abandon_exchange() {
 
 void FaceExchange::begin(const double* myfaces, double* nbrfaces,
                          int nfields) {
+  // A second begin() would drop the first exchange's posted receives
+  // without withdrawing them; refuse it and leave that exchange intact.
+  if (in_flight()) {
+    throw std::logic_error(
+        "FaceExchange::begin: an exchange is already in flight; call "
+        "finish() first");
+  }
   const std::size_t fpts = std::size_t(n_) * n_;
   const std::size_t field_stride = face_array_size(n_, nel_);
   pending_nbrfaces_ = nbrfaces;

@@ -50,7 +50,9 @@ class FaceExchange {
   /// boundary elements — are valid in `nbrfaces` as soon as begin() returns;
   /// remotely-paired faces only after finish(). `myfaces` is fully packed
   /// before returning and may be reused; `nbrfaces` must stay alive until
-  /// finish(). At most one exchange may be in flight per FaceExchange.
+  /// finish(). At most one exchange may be in flight per FaceExchange:
+  /// begin() throws std::logic_error while one is, before posting
+  /// anything, and that exchange still completes at finish().
   void begin(const double* myfaces, double* nbrfaces, int nfields);
 
   /// Complete the exchange started by begin(): wait for the remote planes

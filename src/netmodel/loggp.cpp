@@ -2,29 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 
 namespace cmtbone::netmodel {
-
-namespace {
-std::mutex g_calibrated_mutex;
-std::optional<LogGPParams> g_calibrated;  // guarded by g_calibrated_mutex
-}  // namespace
-
-void set_calibrated_machine(const LogGPParams& params) {
-  std::lock_guard<std::mutex> lock(g_calibrated_mutex);
-  g_calibrated = params;
-}
-
-std::optional<LogGPParams> calibrated_machine() {
-  std::lock_guard<std::mutex> lock(g_calibrated_mutex);
-  return g_calibrated;
-}
-
-void clear_calibrated_machine() {
-  std::lock_guard<std::mutex> lock(g_calibrated_mutex);
-  g_calibrated.reset();
-}
 
 LogGPParams qdr_infiniband() {
   // Mellanox Infiniscale IV QDR (the paper's Compton testbed): ~1.3 us

@@ -11,8 +11,12 @@
 //
 // Model: a message of m bytes between two ranks costs  L + 2o + G*m ;
 // k concurrent messages from one rank serialize only their overhead o.
+//
+// The model is an analysis tool: the benches feed it a live handle's
+// gs::GatherScatter::exchange_shape() (netmodel_validation) or synthetic
+// shapes at scale (netmodel_crossover, atscale_study). The runtime itself
+// picks its gs method by timing all three (gs::Method::kAuto, §VI).
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,14 +36,6 @@ struct LogGPParams {
 LogGPParams qdr_infiniband();    // like the paper's Compton testbed fabric
 LogGPParams ethernet_10g();      // slower commodity cluster
 LogGPParams notional_exascale(); // §VI "notional future system"
-
-/// Process-wide calibrated-machine store. netmodel::calibrate (or anything
-/// else that measures the live fabric) publishes its parameters here; the
-/// gs::Method::kModel selection policy consumes them at handle
-/// construction. Thread-safe; empty until someone publishes.
-void set_calibrated_machine(const LogGPParams& params);
-std::optional<LogGPParams> calibrated_machine();
-void clear_calibrated_machine();
 
 /// Structural description of one rank's gs exchange (from the gs handle).
 struct ExchangeShape {

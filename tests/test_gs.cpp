@@ -1,11 +1,13 @@
-// Gather-scatter library: discovery, the three exchange algorithms, and
-// agreement with a serial oracle.
+// Gather-scatter library: discovery, the three exchange algorithms, ordered
+// (key-canonical) folds, and agreement with serial oracles.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -517,20 +519,68 @@ TEST(GsOp, AllMethodsAgreeWithEachOther) {
   auto ids = mesh_ids(spec);
   cmtbone::comm::run(spec.nranks(), [&](Comm& world) {
     const auto& my_ids = ids[world.rank()];
-    GatherScatter gs(world, my_ids, Method::kPairwise);
+    GatherScatter pairwise(world, my_ids, Method::kPairwise);
+    GatherScatter crystal(world, my_ids, Method::kCrystalRouter);
+    GatherScatter allreduce(world, my_ids, Method::kAllReduce);
     std::vector<double> base(my_ids.size());
     for (std::size_t s = 0; s < base.size(); ++s) {
       base[s] = slot_value(77, world.rank(), s);
     }
     std::vector<double> a = base, b = base, c = base;
-    gs.exec_with(std::span<double>(a), ReduceOp::kSum, Method::kPairwise);
-    gs.exec_with(std::span<double>(b), ReduceOp::kSum, Method::kCrystalRouter);
-    gs.exec_with(std::span<double>(c), ReduceOp::kSum, Method::kAllReduce);
+    pairwise.exec(std::span<double>(a), ReduceOp::kSum);
+    crystal.exec(std::span<double>(b), ReduceOp::kSum);
+    allreduce.exec(std::span<double>(c), ReduceOp::kSum);
     for (std::size_t s = 0; s < base.size(); ++s) {
       ASSERT_NEAR(a[s], b[s], 1e-11);
       ASSERT_NEAR(a[s], c[s], 1e-11);
     }
   });
+}
+
+TEST(GsOp, RejectsMisSizedValues) {
+  // A wrong nfields or span length throws before anything is posted, so
+  // the handle stays usable: the next well-formed gs_op is exact.
+  for (int ranks : {1, 2}) {
+    for (bool ordered : {false, true}) {
+      cmtbone::comm::run(ranks, [&](Comm& world) {
+        const long long r = world.rank();
+        const std::string where = std::to_string(ranks) + " ranks, ordered " +
+                                  std::to_string(ordered) + ", rank " +
+                                  std::to_string(r);
+        // id 1 once per rank, id 2 twice per rank, one private id.
+        std::vector<long long> ids = {1, 2, 2, 10 + r};
+        std::vector<long long> keys;
+        if (ordered) keys = {10 * r, 10 * r + 1, 10 * r + 2, 10 * r + 3};
+        GatherScatter gs(world, ids, Method::kPairwise, keys);
+        const std::size_t slots = ids.size();
+        std::vector<double> longer(slots + 1, 1.0);
+        std::vector<double> shorter(slots - 1, 1.0);
+        std::vector<double> two(2 * slots, 1.0);
+        EXPECT_THROW(gs.exec(std::span<double>(longer), ReduceOp::kSum),
+                     std::invalid_argument) << where;
+        EXPECT_THROW(gs.exec(std::span<double>(shorter), ReduceOp::kSum),
+                     std::invalid_argument) << where;
+        EXPECT_THROW(gs.exec_many(std::span<double>(two), 0, ReduceOp::kSum),
+                     std::invalid_argument) << where;
+        EXPECT_THROW(gs.exec_many(std::span<double>(two), 3, ReduceOp::kSum),
+                     std::invalid_argument) << where;
+        EXPECT_THROW(
+            gs.exec_many_begin(std::span<double>(two), -1, ReduceOp::kSum),
+            std::invalid_argument) << where;
+        EXPECT_FALSE(gs.split_in_flight()) << where;
+
+        std::vector<double> v = {1, 1, 1, 1,   // field 0: copy counts
+                                 1, 2, 3, 4};  // field 1
+        gs.exec_many(std::span<double>(v), 2, ReduceOp::kSum);
+        const double p = ranks;
+        const std::vector<double> want = {p, 2 * p, 2 * p, 1,
+                                          p, 5 * p, 5 * p, 4};
+        for (std::size_t i = 0; i < v.size(); ++i) {
+          EXPECT_EQ(v[i], want[i]) << where << ", value " << i;
+        }
+      });
+    }
+  }
 }
 
 // --- multi-field gs (gs_op_fields) --------------------------------------------
@@ -601,73 +651,159 @@ TEST(GsMany, FieldsDoNotContaminateEachOther) {
   });
 }
 
-// --- typed gs (gslib datatype set) ---------------------------------------------
+// --- ordered mode (per-slot keys) --------------------------------------------
 
-TEST(GsTyped, LongLongSumAcrossAllMethods) {
-  auto spec = small_spec(2, 2, 1);
-  auto ids = mesh_ids(spec);
-  // Oracle: copies per id (each slot contributes rank+1).
-  std::map<long long, long long> oracle;
-  for (int r = 0; r < spec.nranks(); ++r) {
-    for (long long id : ids[r]) oracle[id] += r + 1;
+// One copy of an id: the id, the copy's globally unique key and its value in
+// each of up to three fields. The triples alone define an ordered gs_op's
+// result, whichever ranks hold them.
+struct KeyedCopy {
+  long long id = 0;
+  long long key = 0;
+  std::array<double, 3> values = {};
+};
+
+// 24 ids with 1 to 4 copies each (60 copies). Keys are a permutation that
+// follows neither the id order nor any dealing order, and the values span
+// six decades, so folding in any other order changes the bits of a sum.
+std::vector<KeyedCopy> keyed_copies() {
+  std::vector<KeyedCopy> copies;
+  for (int i = 0; i < 24; ++i) {
+    for (int c = 0; c <= i % 4; ++c) copies.push_back({3000 + 17LL * i});
   }
-  for (Method m : {Method::kPairwise, Method::kCrystalRouter,
-                   Method::kAllReduce}) {
-    cmtbone::comm::run(spec.nranks(), [&](Comm& world) {
-      const auto& my_ids = ids[world.rank()];
-      GatherScatter gs(world, my_ids, m);
-      std::vector<long long> v(my_ids.size(), world.rank() + 1);
-      gs.exec_typed(std::span<long long>(v), ReduceOp::kSum);
-      for (std::size_t s = 0; s < v.size(); ++s) {
-        ASSERT_EQ(v[s], oracle.at(my_ids[s]))
-            << cmtbone::gs::method_name(m) << " rank " << world.rank();
+  const long long n = static_cast<long long>(copies.size());  // 60
+  const double scale[] = {1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3};
+  for (long long j = 0; j < n; ++j) {
+    copies[j].key = 1000 + 7 * ((37 * j + 11) % n);  // 37 is prime to 60
+    for (int f = 0; f < 3; ++f) {
+      cmtbone::util::SplitMix64 rng(std::uint64_t(101 * j + f));
+      copies[j].values[f] = rng.uniform(-1.0, 1.0) * scale[(j + 3 * f) % 7];
+    }
+  }
+  return copies;
+}
+
+std::vector<int> deal_round_robin(std::size_t ncopies, int ranks) {
+  std::vector<int> rank_of(ncopies);
+  for (std::size_t j = 0; j < ncopies; ++j) rank_of[j] = int(j % ranks);
+  return rank_of;
+}
+
+std::vector<int> deal_scrambled(std::size_t ncopies, int ranks) {
+  std::vector<int> rank_of(ncopies);
+  for (std::size_t j = 0; j < ncopies; ++j) {
+    cmtbone::util::SplitMix64 rng(std::uint64_t(7919 * j + 5));
+    rank_of[j] = int(rng.next() % std::uint64_t(ranks));
+  }
+  return rank_of;
+}
+
+// Serial oracle: each id folds its copies, starting from the op identity,
+// in ascending-key order.
+std::map<long long, std::array<double, 3>> key_order_oracle(
+    std::vector<KeyedCopy> copies, ReduceOp op) {
+  std::sort(copies.begin(), copies.end(),
+            [](const KeyedCopy& a, const KeyedCopy& b) { return a.key < b.key; });
+  double identity = 0.0;
+  switch (op) {
+    case ReduceOp::kSum: identity = 0.0; break;
+    case ReduceOp::kProd: identity = 1.0; break;
+    case ReduceOp::kMin: identity = std::numeric_limits<double>::max(); break;
+    case ReduceOp::kMax: identity = std::numeric_limits<double>::lowest(); break;
+  }
+  std::map<long long, std::array<double, 3>> out;
+  for (const KeyedCopy& c : copies) {
+    auto [it, fresh] = out.try_emplace(c.id);
+    if (fresh) it->second.fill(identity);
+    for (int f = 0; f < 3; ++f) {
+      it->second[f] = cmtbone::comm::apply(op, it->second[f], c.values[f]);
+    }
+  }
+  return out;
+}
+
+// One ordered exec_many over `copies`, copy j held by rank rank_of[j] (in
+// ascending j within a rank). Returns every copy's result, indexed like
+// `copies`.
+std::vector<std::array<double, 3>> run_ordered(
+    const std::vector<KeyedCopy>& copies, int ranks,
+    const std::vector<int>& rank_of, ReduceOp op, int nfields) {
+  std::vector<std::array<double, 3>> out(copies.size());
+  cmtbone::comm::run(ranks, [&](Comm& world) {
+    std::vector<std::size_t> held;
+    std::vector<long long> ids, keys;
+    for (std::size_t j = 0; j < copies.size(); ++j) {
+      if (rank_of[j] != world.rank()) continue;
+      held.push_back(j);
+      ids.push_back(copies[j].id);
+      keys.push_back(copies[j].key);
+    }
+    GatherScatter gs(world, ids, Method::kPairwise, keys);
+    const std::size_t slots = held.size();
+    std::vector<double> v(slots * nfields);
+    for (int f = 0; f < nfields; ++f) {
+      for (std::size_t s = 0; s < slots; ++s) {
+        v[f * slots + s] = copies[held[s]].values[f];
       }
-    });
+    }
+    gs.exec_many(std::span<double>(v), nfields, op);
+    // Each rank writes only the copies it holds.
+    for (int f = 0; f < nfields; ++f) {
+      for (std::size_t s = 0; s < slots; ++s) {
+        out[held[s]][f] = v[f * slots + s];
+      }
+    }
+  });
+  return out;
+}
+
+TEST(GsOrdered, MatchesTheKeyOrderOracleHoweverTheCopiesAreDealt) {
+  // Exact equality with one oracle under both dealings also means the two
+  // dealings give identical bits.
+  const std::vector<KeyedCopy> copies = keyed_copies();
+  for (ReduceOp op : {ReduceOp::kSum, ReduceOp::kMin, ReduceOp::kMax,
+                      ReduceOp::kProd}) {
+    const auto want = key_order_oracle(copies, op);
+    for (int ranks = 1; ranks <= 4; ++ranks) {
+      for (bool scrambled : {false, true}) {
+        const std::vector<int> rank_of =
+            scrambled ? deal_scrambled(copies.size(), ranks)
+                      : deal_round_robin(copies.size(), ranks);
+        for (int nfields : {1, 3}) {
+          const auto got = run_ordered(copies, ranks, rank_of, op, nfields);
+          for (std::size_t j = 0; j < copies.size(); ++j) {
+            for (int f = 0; f < nfields; ++f) {
+              ASSERT_EQ(got[j][f], want.at(copies[j].id)[f])
+                  << "op " << int(op) << ", " << ranks << " ranks, scrambled "
+                  << scrambled << ", nfields " << nfields << ", copy " << j
+                  << ", field " << f;
+            }
+          }
+        }
+      }
+    }
   }
 }
 
-TEST(GsTyped, IntMaxPicksLargestRank) {
-  cmtbone::comm::run(3, [](Comm& world) {
-    std::vector<long long> ids = {7, 100 + world.rank()};
-    GatherScatter gs(world, ids, Method::kCrystalRouter);
-    std::vector<int> v = {world.rank() * 10, -1};
-    gs.exec_typed(std::span<int>(v), ReduceOp::kMax);
-    EXPECT_EQ(v[0], 20);   // shared by all three ranks
-    EXPECT_EQ(v[1], -1);   // private
-  });
-}
-
-TEST(GsTyped, FloatMatchesDoubleWithinPrecision) {
-  auto spec = small_spec(2, 1, 1);
-  auto ids = mesh_ids(spec);
-  cmtbone::comm::run(spec.nranks(), [&](Comm& world) {
-    const auto& my_ids = ids[world.rank()];
-    GatherScatter gs(world, my_ids, Method::kPairwise);
-    std::vector<double> vd(my_ids.size());
-    std::vector<float> vf(my_ids.size());
-    for (std::size_t s = 0; s < my_ids.size(); ++s) {
-      vd[s] = slot_value(31, world.rank(), s);
-      vf[s] = float(vd[s]);
+TEST(GsOrdered, MethodIsPairwiseWhateverWasRequested) {
+  // Ordered mode runs its own pairwise-pattern exchange, so that is the
+  // method it reports, and there is nothing for tune() to pick.
+  const std::vector<KeyedCopy> copies = keyed_copies();
+  const std::vector<int> rank_of = deal_round_robin(copies.size(), 2);
+  cmtbone::comm::run(2, [&](Comm& world) {
+    std::vector<long long> ids, keys;
+    for (std::size_t j = 0; j < copies.size(); ++j) {
+      if (rank_of[j] != world.rank()) continue;
+      ids.push_back(copies[j].id);
+      keys.push_back(copies[j].key);
     }
-    gs.exec(std::span<double>(vd), ReduceOp::kSum);
-    gs.exec_typed(std::span<float>(vf), ReduceOp::kSum);
-    for (std::size_t s = 0; s < my_ids.size(); ++s) {
-      ASSERT_NEAR(vf[s], vd[s], 1e-4 * std::max(1.0, std::abs(vd[s])));
+    for (Method m : {Method::kPairwise, Method::kCrystalRouter,
+                     Method::kAllReduce, Method::kAuto}) {
+      GatherScatter gs(world, ids, m, keys);
+      EXPECT_TRUE(gs.ordered());
+      EXPECT_EQ(gs.method(), Method::kPairwise)
+          << "requested " << cmtbone::gs::method_name(m);
+      EXPECT_EQ(gs.tune(), Method::kPairwise);
     }
-  });
-}
-
-TEST(GsTyped, MultiFieldIntegers) {
-  cmtbone::comm::run(2, [](Comm& world) {
-    std::vector<long long> ids = {5};
-    GatherScatter gs(world, ids, Method::kAllReduce);
-    // Field 0 sums ranks, field 1 takes component-wise products... (sum op
-    // applies to both fields; values differ per field).
-    std::vector<int> v = {world.rank() + 1, (world.rank() + 1) * 100};
-    gs.exec_many_typed(std::span<int>(v), 2, ReduceOp::kSum,
-                       Method::kAllReduce);
-    EXPECT_EQ(v[0], 3);
-    EXPECT_EQ(v[1], 300);
   });
 }
 
@@ -686,56 +822,31 @@ TEST(GsAuto, TuningPicksSomeMethodAndRecordsAllThree) {
   });
 }
 
-// --- model-driven selection (Method::kModel) ------------------------------------
-
-// Clears the process-wide calibrated machine on scope exit so a failing
-// assertion cannot leak calibration into later tests.
-struct CalibrationGuard {
-  explicit CalibrationGuard(const cmtbone::netmodel::LogGPParams& p) {
-    cmtbone::netmodel::set_calibrated_machine(p);
-  }
-  ~CalibrationGuard() { cmtbone::netmodel::clear_calibrated_machine(); }
-};
-
-TEST(GsModel, WithoutCalibrationFallsBackToMeasuredTuning) {
-  cmtbone::netmodel::clear_calibrated_machine();
-  auto spec = small_spec(2, 2, 1);
-  auto ids = mesh_ids(spec);
-  cmtbone::comm::run(spec.nranks(), [&](Comm& world) {
-    GatherScatter gs(world, ids[world.rank()], Method::kModel);
-    EXPECT_NE(gs.method(), Method::kModel);
-    EXPECT_NE(gs.method(), Method::kAuto);
-    // The fallback is tune(), which measures all three algorithms.
-    EXPECT_EQ(gs.tuning().size(), 3u);
-  });
-}
-
-TEST(GsModel, CalibratedSelectionAgreesAcrossRanks) {
-  CalibrationGuard cal(cmtbone::netmodel::qdr_infiniband());
+TEST(GsAuto, SelectionAgreesAcrossRanks) {
   auto spec = small_spec(2, 2, 1);
   auto ids = mesh_ids(spec);
   std::vector<Method> chosen(spec.nranks());
   cmtbone::comm::run(spec.nranks(), [&](Comm& world) {
-    GatherScatter gs(world, ids[world.rank()], Method::kModel);
-    EXPECT_NE(gs.method(), Method::kModel);
-    // Predicted costs for all three algorithms back the choice.
+    GatherScatter gs(world, ids[world.rank()], Method::kAuto);
+    EXPECT_NE(gs.method(), Method::kAuto);
+    // Measured costs for all three algorithms back the choice.
     EXPECT_EQ(gs.tuning().size(), 3u);
     chosen[world.rank()] = gs.method();
   });
   // A rank-divergent pick would deadlock the collective algorithms; the
-  // selector reduces predictions so every rank lands on one method.
+  // tuner reduces its timings across ranks so every rank lands on one
+  // method.
   for (int r = 1; r < spec.nranks(); ++r) {
     EXPECT_EQ(chosen[r], chosen[0]) << "rank " << r;
   }
 }
 
-TEST(GsModel, ModelSelectionIsBitIdenticalToForcedMethod) {
-  CalibrationGuard cal(cmtbone::netmodel::qdr_infiniband());
+TEST(GsAuto, SelectionIsBitIdenticalToForcedMethod) {
   auto spec = small_spec(2, 2, 1);
   auto ids = mesh_ids(spec);
   cmtbone::comm::run(spec.nranks(), [&](Comm& world) {
-    GatherScatter model_gs(world, ids[world.rank()], Method::kModel);
-    const Method picked = model_gs.method();
+    GatherScatter auto_gs(world, ids[world.rank()], Method::kAuto);
+    const Method picked = auto_gs.method();
     GatherScatter forced_gs(world, ids[world.rank()], picked);
 
     const auto& my_ids = ids[world.rank()];
@@ -743,7 +854,7 @@ TEST(GsModel, ModelSelectionIsBitIdenticalToForcedMethod) {
     for (std::size_t s = 0; s < my_ids.size(); ++s) {
       a[s] = b[s] = slot_value(17, world.rank(), s);
     }
-    model_gs.exec(std::span<double>(a), ReduceOp::kSum);
+    auto_gs.exec(std::span<double>(a), ReduceOp::kSum);
     forced_gs.exec(std::span<double>(b), ReduceOp::kSum);
     for (std::size_t s = 0; s < my_ids.size(); ++s) {
       EXPECT_EQ(a[s], b[s]) << "slot " << s;  // exact, not approximate
@@ -751,8 +862,7 @@ TEST(GsModel, ModelSelectionIsBitIdenticalToForcedMethod) {
   });
 }
 
-TEST(GsModel, DriverFieldsBitIdenticalToForcedMethodAcrossRanksAndOverlap) {
-  CalibrationGuard cal(cmtbone::netmodel::qdr_infiniband());
+TEST(GsAuto, DriverFieldsBitIdenticalToForcedMethodAcrossRanksAndOverlap) {
   for (int ranks : {1, 2, 4}) {
     for (bool overlap : {false, true}) {
       auto run_fields = [&](cmtbone::gs::Method method,
@@ -784,16 +894,16 @@ TEST(GsModel, DriverFieldsBitIdenticalToForcedMethodAcrossRanksAndOverlap) {
         return fields;
       };
 
-      cmtbone::gs::Method picked = Method::kModel;
-      const auto model_fields = run_fields(Method::kModel, &picked);
-      ASSERT_NE(picked, Method::kModel);
+      cmtbone::gs::Method picked = Method::kAuto;
+      const auto auto_fields = run_fields(Method::kAuto, &picked);
+      ASSERT_NE(picked, Method::kAuto);
       const auto forced_fields = run_fields(picked, nullptr);
 
-      ASSERT_EQ(model_fields.size(), forced_fields.size());
-      for (std::size_t f = 0; f < model_fields.size(); ++f) {
-        ASSERT_EQ(model_fields[f].size(), forced_fields[f].size());
-        for (std::size_t i = 0; i < model_fields[f].size(); ++i) {
-          ASSERT_EQ(model_fields[f][i], forced_fields[f][i])
+      ASSERT_EQ(auto_fields.size(), forced_fields.size());
+      for (std::size_t f = 0; f < auto_fields.size(); ++f) {
+        ASSERT_EQ(auto_fields[f].size(), forced_fields[f].size());
+        for (std::size_t i = 0; i < auto_fields[f].size(); ++i) {
+          ASSERT_EQ(auto_fields[f][i], forced_fields[f][i])
               << ranks << " ranks, overlap " << overlap << ", field " << f
               << ", node " << i;
         }
@@ -802,15 +912,14 @@ TEST(GsModel, DriverFieldsBitIdenticalToForcedMethodAcrossRanksAndOverlap) {
   }
 }
 
-TEST(GsModel, ReselectionAfterApplyLayoutAgreesAcrossRanks) {
-  // Element migration rebuilds the topology, which re-runs the kModel
-  // selection against the *new* exchange shape. The selection must resolve
-  // to a concrete method and — because it feeds a collective exchange —
-  // every rank must land on the same one, before and after the migration.
-  CalibrationGuard cal(cmtbone::netmodel::qdr_infiniband());
+TEST(GsAuto, ReselectionAfterApplyLayoutAgreesAcrossRanks) {
+  // Element migration rebuilds the topology, which re-runs the kAuto
+  // tuning against the *new* exchange. The selection must resolve to a
+  // concrete method and — because it feeds a collective exchange — every
+  // rank must land on the same one, before and after the migration.
   constexpr int kRanks = 4;
-  std::vector<Method> before(kRanks, Method::kModel);
-  std::vector<Method> after(kRanks, Method::kModel);
+  std::vector<Method> before(kRanks, Method::kAuto);
+  std::vector<Method> after(kRanks, Method::kAuto);
   cmtbone::comm::run(kRanks, [&](Comm& world) {
     cmtbone::core::Config cfg;
     cfg.n = 3;
@@ -819,7 +928,7 @@ TEST(GsModel, ReselectionAfterApplyLayoutAgreesAcrossRanks) {
     cfg.px = grid[0];
     cfg.py = grid[1];
     cfg.pz = grid[2];
-    cfg.gs_method = Method::kModel;
+    cfg.gs_method = Method::kAuto;
     cfg.fixed_dt = 1e-3;
     cmtbone::core::Driver driver(world, cfg);
     driver.initialize(driver.default_ic());
@@ -835,10 +944,8 @@ TEST(GsModel, ReselectionAfterApplyLayoutAgreesAcrossRanks) {
     driver.run(1);  // the re-selected handle must actually carry a step
   });
   for (int r = 0; r < kRanks; ++r) {
-    EXPECT_NE(before[r], Method::kModel) << "rank " << r;
     EXPECT_NE(before[r], Method::kAuto) << "rank " << r;
     EXPECT_EQ(before[r], before[0]) << "rank " << r << " disagrees pre-move";
-    EXPECT_NE(after[r], Method::kModel) << "rank " << r;
     EXPECT_NE(after[r], Method::kAuto) << "rank " << r;
     EXPECT_EQ(after[r], after[0]) << "rank " << r << " disagrees post-move";
   }

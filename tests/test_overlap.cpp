@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "chaos/chaos.hpp"
@@ -138,21 +140,78 @@ TEST(FaceExchangeSplit, BeginFinishBitIdenticalToBlockingExchange) {
   });
 }
 
+TEST(FaceExchangeSplit, SecondBeginThrowsAndFirstStillCompletes) {
+  cmtbone::comm::run(2, [](Comm& world) {
+    BoxSpec spec = spec_for(4, 4, 2, 1, 1);
+    Partition part(spec, world.rank());
+    cmtbone::mesh::FaceExchange ex(world, part);
+
+    const int nfields = 3;
+    const std::size_t fsz =
+        cmtbone::mesh::face_array_size(spec.n, part.nel()) * nfields;
+    SplitMix64 rng(78 + world.rank());
+    std::vector<double> myfaces(fsz);
+    for (double& v : myfaces) v = rng.uniform(-1.0, 1.0);
+
+    std::vector<double> blocking(fsz, -1.0), split(fsz, -2.0),
+        other(fsz, -3.0);
+    ex.exchange(myfaces.data(), blocking.data(), nfields);
+
+    ex.begin(myfaces.data(), split.data(), nfields);
+    EXPECT_THROW(ex.begin(myfaces.data(), other.data(), nfields),
+                 std::logic_error);
+    EXPECT_TRUE(ex.in_flight());
+    ex.finish();
+    EXPECT_FALSE(ex.in_flight());
+
+    for (std::size_t i = 0; i < fsz; ++i) {
+      ASSERT_EQ(blocking[i], split[i]) << "face value " << i;
+      ASSERT_EQ(other[i], -3.0) << "the refused begin wrote face value " << i;
+    }
+  });
+}
+
 // --- GatherScatter begin/finish ---------------------------------------------
 
+// Every kind of gs_op handle: each forced method, and an ordered handle
+// (per-slot keys, pairwise-pattern exchange).
+struct GsSplitCase {
+  cmtbone::gs::Method method;
+  bool ordered;
+};
+
+const GsSplitCase kGsSplitCases[] = {
+    {cmtbone::gs::Method::kPairwise, false},
+    {cmtbone::gs::Method::kCrystalRouter, false},
+    {cmtbone::gs::Method::kAllReduce, false},
+    {cmtbone::gs::Method::kPairwise, true},
+};
+
+std::string case_name(const GsSplitCase& c) {
+  return c.ordered ? "ordered" : cmtbone::gs::method_name(c.method);
+}
+
+// A handle on 3 ranks: each rank shares one id with its successor and
+// everyone shares 42. Ordered handles key each slot uniquely.
+cmtbone::gs::GatherScatter split_handle(Comm& world, const GsSplitCase& c,
+                                        std::vector<long long>* ids) {
+  const long long r = world.rank();
+  *ids = {100 + r, 100 + (r + 1) % 3, 42, 900 + r};
+  std::vector<long long> keys;
+  if (c.ordered) keys = {10 * r, 10 * r + 1, 10 * r + 2, 10 * r + 3};
+  return cmtbone::gs::GatherScatter(world, std::span<const long long>(*ids),
+                                    c.method,
+                                    std::span<const long long>(keys));
+}
+
 TEST(GatherScatterSplit, SplitPhaseBitIdenticalToExecMany) {
-  for (auto method : {cmtbone::gs::Method::kPairwise,
-                      cmtbone::gs::Method::kCrystalRouter,
-                      cmtbone::gs::Method::kAllReduce}) {
+  for (const GsSplitCase& c : kGsSplitCases) {
     cmtbone::comm::run(3, [&](Comm& world) {
-      // Each rank shares one id with its successor and everyone shares 42.
-      const int r = world.rank();
-      std::vector<long long> ids = {100 + r, 100 + (r + 1) % 3, 42, 900 + r};
-      cmtbone::gs::GatherScatter gs(
-          world, std::span<const long long>(ids), method);
+      std::vector<long long> ids;
+      cmtbone::gs::GatherScatter gs = split_handle(world, c, &ids);
 
       const int nfields = 2;
-      SplitMix64 rng(11 + r);
+      SplitMix64 rng(11 + world.rank());
       std::vector<double> ref(ids.size() * nfields);
       for (double& v : ref) v = rng.uniform(-1.0, 1.0);
       std::vector<double> split(ref);
@@ -168,11 +227,58 @@ TEST(GatherScatterSplit, SplitPhaseBitIdenticalToExecMany) {
       EXPECT_FALSE(gs.split_in_flight());
 
       for (std::size_t i = 0; i < ref.size(); ++i) {
-        ASSERT_EQ(ref[i], split[i])
-            << cmtbone::gs::method_name(method) << " value " << i;
+        ASSERT_EQ(ref[i], split[i]) << case_name(c) << " value " << i;
       }
       // finish() without a begin() is a harmless no-op.
       gs.exec_many_finish();
+    });
+  }
+}
+
+TEST(GatherScatterSplit, SecondBeginThrowsAndFirstStillCompletes) {
+  for (const GsSplitCase& c : kGsSplitCases) {
+    cmtbone::comm::run(3, [&](Comm& world) {
+      std::vector<long long> ids;
+      cmtbone::gs::GatherScatter gs = split_handle(world, c, &ids);
+
+      const int nfields = 2;
+      SplitMix64 rng(12 + world.rank());
+      std::vector<double> ref(ids.size() * nfields);
+      for (double& v : ref) v = rng.uniform(-1.0, 1.0);
+      std::vector<double> split(ref);
+      gs.exec_many(std::span<double>(ref), nfields,
+                   cmtbone::gs::ReduceOp::kSum);
+
+      gs.exec_many_begin(std::span<double>(split), nfields,
+                         cmtbone::gs::ReduceOp::kSum);
+      // A second gs_op (another begin, here with a different field count,
+      // or a blocking exec, which is begin + finish) is refused without
+      // touching its values or the one in flight.
+      std::vector<double> other(ids.size() * 3, 5.0);
+      EXPECT_THROW(gs.exec_many_begin(std::span<double>(other), 3,
+                                      cmtbone::gs::ReduceOp::kSum),
+                   std::logic_error);
+      EXPECT_THROW(gs.exec_many(std::span<double>(other), 3,
+                                cmtbone::gs::ReduceOp::kSum),
+                   std::logic_error);
+      EXPECT_THROW(gs.exec(std::span<double>(other.data(), ids.size()),
+                           cmtbone::gs::ReduceOp::kSum),
+                   std::logic_error);
+      EXPECT_TRUE(gs.split_in_flight());
+      gs.exec_many_finish();
+      EXPECT_FALSE(gs.split_in_flight());
+
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(ref[i], split[i]) << case_name(c) << " value " << i;
+      }
+      for (double v : other) ASSERT_EQ(v, 5.0) << case_name(c);
+
+      // The handle is free again. Copy counts: ids 100+r are held by two
+      // ranks, 42 by all three, 900+r by one.
+      std::vector<double> ones(ids.size(), 1.0);
+      gs.exec(std::span<double>(ones), cmtbone::gs::ReduceOp::kSum);
+      EXPECT_EQ(ones, (std::vector<double>{2.0, 2.0, 3.0, 1.0}))
+          << case_name(c);
     });
   }
 }

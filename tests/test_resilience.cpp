@@ -427,34 +427,38 @@ TEST(UnwindSafety, GsSplitPhaseAndOverlapSurviveAbortSweep) {
   // irecvs posted into gs/face-exchange buffers. Every run must either
   // complete or unwind cleanly — no use-after-free (ASan job), no hang, no
   // spurious deadlock verdict. Exercises exec_many_begin/finish and
-  // FaceExchange begin/finish unwind paths.
+  // FaceExchange begin/finish unwind paths, with unordered and ordered
+  // (per-slot key) gs handles.
   Config cfg = tiny_config();
   cfg.overlap = true;
   cfg.face_backend = cmtbone::core::FaceBackend::kGatherScatter;
   cfg.gs_method = cmtbone::gs::Method::kPairwise;
-  for (long long abort_op : {2ll, 7ll, 19ll, 41ll, 71ll, 113ll}) {
-    ChaosPolicy policy;
-    policy.seed = 77;
-    policy.abort_rank = 1;
-    policy.abort_at_op = abort_op;
-    ChaosEngine engine(policy, 2);
-    cmtbone::comm::RunOptions options;
-    options.chaos = &engine;
-    bool threw = false;
-    try {
-      cmtbone::comm::run(
-          2,
-          [&](Comm& world) {
-            Driver driver(world, cfg);
-            driver.initialize(driver.default_ic());
-            driver.run(3);
-          },
-          options);
-    } catch (const ChaosAbortInjected&) {
-      threw = true;
+  for (bool ordered_gs : {false, true}) {
+    cfg.ordered_gs = ordered_gs;
+    for (long long abort_op : {2ll, 7ll, 19ll, 41ll, 71ll, 113ll}) {
+      ChaosPolicy policy;
+      policy.seed = 77;
+      policy.abort_rank = 1;
+      policy.abort_at_op = abort_op;
+      ChaosEngine engine(policy, 2);
+      cmtbone::comm::RunOptions options;
+      options.chaos = &engine;
+      bool threw = false;
+      try {
+        cmtbone::comm::run(
+            2,
+            [&](Comm& world) {
+              Driver driver(world, cfg);
+              driver.initialize(driver.default_ic());
+              driver.run(3);
+            },
+            options);
+      } catch (const ChaosAbortInjected&) {
+        threw = true;
+      }
+      EXPECT_TRUE(threw) << "abort_at_op " << abort_op << ", ordered_gs "
+                         << ordered_gs << " never fired; widen the sweep";
     }
-    EXPECT_TRUE(threw) << "abort_at_op " << abort_op
-                       << " never fired; widen the sweep";
   }
 }
 
