@@ -1,5 +1,6 @@
 // Final-state hashes over a fixed configuration matrix, one line per
-// configuration: "<name> <FNV-1a of every field's gather_global_field>".
+// configuration: "<name> <FNV-1a of every field's gather_global_field>",
+// plus, on chaos rows, "<schedule digest>".
 //
 // The matrix is physics {proxy, burgers, euler} x ranks {1, 2, 3} x overlap
 // x face backend x integrator {RK3, RK4} x {plain; two threads per rank +
@@ -7,14 +8,20 @@
 // a stretched, non-periodic Sod case on 1-3 ranks; and the two collective
 // gs methods, {crystal router, allreduce} x physics {proxy, euler} x ranks
 // {2, 3} x overlap on the gs face backend, so dssum and the face exchange
-// run through each of the three exchange algorithms. Each configuration
-// runs a few steps from the default initial condition. The tool uses only
-// public Driver API, so the same file builds against older trees:
-// bench/bits_vs_base.sh builds it at HEAD and at a base commit and fails on
-// any differing line, which is how a refactor shows that it keeps every
-// bit.
+// run through each of the three exchange algorithms; and seeded chaos,
+// proxy x ranks {2, 3} x overlap x {pairwise, crystal router} on the gs
+// face backend x ChaosPolicy::for_seed seeds {1, 2}. The crystal router
+// receives through recv_vector, so these rows also run the mailbox's
+// probe. A chaos row's digest pins every hold and hook decision, and the
+// tool exits 1 when a chaos row's state hash differs from the same
+// configuration run without chaos. Each configuration runs a few steps
+// from the default initial condition. The tool uses only public Driver,
+// RunOptions and ChaosEngine API, so the same file builds against older
+// trees: bench/bits_vs_base.sh builds it at HEAD and at a base commit and
+// fails on any differing line, which is how a refactor shows that it keeps
+// every bit and every chaos schedule.
 //
-//   state_hashes            # prints 166 lines
+//   state_hashes            # prints 182 lines
 
 #include <cinttypes>
 #include <cstdint>
@@ -23,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "chaos/chaos.hpp"
 #include "comm/runtime.hpp"
 #include "core/driver.hpp"
 #include "util/cli.hpp"
@@ -42,9 +50,13 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t h) {
   return h;
 }
 
-// Runs `cfg` on `ranks` ranks and hashes every field's global state.
-std::uint64_t final_state_hash(int ranks, const core::Config& cfg) {
+// Runs `cfg` on `ranks` ranks, under `chaos` when given, and hashes every
+// field's global state.
+std::uint64_t final_state_hash(int ranks, const core::Config& cfg,
+                               chaos::ChaosEngine* chaos = nullptr) {
   std::uint64_t hash = 0;
+  comm::RunOptions options;
+  options.chaos = chaos;
   comm::run(ranks, [&](comm::Comm& world) {
     core::Driver driver(world, cfg);
     driver.initialize(driver.default_ic());
@@ -55,7 +67,7 @@ std::uint64_t final_state_hash(int ranks, const core::Config& cfg) {
       h = fnv1a(global.data(), global.size() * sizeof(double), h);
     }
     if (world.rank() == 0) hash = h;
-  });
+  }, options);
   return hash;
 }
 
@@ -156,6 +168,42 @@ int main(int argc, char** argv) {
         }
       }
     }
+  }
+  // Seeded chaos on a point-to-point and a collective gs method.
+  const std::pair<gs::Method, const char*> chaos_methods[] = {
+      {gs::Method::kPairwise, "gs-pairwise"},
+      {gs::Method::kCrystalRouter, "gs-crystal"}};
+  bool chaos_moved_bits = false;
+  for (int ranks = 2; ranks <= 3; ++ranks) {
+    for (bool overlap : {false, true}) {
+      for (const auto& [method, label] : chaos_methods) {
+        core::Config c = base_config();
+        c.physics = core::Physics::kProxyAdvection;
+        c.overlap = overlap;
+        c.face_backend = core::FaceBackend::kGatherScatter;
+        c.gs_method = method;
+        const std::uint64_t plain = final_state_hash(ranks, c);
+        for (std::uint64_t seed : {1, 2}) {
+          chaos::ChaosEngine engine(chaos::ChaosPolicy::for_seed(seed, ranks),
+                                    ranks);
+          const std::uint64_t h = final_state_hash(ranks, c, &engine);
+          std::printf("%s/r%d%s/%s/%s/chaos%" PRIu64 " %016" PRIx64
+                      " %016" PRIx64 "\n",
+                      core::physics_name(c.physics), ranks,
+                      overlap ? "/overlap" : "/blocking",
+                      core::face_backend_name(c.face_backend), label, seed, h,
+                      engine.digest());
+          std::fflush(stdout);
+          chaos_moved_bits = chaos_moved_bits || h != plain;
+        }
+      }
+    }
+  }
+  if (chaos_moved_bits) {
+    std::fprintf(stderr,
+                 "state_hashes: a chaos row's final state differs from its "
+                 "chaos-free run\n");
+    return 1;
   }
   return 0;
 }

@@ -107,11 +107,12 @@ bool ChaosEngine::corrupt_checkpoint(int rank, long long epoch) const {
          epoch == policy_.corrupt_epoch;
 }
 
-int ChaosEngine::hold_ticks(int ctx, int src, int dest, int tag,
-                            std::uint64_t seq, std::size_t bytes) {
+int ChaosEngine::hold_ticks(int src, int dest, int tag, std::uint64_t seq,
+                            std::size_t bytes) {
   std::uint64_t h = combine(policy_.seed, kHoldSalt);
-  h = combine(h, (std::uint64_t(std::uint32_t(ctx)) << 32) |
-                     std::uint32_t(src));
+  // Repacking the identity would move every recorded schedule digest
+  // (chaos_stress --replay, bench/state_hashes).
+  h = combine(h, std::uint64_t(std::uint32_t(src)));
   h = combine(h, (std::uint64_t(std::uint32_t(dest)) << 32) |
                      std::uint32_t(tag));
   h = combine(h, seq);

@@ -13,18 +13,16 @@
 //
 // Reproducibility contract: every injection decision is a pure hash of
 // (seed, stable event identity) — the sender's per-rank operation index, or
-// a message's (ctx, src, dest, tag, per-stream sequence number) — never of
+// a message's (src, dest, tag, per-stream sequence number) — never of
 // wall-clock time or OS scheduling. The engine folds each decision into an
 // order-independent digest (commutative sum of hashes), so two runs of the
 // same deterministic workload under the same seed produce the same digest
 // even though the OS interleaves their threads differently. chaos_stress
 // uses that digest as its same-seed-same-schedule check.
 //
-// Note on MPI fidelity: holding a message of stream (src, dest, tagA) while
-// a later (src, dest, tagB) message passes is weaker than MPI's full
-// non-overtaking rule when a wildcard-tag receive is posted. Chaos tests
-// therefore assert per-(source, dest, tag) order and multiset completeness,
-// which every backend in this codebase relies on.
+// Holding a message of stream (src, dest, tagA) while a later
+// (src, dest, tagB) message passes keeps MPI's non-overtaking rule, because
+// every receive names its source and tag exactly.
 
 #include <atomic>
 #include <cstdint>
@@ -39,7 +37,7 @@ enum class Hook : std::uint64_t {
   kSend = 1,      // Comm::send_raw entry (covers collective trees too)
   kRecvPost = 2,  // Comm::post_recv_raw entry
   kWait = 3,      // Comm::wait_raw entry
-  kProbe = 4,     // Mailbox::probe entry (blocking probe / recv_vector)
+  kProbe = 4,     // Mailbox::probe entry (recv_vector's sizing probe)
 };
 
 /// Tunable injection plan. All randomness is derived from `seed`; a policy
@@ -158,9 +156,9 @@ class ChaosEngine {
   bool corrupt_checkpoint(int rank, long long epoch) const;
 
   /// Deliver-side decision for the `seq`-th message of stream
-  /// (ctx, src, tag) -> dest: how many mailbox ticks to hold it (0 =
-  /// deliver immediately). Pure (no sleeping); safe under the mailbox lock.
-  int hold_ticks(int ctx, int src, int dest, int tag, std::uint64_t seq,
+  /// (src, tag) -> dest: how many mailbox ticks to hold it (0 = deliver
+  /// immediately). Pure (no sleeping); safe under the mailbox lock.
+  int hold_ticks(int src, int dest, int tag, std::uint64_t seq,
                  std::size_t bytes);
 
   /// Order-independent schedule digest: same workload + same seed => same

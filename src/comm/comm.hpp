@@ -1,14 +1,20 @@
 #pragma once
 // Communicator: the user-facing handle of the message-passing runtime.
 //
-// Mirrors the slice of MPI that Nek5000/CMT-nek use: tagged point-to-point
-// (blocking and nonblocking), wait/waitall/test, probe, and the collectives
-// (barrier, bcast, reduce, allreduce, gather, allgather, alltoall(v), scan)
-// plus communicator split. Collectives are implemented *algorithmically over
-// point-to-point* (binomial trees, dissemination barrier, posted-all
-// alltoallv) rather than via shared memory, so the message structure a real
-// MPI job would exhibit — counts, sizes, partners — is preserved. That
-// structure is what the paper's communication study (Figs 7-10) measures.
+// Mirrors the slice of MPI that CMT-bone's programs call, on one
+// communicator: tagged point-to-point (blocking and nonblocking) that names
+// its partner and tag exactly, wait/waitall, a dynamic-size receive
+// (probe + sized receive), and the collectives (barrier, bcast, reduce,
+// allreduce, gather, allgather, alltoall(v), scan). Collectives are
+// implemented *algorithmically over point-to-point* (binomial trees,
+// dissemination barrier, posted-all alltoallv) rather than via shared
+// memory, so the message structure a real MPI job would exhibit — counts,
+// sizes, partners — is preserved. That structure is what the paper's
+// communication study (Figs 7-10) measures.
+//
+// Every point-to-point entry point checks its peer (a rank in [0, size()))
+// and tag (in [0, kCollectiveTagBase)) in every build and throws
+// std::invalid_argument before anything is posted or sent.
 //
 // Every public operation is timed and counted on the innermost open
 // prof::ScopedRegion of the calling rank thread, so "<region>/<op>" is its
@@ -35,9 +41,7 @@ class Comm {
   Comm(Universe& universe, int rank);
 
   int rank() const { return rank_; }
-  int size() const { return int(group_.size()); }
-  /// Global (universe) rank of local rank `r`.
-  int global_rank(int r) const { return group_[r]; }
+  int size() const { return uni_->size(); }
   Universe& universe() const { return *uni_; }
 
   // --- point-to-point (byte-level) ---------------------------------------
@@ -60,43 +64,34 @@ class Comm {
   /// code with receives still in flight must cancel them before their
   /// buffers are destroyed. No-op on null/send/completed requests.
   void cancel(Request& req);
-  /// Block until at least one request completes; returns its index and
-  /// clears it (MPI_Waitany). Null requests are skipped; returns -1 when
-  /// every request is null.
-  int waitany(std::span<Request> reqs, Status* status = nullptr);
-  bool test(Request& req);
 
   /// Combined send+receive with distinct buffers (MPI_Sendrecv): posts the
   /// receive, performs the (eager, non-blocking) send, then waits.
   template <class T>
   Status sendrecv(std::span<const T> send_data, int dest, int send_tag,
                   std::span<T> recv_data, int src, int recv_tag) {
+    check_p2p("sendrecv", dest, send_tag);
+    check_p2p("sendrecv", src, recv_tag);
     prof::WallTimer t;
     Request req = post_recv_raw(recv_data.data(), recv_data.size_bytes(), src,
                                 recv_tag);
     send_raw(send_data.data(), send_data.size_bytes(), dest, send_tag);
     Status s = wait_raw(req);
-    if (s.source >= 0) s.source = local_of_global(s.source);
     record(prof::CommOp::kSendrecv, t.seconds(),
-           (long long)send_data.size_bytes(), group_.at(dest), send_tag,
-           {&req, 1});
+           (long long)send_data.size_bytes(), dest, send_tag, {&req, 1});
     return s;
   }
-  bool iprobe(int src, int tag, Status* status = nullptr);
-  /// Blocking probe (MPI_Probe): returns metadata of the next matching
-  /// message without receiving it. Use before a dynamic-size receive.
-  Status probe(int src, int tag);
 
   /// Receive a message whose size the receiver does not know in advance
   /// (probe + sized receive). Returns the payload as elements of T.
   template <class T>
   std::vector<T> recv_vector(int src, int tag) {
+    check_p2p("recv_vector", src, tag);
     prof::WallTimer t;
-    Status ps = my_box().probe(ctx_, src == kAnySource ? kAnySource : group_.at(src),
-                               tag, uni_);
+    Status ps = my_box().probe(src, tag);
     std::vector<T> out(ps.bytes / sizeof(T));
-    Request req = my_box().post_recv(ctx_, ps.source, ps.tag, out.data(),
-                                     out.size() * sizeof(T));
+    Request req =
+        my_box().post_recv(src, tag, out.data(), out.size() * sizeof(T));
     wait_raw(req);
     record(prof::CommOp::kRecv, t.seconds(), (long long)ps.bytes, -1, 0,
            {&req, 1});
@@ -183,15 +178,14 @@ class Comm {
   template <class T>
   T scan_sum(T value);
 
-  /// Split into sub-communicators by color (ranks with equal color end up
-  /// in the same comm, ordered by key then parent rank). Collective.
-  Comm split(int color, int key);
-
  private:
-  Comm(Universe& universe, int ctx, std::vector<int> group, int my_index);
+  Mailbox& my_box() const { return uni_->mailbox(rank_); }
 
-  Mailbox& my_box() const { return uni_->mailbox(group_[rank_]); }
-  int local_of_global(int global) const;
+  // Throws std::invalid_argument naming `op`, `peer` and `tag` unless the
+  // peer is a rank of this job and the tag a user tag: an out-of-range peer
+  // would index past the mailboxes, and a tag at or above
+  // kCollectiveTagBase could match a collective's internal message.
+  void check_p2p(const char* op, int peer, int tag) const;
 
   // Unprofiled internals used by the collectives (so a collective records
   // once, not once per internal message).
@@ -206,10 +200,10 @@ class Comm {
 
   // Count one completed operation on the innermost open region and, when
   // a recorder is attached, trace it by its role (prof::trace_role): a send
-  // to `global_peer` (the partner's universe rank) with `tag` and `bytes`,
-  // each receive among `completed`, or a collective.
+  // to `peer` with `tag` and `bytes`, each receive among `completed`, or a
+  // collective.
   void record(prof::CommOp op, double seconds, long long bytes,
-              int global_peer = -1, int tag = 0,
+              int peer = -1, int tag = 0,
               std::span<const Request> completed = {}) const;
 
   // Collective building blocks (binomial trees rooted at `root`).
@@ -218,10 +212,7 @@ class Comm {
   void reduce_tree(std::span<T> data, ReduceOp op, int root, int tag);
 
   Universe* uni_;
-  int ctx_;
-  int rank_;                 // local rank within this communicator
-  std::vector<int> group_;   // local rank -> global rank
-  std::vector<int> g2l_;     // global rank -> local rank (-1 if absent)
+  int rank_;
   int coll_seq_ = 0;
 };
 

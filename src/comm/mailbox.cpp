@@ -1,15 +1,32 @@
 #include "comm/mailbox.hpp"
 
 #include <chrono>
-#include <cstring>
 #include <set>
 #include <stdexcept>
 #include "util/bytes.hpp"
 
 namespace cmtbone::comm {
 
-void Mailbox::configure(int owner_rank, chaos::ChaosEngine* chaos) {
+namespace {
+
+// Unwind a blocked operation on an aborted job with the most specific
+// exception available: RankFailed once the origin is known, JobAborted
+// otherwise. `rank` and the (src, tag) spec name the blocked receive.
+[[noreturn]] void throw_blocked_abort(const JobControl& job, int rank,
+                                      int src, int tag) {
+  const int failed = job.failed_rank();
+  if (failed >= 0) {
+    throw RankFailed(failed, job.failure_epoch(), rank, src, tag);
+  }
+  throw JobAborted(rank, src, tag);
+}
+
+}  // namespace
+
+void Mailbox::configure(int owner_rank, const JobControl* job,
+                        chaos::ChaosEngine* chaos) {
   owner_ = owner_rank;
+  job_ = job;
   chaos_ = chaos;
 }
 
@@ -42,10 +59,17 @@ void Mailbox::cancel(const Request& req) {
   remove_pending_locked(req.state());
 }
 
+const Envelope* Mailbox::find_unexpected_locked(int src, int tag) const {
+  for (const Envelope& env : unexpected_) {
+    if (env.src == src && env.tag == tag) return &env;
+  }
+  return nullptr;
+}
+
 void Mailbox::deliver_locked(Envelope env) {
   for (auto it = pending_.begin(); it != pending_.end(); ++it) {
     RequestState& rs = **it;
-    if (matches(env, rs.ctx, rs.src, rs.tag)) {
+    if (env.src == rs.src && env.tag == rs.tag) {
       complete_locked(rs, env);
       pending_.erase(it);
       cv_.notify_all();
@@ -53,8 +77,7 @@ void Mailbox::deliver_locked(Envelope env) {
     }
   }
   unexpected_.push_back(std::move(env));
-  // Probers may be sleeping via wait(); wake them so iprobe loops make
-  // progress. (wait() itself sleeps on cv_ too.)
+  // A prober may be sleeping in the blocking loop; wake it.
   cv_.notify_all();
 }
 
@@ -64,9 +87,9 @@ void Mailbox::pump_locked() {
   // Release due envelopes front to back. A stream whose earliest held
   // envelope is not yet due blocks its later envelopes, keeping
   // per-(source, dest, tag) FIFO intact.
-  std::set<std::tuple<int, int, int>> blocked;
+  std::set<std::pair<int, int>> blocked;
   for (auto it = held_.begin(); it != held_.end();) {
-    auto key = std::make_tuple(it->env.ctx, it->env.src, it->env.tag);
+    const std::pair<int, int> key(it->env.src, it->env.tag);
     if (blocked.count(key) != 0) {
       ++it;
       continue;
@@ -90,9 +113,9 @@ void Mailbox::flush_held_locked() {
   }
 }
 
-void Mailbox::release_stream_locked(int ctx, int src, int tag) {
+void Mailbox::release_stream_locked(int src, int tag) {
   for (auto it = held_.begin(); it != held_.end();) {
-    if (it->env.ctx == ctx && it->env.src == src && it->env.tag == tag) {
+    if (it->env.src == src && it->env.tag == tag) {
       Envelope env = std::move(it->env);
       it = held_.erase(it);
       deliver_locked(std::move(env));
@@ -102,45 +125,36 @@ void Mailbox::release_stream_locked(int ctx, int src, int tag) {
   }
 }
 
-void Mailbox::flush_held() {
-  std::lock_guard<std::mutex> lock(mu_);
-  flush_held_locked();
-}
-
 void Mailbox::deliver(Envelope env) {
   std::lock_guard<std::mutex> lock(mu_);
   if (chaos_ != nullptr) {
     pump_locked();
-    const std::uint64_t seq =
-        stream_seq_[std::make_tuple(env.ctx, env.src, env.tag)]++;
-    const int hold = chaos_->hold_ticks(env.ctx, env.src, owner_, env.tag,
-                                        seq, env.payload.size());
+    const std::uint64_t seq = stream_seq_[{env.src, env.tag}]++;
+    const int hold =
+        chaos_->hold_ticks(env.src, owner_, env.tag, seq, env.payload.size());
     if (hold > 0) {
       held_.push_back({std::move(env), tick_ + std::uint64_t(hold)});
       return;
     }
     // Delivering now: earlier held messages of the same stream must go
     // first so this one never overtakes them.
-    if (!held_.empty()) release_stream_locked(env.ctx, env.src, env.tag);
+    if (!held_.empty()) release_stream_locked(env.src, env.tag);
   }
   deliver_locked(std::move(env));
 }
 
-Request Mailbox::post_recv(int ctx, int src, int tag, void* buf,
-                           std::size_t capacity) {
+Request Mailbox::post_recv(int src, int tag, void* buf, std::size_t capacity) {
   auto rs = std::make_shared<RequestState>();
   rs->is_recv = true;
-  rs->ctx = ctx;
   rs->src = src;
   rs->tag = tag;
   rs->buf = buf;
   rs->capacity = capacity;
-  rs->home = this;
 
   std::lock_guard<std::mutex> lock(mu_);
   if (chaos_ != nullptr) pump_locked();
   for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-    if (matches(*it, ctx, src, tag)) {
+    if (it->src == src && it->tag == tag) {
       complete_locked(*rs, *it);
       unexpected_.erase(it);
       return Request(std::move(rs));
@@ -150,119 +164,64 @@ Request Mailbox::post_recv(int ctx, int src, int tag, void* buf,
   return Request(std::move(rs));
 }
 
-Status Mailbox::wait(const Request& req, const JobControl* job) {
-  if (!req.valid()) return {};
-  RequestState& rs = *req.state();
-  if (!rs.is_recv) return rs.status;  // sends complete at post time
-  std::unique_lock<std::mutex> lock(mu_);
-  if (job == nullptr && chaos_ == nullptr) {
-    cv_.wait(lock, [&rs] { return rs.done; });
-    return rs.status;
-  }
+template <class Ready>
+void Mailbox::block_locked(std::unique_lock<std::mutex>& lock,
+                           const RequestState* posted, int src, int tag,
+                           Ready ready) {
   // Poll at a coarse period so a crashed peer (or a provable deadlock)
   // unwinds this rank instead of leaving it blocked forever. Under chaos
   // the period shortens so held envelopes release promptly.
   const auto period = std::chrono::milliseconds(chaos_ != nullptr ? 2 : 20);
-  while (!cv_.wait_for(lock, period, [&rs] { return rs.done; })) {
-    if (chaos_ != nullptr) {
-      pump_locked();
-      if (rs.done) break;
+  for (;;) {
+    if (chaos_ != nullptr) pump_locked();
+    if (ready()) return;
+    // Job state is read under mu_ right after a failed check: a sender
+    // mid-deliver is blocked on this same mutex (so it has not exited
+    // yet), which makes "not ready AND everyone else exited" a proof of
+    // deadlock rather than a race with in-flight delivery.
+    if (job_->aborted()) {
+      remove_pending_locked(posted);
+      throw_blocked_abort(*job_, owner_, src, tag);
     }
-    if (job == nullptr) continue;
-    if (job->aborted()) {
-      remove_pending_locked(&rs);
-      throw_blocked_abort(*job, owner_, rs.ctx, rs.src, rs.tag);
-    }
-    if (job->last_rank_standing()) {
-      // A held envelope may be the very message this receive needs: release
+    if (job_->last_rank_standing()) {
+      // A held envelope may be the very message this call needs: release
       // everything before concluding that no sender can exist.
-      if (chaos_ != nullptr) {
-        flush_held_locked();
-        if (rs.done) break;
-      }
+      flush_held_locked();
+      if (ready()) return;
+      remove_pending_locked(posted);
       // The dying rank raises the abort flag *before* decrementing the
-      // active count, but this loop loads them in the opposite order — so
-      // re-check after observing "everyone else exited" lest a crashed
-      // peer be misreported as a provable deadlock.
-      remove_pending_locked(&rs);
-      if (job->aborted()) {
-        throw_blocked_abort(*job, owner_, rs.ctx, rs.src, rs.tag);
-      }
-      throw DeadlockDetected(owner_, rs.ctx, rs.src, rs.tag);
+      // active count, but this loop loads them in the opposite order, so
+      // re-check lest a crashed peer be misreported as a deadlock.
+      if (job_->aborted()) throw_blocked_abort(*job_, owner_, src, tag);
+      throw DeadlockDetected(owner_, src, tag);
     }
+    cv_.wait_for(lock, period, ready);
   }
+}
+
+Status Mailbox::wait(const Request& req) {
+  if (!req.valid()) return {};
+  RequestState& rs = *req.state();
+  if (!rs.is_recv) return rs.status;  // sends complete at post time
+  std::unique_lock<std::mutex> lock(mu_);
+  block_locked(lock, &rs, rs.src, rs.tag, [&rs] { return rs.done; });
   return rs.status;
 }
 
-bool Mailbox::test(const Request& req) {
-  if (!req.valid()) return true;
-  RequestState& rs = *req.state();
-  if (!rs.is_recv) return true;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (chaos_ != nullptr) pump_locked();
-  return rs.done;
-}
-
-Status Mailbox::probe(int ctx, int src, int tag, const JobControl* job) {
+Status Mailbox::probe(int src, int tag) {
   // Probe entry is a deterministic per-rank operation: give chaos its hook
   // (which may sleep or force-abort) before taking the mailbox lock.
   if (chaos_ != nullptr) chaos_->on_rank_op(owner_, chaos::Hook::kProbe);
   std::unique_lock<std::mutex> lock(mu_);
-  auto find = [&]() -> const Envelope* {
-    for (const Envelope& env : unexpected_) {
-      if (matches(env, ctx, src, tag)) return &env;
-    }
-    return nullptr;
-  };
-  // Job-state checks run under the mailbox mutex immediately after a failed
-  // scan: a sender mid-deliver is blocked on this same mutex (so it has not
-  // exited yet), which makes "no match AND everyone else exited" a proof of
-  // deadlock rather than a race with in-flight delivery.
   const Envelope* hit = nullptr;
-  for (;;) {
-    if (chaos_ != nullptr) pump_locked();
-    if ((hit = find()) != nullptr) break;
-    if (job != nullptr) {
-      if (job->aborted()) throw_blocked_abort(*job, owner_, ctx, src, tag);
-      if (job->last_rank_standing()) {
-        if (chaos_ != nullptr) {
-          flush_held_locked();
-          if ((hit = find()) != nullptr) break;
-        }
-        // See wait(): the abort flag is raised before the active count
-        // drops, so re-check before the deadlock verdict.
-        if (job->aborted()) throw_blocked_abort(*job, owner_, ctx, src, tag);
-        throw DeadlockDetected(owner_, ctx, src, tag);
-      }
-    }
-    if (job == nullptr && chaos_ == nullptr) {
-      cv_.wait(lock);
-    } else {
-      cv_.wait_for(lock,
-                   std::chrono::milliseconds(chaos_ != nullptr ? 2 : 20));
-    }
-  }
+  block_locked(lock, nullptr, src, tag, [&] {
+    return (hit = find_unexpected_locked(src, tag)) != nullptr;
+  });
   Status s;
   s.source = hit->src;
   s.tag = hit->tag;
   s.bytes = hit->payload.size();
   return s;
-}
-
-bool Mailbox::iprobe(int ctx, int src, int tag, Status* status) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (chaos_ != nullptr) pump_locked();
-  for (const Envelope& env : unexpected_) {
-    if (matches(env, ctx, src, tag)) {
-      if (status != nullptr) {
-        status->source = env.src;
-        status->tag = env.tag;
-        status->bytes = env.payload.size();
-      }
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace cmtbone::comm

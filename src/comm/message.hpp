@@ -1,12 +1,12 @@
 #pragma once
-// Message envelope and matching rules for the in-process message-passing
+// Message envelope and failure types for the in-process message-passing
 // runtime.
 //
 // This runtime substitutes for MPI in the reproduction (no MPI library is
-// available in the build environment). It preserves MPI's matching
-// semantics: a receive matches on (context, source, tag) with wildcard
-// source/tag, and messages between a given (source, dest, context) pair
-// match in posting order (non-overtaking).
+// available in the build environment). There is one communicator, and a
+// receive names its partner exactly: it matches on (source, tag), with no
+// wildcards, and messages of one (source, dest, tag) stream match in
+// sending order (non-overtaking).
 
 #include <cstddef>
 #include <stdexcept>
@@ -15,37 +15,23 @@
 
 namespace cmtbone::comm {
 
-/// Wildcards, mirroring MPI_ANY_SOURCE / MPI_ANY_TAG.
-inline constexpr int kAnySource = -1;
-inline constexpr int kAnyTag = -1;
-
 /// User-visible tags must stay below this; the collective implementations
 /// use the tag space above it so user p2p traffic can never match
 /// collective-internal messages.
 inline constexpr int kCollectiveTagBase = 1 << 20;
 
-/// A message in flight. `src` is the *global* rank of the sender; `ctx`
-/// identifies the communicator (so split communicators do not cross-match).
+/// A message in flight from rank `src`.
 struct Envelope {
-  int ctx = 0;
   int src = 0;
   int tag = 0;
   std::vector<std::byte> payload;
 };
 
-/// Printable names for a receive spec's wildcards (diagnostics).
-inline std::string source_name(int src) {
-  return src == kAnySource ? std::string("any") : std::to_string(src);
-}
-inline std::string tag_name(int tag) {
-  return tag == kAnyTag ? std::string("any") : std::to_string(tag);
-}
-/// "rank R blocked on recv(ctx=C, src=S, tag=T)" — shared by the failure
+/// "rank R blocked on recv(src=S, tag=T)" — shared by the failure
 /// exceptions so a failing chaos seed is diagnosable from the text alone.
-inline std::string blocked_recv_string(int rank, int ctx, int src, int tag) {
-  return "rank " + std::to_string(rank) + " blocked on recv(ctx=" +
-         std::to_string(ctx) + ", src=" + source_name(src) +
-         ", tag=" + tag_name(tag) + ")";
+inline std::string blocked_recv_string(int rank, int src, int tag) {
+  return "rank " + std::to_string(rank) + " blocked on recv(src=" +
+         std::to_string(src) + ", tag=" + std::to_string(tag) + ")";
 }
 
 /// Thrown out of blocked operations when another rank aborted with an
@@ -53,9 +39,9 @@ inline std::string blocked_recv_string(int rank, int ctx, int src, int tag) {
 /// form names the unwound rank and the receive it was stuck in.
 struct JobAborted : std::runtime_error {
   JobAborted() : std::runtime_error("comm: job aborted by another rank") {}
-  JobAborted(int rank, int ctx, int src, int tag)
+  JobAborted(int rank, int src, int tag)
       : std::runtime_error("comm: job aborted by another rank; " +
-                           blocked_recv_string(rank, ctx, src, tag)) {}
+                           blocked_recv_string(rank, src, tag)) {}
 
  protected:
   explicit JobAborted(const std::string& what) : std::runtime_error(what) {}
@@ -75,11 +61,10 @@ struct RankFailed : JobAborted {
                    " failed (epoch " + std::to_string(job_epoch) + ")"),
         failed_rank(failed),
         epoch(job_epoch) {}
-  RankFailed(int failed, long long job_epoch, int rank, int ctx, int src,
-             int tag)
+  RankFailed(int failed, long long job_epoch, int rank, int src, int tag)
       : JobAborted("comm: rank " + std::to_string(failed) + " failed (epoch " +
                    std::to_string(job_epoch) + "); " +
-                   blocked_recv_string(rank, ctx, src, tag)),
+                   blocked_recv_string(rank, src, tag)),
         failed_rank(failed),
         epoch(job_epoch) {}
 };
@@ -87,18 +72,14 @@ struct RankFailed : JobAborted {
 /// Thrown out of a blocked operation that can provably never complete:
 /// every other rank has already exited its body, so no one is left to send.
 /// The usual cause is a collective called inside a rank-conditional block.
-/// The detailed form names the blocked rank and the stuck receive's
-/// (context, source, tag) so failing seeds can be diagnosed from the text.
+/// The text names the blocked rank and the stuck receive's (source, tag)
+/// so failing seeds can be diagnosed from it.
 struct DeadlockDetected : std::runtime_error {
-  DeadlockDetected()
-      : std::runtime_error(
-            "comm: blocked operation cannot complete - all other ranks have "
-            "exited (collective inside a rank-conditional block?)") {}
-  DeadlockDetected(int rank, int ctx, int src, int tag)
+  DeadlockDetected(int rank, int src, int tag)
       : std::runtime_error(
             "comm: blocked operation cannot complete - all other ranks have "
             "exited; " +
-            blocked_recv_string(rank, ctx, src, tag) +
+            blocked_recv_string(rank, src, tag) +
             " (collective inside a rank-conditional block?)") {}
 };
 
@@ -110,29 +91,11 @@ class JobControl {
   virtual bool aborted() const = 0;
   /// True when the calling rank is the only one still running.
   virtual bool last_rank_standing() const = 0;
-  /// Global rank identified as the failure's origin, or -1 while unknown
-  /// (abort seen but the failing rank has not been attributed yet).
+  /// Rank identified as the failure's origin, or -1 while unknown (abort
+  /// seen but the failing rank has not been attributed yet).
   virtual int failed_rank() const { return -1; }
   /// Epoch label the job was launched with (-1 outside recovery).
   virtual long long failure_epoch() const { return -1; }
 };
-
-/// Unwind a blocked operation on an aborted job with the most specific
-/// exception available: RankFailed once the origin is known, JobAborted
-/// otherwise. `rank` and the (ctx, src, tag) spec name the blocked receive.
-[[noreturn]] inline void throw_blocked_abort(const JobControl& job, int rank,
-                                             int ctx, int src, int tag) {
-  const int failed = job.failed_rank();
-  if (failed >= 0) {
-    throw RankFailed(failed, job.failure_epoch(), rank, ctx, src, tag);
-  }
-  throw JobAborted(rank, ctx, src, tag);
-}
-
-/// Does an envelope satisfy a posted receive's (ctx, src, tag) spec?
-inline bool matches(const Envelope& env, int ctx, int src, int tag) {
-  return env.ctx == ctx && (src == kAnySource || env.src == src) &&
-         (tag == kAnyTag || env.tag == tag);
-}
 
 }  // namespace cmtbone::comm

@@ -6,8 +6,6 @@
 
 namespace cmtbone::comm {
 
-class Mailbox;
-
 /// Completion status of a receive (MPI_Status analogue).
 struct Status {
   int source = -1;
@@ -15,24 +13,20 @@ struct Status {
   std::size_t bytes = 0;
 };
 
-/// Shared state behind a Request. For receives, the mailbox fills
-/// `status` and flips `done` under the mailbox mutex; waiters sleep on the
-/// mailbox condition variable.
+/// Shared state behind a Request. For receives, the poster's mailbox fills
+/// `status` and flips `done` under its mutex; waiters sleep on its
+/// condition variable.
 struct RequestState {
   bool done = false;
   bool is_recv = false;
 
   // Receive-side matching spec and destination buffer.
-  int ctx = 0;
   int src = 0;
   int tag = 0;
   void* buf = nullptr;
   std::size_t capacity = 0;
 
   Status status;
-
-  // Mailbox whose mutex/condvar guard this state (the poster's mailbox).
-  Mailbox* home = nullptr;
 };
 
 /// Value-semantic handle; copyable like MPI_Request. A default-constructed

@@ -1,7 +1,7 @@
 #pragma once
 // The Universe owns the shared state of one parallel "job": every rank's
-// mailbox, the communicator-context allocator, the abort flag, and the
-// (optional) trace recorder and chaos engine.
+// mailbox, the abort flag, and the (optional) trace recorder and chaos
+// engine.
 
 #include <atomic>
 #include <chrono>
@@ -22,20 +22,16 @@ class Universe : public JobControl {
       : boxes_(nranks), tracer_(tracer), chaos_(chaos), active_(nranks) {
     for (int r = 0; r < nranks; ++r) {
       boxes_[r] = std::make_unique<Mailbox>();
-      boxes_[r]->configure(r, chaos);
+      boxes_[r]->configure(r, this, chaos);
     }
   }
 
   int size() const { return int(boxes_.size()); }
 
-  Mailbox& mailbox(int global_rank) { return *boxes_.at(global_rank); }
+  Mailbox& mailbox(int rank) { return *boxes_.at(rank); }
 
   trace::Recorder* tracer() const { return tracer_; }
   chaos::ChaosEngine* chaos() const { return chaos_; }
-
-  /// Allocate a fresh communicator context id (collision-free by
-  /// construction). Context 0 is the world communicator.
-  int next_ctx() { return ctx_counter_.fetch_add(1); }
 
   void abort() { aborted_.store(true, std::memory_order_release); }
   bool aborted() const override {
@@ -96,7 +92,6 @@ class Universe : public JobControl {
   std::vector<std::unique_ptr<Mailbox>> boxes_;
   trace::Recorder* tracer_;
   chaos::ChaosEngine* chaos_;
-  std::atomic<int> ctx_counter_{1};
   std::atomic<bool> aborted_{false};
   std::atomic<int> failed_rank_{-1};
   std::atomic<long long> failed_at_ns_{0};

@@ -65,12 +65,6 @@ std::vector<std::size_t> block_starts(const std::vector<int>& counts) {
 
 }  // namespace
 
-std::size_t Topology::exchange_volume() const {
-  std::size_t v = 0;
-  for (const SharedId& s : shared) v += s.sharers.size();
-  return v;
-}
-
 Topology gs_setup(comm::Comm& comm, std::span<const long long> slot_ids) {
   const int p = comm.size();
   const int me = comm.rank();

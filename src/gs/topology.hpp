@@ -57,10 +57,6 @@ struct Topology {
   /// spans this whole space — every rank's redundant coefficients — which
   /// is what makes it "too expensive" in the paper's Fig. 7.
   long long total_global = 0;
-
-  /// Sum over shared ids of |sharers| on this rank — the rank's exchange
-  /// volume in values.
-  std::size_t exchange_volume() const;
 };
 
 /// Run discovery. Collective over `comm`. `slot_ids` carries one global id

@@ -6,15 +6,6 @@
 
 namespace cmtbone::mesh {
 
-const char* axis_map_name(AxisMapKind kind) {
-  switch (kind) {
-    case AxisMapKind::kUniform: return "uniform";
-    case AxisMapKind::kGeometric: return "geometric";
-    case AxisMapKind::kTanh: return "tanh";
-  }
-  return "?";
-}
-
 namespace {
 
 // The checks every map kind shares; the stretched kinds also check their

@@ -36,8 +36,6 @@ enum class AxisMapKind {
   kTanh,
 };
 
-const char* axis_map_name(AxisMapKind kind);
-
 /// One axis of the box geometry: a physical extent plus a monotone
 /// layer-index -> coordinate map. Every rank evaluates the same closed-form
 /// map, so the geometry is replicated-deterministic by construction.

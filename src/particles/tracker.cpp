@@ -44,19 +44,6 @@ void Tracker::seed_random(int count_per_rank, std::uint64_t seed) {
   }
 }
 
-void Tracker::seed_global(long long total, std::uint64_t seed) {
-  util::SplitMix64 rng(util::rank_seed(seed, /*rank=*/0));
-  particles_.clear();
-  for (long long i = 0; i < total; ++i) {
-    Particle p;
-    p.id = i;
-    p.x = rng.uniform(0.0, 1.0);
-    p.y = rng.uniform(0.0, 1.0);
-    p.z = rng.uniform(0.0, 1.0);
-    if (owns(p.x, p.y, p.z)) particles_.push_back(p);
-  }
-}
-
 void Tracker::adopt_global(std::span<const Particle> all) {
   particles_.clear();
   for (const Particle& p : all) {

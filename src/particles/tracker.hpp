@@ -48,13 +48,6 @@ class Tracker {
   /// Ids are globally unique and deterministic in (seed, rank).
   void seed_random(int count_per_rank, std::uint64_t seed);
 
-  /// Seed `total` particles uniformly in the unit domain: every rank runs
-  /// the identical RNG stream over all `total` particles and keeps the ones
-  /// its layout owns — so the global particle set (ids and positions) is
-  /// independent of the element layout, the property the balanced-vs-static
-  /// bit-identity tests rest on.
-  void seed_global(long long total, std::uint64_t seed);
-
   /// Replace the local set with the owned subset of a replicated global
   /// particle list (scenario generators build the full list identically on
   /// every rank).

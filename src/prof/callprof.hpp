@@ -26,15 +26,15 @@ namespace cmtbone::prof {
 /// call it mirrors.
 enum class CommOp : std::uint8_t {
   kSend, kIsend, kRecv, kIrecv, kSendrecv,
-  kWait, kWaitall, kWaitany, kTest, kProbe, kIprobe,
+  kWait, kWaitall,
   kBarrier, kBcast, kReduce, kAllreduce, kGather, kGatherv,
-  kAllgather, kAllgatherv, kAlltoallv, kScan, kCommSplit,
+  kAllgather, kAllgatherv, kAlltoallv, kScan,
 };
-inline constexpr std::size_t kCommOpCount = std::size_t(CommOp::kCommSplit) + 1;
+inline constexpr std::size_t kCommOpCount = std::size_t(CommOp::kScan) + 1;
 
 /// What the trace recorder logs for an operation.
 enum class TraceRole : std::uint8_t {
-  kNone,            // posts and probes: nothing
+  kNone,            // posts: nothing
   kSend,            // one send to the operation's peer
   kRecvCompletion,  // each receive the call completed
   kSendRecv,        // a send, then the receive the call completed
@@ -54,10 +54,6 @@ inline constexpr std::array<CommOpInfo, kCommOpCount> kCommOps = {{
     {"MPI_Sendrecv", TraceRole::kSendRecv},
     {"MPI_Wait", TraceRole::kRecvCompletion},
     {"MPI_Waitall", TraceRole::kRecvCompletion},
-    {"MPI_Waitany", TraceRole::kRecvCompletion},
-    {"MPI_Test", TraceRole::kRecvCompletion},
-    {"MPI_Probe", TraceRole::kNone},
-    {"MPI_Iprobe", TraceRole::kNone},
     {"MPI_Barrier", TraceRole::kCollective},
     {"MPI_Bcast", TraceRole::kCollective},
     {"MPI_Reduce", TraceRole::kCollective},
@@ -68,7 +64,6 @@ inline constexpr std::array<CommOpInfo, kCommOpCount> kCommOps = {{
     {"MPI_Allgatherv", TraceRole::kCollective},
     {"MPI_Alltoallv", TraceRole::kCollective},
     {"MPI_Scan", TraceRole::kCollective},
-    {"MPI_Comm_split", TraceRole::kCollective},
 }};
 static_assert(kCommOps.back().name != nullptr, "one kCommOps entry per op");
 

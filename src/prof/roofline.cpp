@@ -80,10 +80,4 @@ double percent_of_peak(const Machine& m, double measured_gflops) {
   return m.peak_gflops > 0.0 ? 100.0 * measured_gflops / m.peak_gflops : 0.0;
 }
 
-double percent_of_attainable(const Machine& m, double measured_gflops,
-                             double flops_per_byte) {
-  const double roof = attainable_gflops(m, flops_per_byte);
-  return roof > 0.0 ? 100.0 * measured_gflops / roof : 0.0;
-}
-
 }  // namespace cmtbone::prof

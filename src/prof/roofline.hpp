@@ -42,10 +42,6 @@ double attainable_gflops(const Machine& m, double flops_per_byte);
 /// measured/peak in percent (compute roof).
 double percent_of_peak(const Machine& m, double measured_gflops);
 
-/// measured/attainable in percent (intensity-aware roof).
-double percent_of_attainable(const Machine& m, double measured_gflops,
-                             double flops_per_byte);
-
 inline constexpr const char* kPeakEnvVar = "CMTBONE_PEAK_GFLOPS";
 inline constexpr const char* kBandwidthEnvVar = "CMTBONE_MEM_GBS";
 

@@ -110,8 +110,7 @@ RecoveryReport run_with_recovery(int nranks, const core::Config& config,
               // step s never contributes to epoch s, so recovery must come
               // from an older epoch — the adversarial ordering.
               if (options.chaos != nullptr) {
-                options.chaos->on_step(world.global_rank(world.rank()),
-                                       d.steps_taken());
+                options.chaos->on_step(world.rank(), d.steps_taken());
               }
               const long long epoch = coordinator.maybe_checkpoint(d);
               if (epoch >= 0 && world.rank() == 0) {

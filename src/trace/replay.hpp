@@ -43,9 +43,8 @@ struct ReplayResult {
 /// collective or ranks naming different collectives at one rendezvous).
 /// An empty trace replays to an all-zero result.
 ///
-/// Limitation: collectives are modeled as world-communicator rendezvous;
-/// traces from jobs that run collectives on split communicators are not
-/// replayable (the mini-apps here only use world collectives).
+/// Collectives are modeled as rendezvous of every rank, as the runtime
+/// has one communicator.
 ReplayResult replay(const Trace& trace, const ReplayConfig& config);
 
 /// Analytic cost charged for one whole-communicator collective during

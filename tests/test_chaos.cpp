@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "chaos/chaos.hpp"
 #include "chaos_workloads.hpp"
@@ -64,17 +65,21 @@ TEST(Chaos, ForSeedZeroIsQuiescent) {
 TEST(Chaos, HeavyHoldsPreservePerSourceTagOrder) {
   // Hold 90% of messages for multiple ticks: deliveries are massively
   // reordered across streams, but within one (source, tag) stream order
-  // must survive, and every message must eventually arrive.
+  // must survive, and every message must eventually arrive. Holds of up to
+  // 12 ticks expire while the receiver works; holds longer than the whole
+  // run are still in place when the senders exit, so a blocked recv (wait)
+  // and a blocked recv_vector (probe) must both flush the held queue
+  // before any deadlock verdict.
   ChaosPolicy policy;
   policy.seed = 42;
   policy.hold_probability = 0.9;
-  policy.max_hold_ticks = 12;
   policy.delay_probability = 0.2;
   policy.max_delay_us = 30;
 
   constexpr int kMsgs = 20;
   constexpr int kTag = 7;
-  run_with_policy(policy, 3, [&](Comm& world) {
+  bool dynamic = false;
+  auto body = [&](Comm& world) {
     if (world.rank() < 2) {
       for (int i = 0; i < kMsgs; ++i) {
         long long v = world.rank() * 1000 + i;
@@ -82,19 +87,31 @@ TEST(Chaos, HeavyHoldsPreservePerSourceTagOrder) {
       }
       return;
     }
-    int next[2] = {0, 0};
+    // Alternate between the two sources' streams.
     for (int n = 0; n < 2 * kMsgs; ++n) {
+      const int src = n % 2;
       long long v = -1;
-      auto s = world.recv(std::span<long long>(&v, 1),
-                          cmtbone::comm::kAnySource, kTag);
-      ASSERT_TRUE(s.source == 0 || s.source == 1);
-      EXPECT_EQ(v, s.source * 1000 + next[s.source])
-          << "stream (" << s.source << ", tag " << kTag << ") reordered";
-      ++next[s.source];
+      if (dynamic) {
+        const std::vector<long long> got =
+            world.recv_vector<long long>(src, kTag);
+        ASSERT_EQ(got.size(), 1u);
+        v = got[0];
+      } else {
+        world.recv(std::span<long long>(&v, 1), src, kTag);
+      }
+      EXPECT_EQ(v, src * 1000 + n / 2)
+          << "stream (" << src << ", tag " << kTag << ") reordered";
     }
-    EXPECT_EQ(next[0], kMsgs);
-    EXPECT_EQ(next[1], kMsgs);
-  });
+  };
+  for (int max_hold_ticks : {12, 1 << 30}) {
+    for (bool use_recv_vector : {false, true}) {
+      SCOPED_TRACE(std::string(use_recv_vector ? "recv_vector" : "recv") +
+                   ", max_hold_ticks " + std::to_string(max_hold_ticks));
+      policy.max_hold_ticks = max_hold_ticks;
+      dynamic = use_recv_vector;
+      EXPECT_NO_THROW(run_with_policy(policy, 3, body));
+    }
+  }
 }
 
 // ---- forced abort -----------------------------------------------------------
@@ -149,19 +166,26 @@ TEST(Chaos, AllWorkloadsPassAFewSeeds) {
 // ---- diagnosable failure text ----------------------------------------------
 
 TEST(Chaos, DeadlockMessageNamesRankSourceAndTag) {
-  try {
-    cmtbone::comm::run(2, [](Comm& world) {
-      if (world.rank() == 0) {
-        long long v = 0;
-        world.recv(std::span<long long>(&v, 1), 1, 5);  // never sent
-      }
-    });
-    FAIL() << "expected DeadlockDetected";
-  } catch (const DeadlockDetected& e) {
-    std::string what = e.what();
-    EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
-    EXPECT_NE(what.find("src=1"), std::string::npos) << what;
-    EXPECT_NE(what.find("tag=5"), std::string::npos) << what;
+  // Both blocking calls: recv (wait) and recv_vector (probe).
+  for (bool dynamic : {false, true}) {
+    SCOPED_TRACE(dynamic ? "recv_vector" : "recv");
+    try {
+      cmtbone::comm::run(2, [&](Comm& world) {
+        if (world.rank() != 0) return;
+        if (dynamic) {
+          (void)world.recv_vector<long long>(1, 5);  // never sent
+        } else {
+          long long v = 0;
+          world.recv(std::span<long long>(&v, 1), 1, 5);  // never sent
+        }
+      });
+      ADD_FAILURE() << "expected DeadlockDetected";
+    } catch (const DeadlockDetected& e) {
+      std::string what = e.what();
+      EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+      EXPECT_NE(what.find("src=1"), std::string::npos) << what;
+      EXPECT_NE(what.find("tag=5"), std::string::npos) << what;
+    }
   }
 }
 

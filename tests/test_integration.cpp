@@ -135,40 +135,6 @@ TEST(Integration, DriverAndNekboneShareOneJob) {
   });
 }
 
-TEST(Integration, SplitCommunicatorsRunIndependentSolvers) {
-  // Two halves of the job run two independent problems concurrently on
-  // split communicators; results must match the same problems run alone.
-  std::vector<double> alone(2, 0.0);
-  for (int half = 0; half < 2; ++half) {
-    cmtbone::comm::run(2, [&](Comm& world) {
-      Config cfg;
-      cfg.n = 4 + half;
-      cfg.ex = cfg.ey = cfg.ez = 2;
-      cfg.fixed_dt = 1e-3;
-      Driver driver(world, cfg);
-      driver.initialize(driver.default_ic());
-      driver.run(3);
-      double norm = driver.l2_norm(0);
-      if (world.rank() == 0) alone[half] = norm;
-    });
-  }
-  cmtbone::comm::run(4, [&](Comm& world) {
-    int half = world.rank() / 2;
-    Comm sub = world.split(half, world.rank());
-    Config cfg;
-    cfg.n = 4 + half;
-    cfg.ex = cfg.ey = cfg.ez = 2;
-    cfg.fixed_dt = 1e-3;
-    Driver driver(sub, cfg);
-    driver.initialize(driver.default_ic());
-    driver.run(3);
-    double norm = driver.l2_norm(0);
-    if (sub.rank() == 0) {
-      EXPECT_NEAR(norm, alone[half], 1e-12 * std::max(1.0, alone[half]));
-    }
-  });
-}
-
 TEST(Integration, NekboneSolutionFeedsDriverInitialCondition) {
   // Use a Nekbone CG solution as the driver's initial condition — the
   // cross-library data path a coupled application would use.

@@ -351,49 +351,58 @@ TEST_F(ResilienceTest, RestoreReturnsMinusOneWithNoCheckpoints) {
 // ---- failure detection: survivors see RankFailed, not DeadlockDetected -----
 
 TEST(FailureDetection, SurvivorsObserveRankFailedWithEpochAcrossSeeds) {
-  for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
-    ChaosEngine engine(ChaosPolicy::for_seed(seed, 3), 3);
-    cmtbone::prof::RecoveryStats stats;
-    cmtbone::comm::RunOptions options;
-    options.chaos = &engine;
-    options.recovery = &stats;
-    options.epoch = 7;
+  // Survivors block in either blocking call: recv (wait) or recv_vector
+  // (probe).
+  for (bool dynamic : {false, true}) {
+    for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+      SCOPED_TRACE(dynamic ? "recv_vector" : "recv");
+      ChaosEngine engine(ChaosPolicy::for_seed(seed, 3), 3);
+      cmtbone::prof::RecoveryStats stats;
+      cmtbone::comm::RunOptions options;
+      options.chaos = &engine;
+      options.recovery = &stats;
+      options.epoch = 7;
 
-    std::atomic<int> rank_failed_seen{0};
-    std::atomic<int> wrong_exception{0};
-    try {
-      cmtbone::comm::run(
-          3,
-          [&](Comm& world) {
-            if (world.rank() == 1) {
-              throw std::runtime_error("injected user failure");
-            }
-            try {
-              // Blocks forever: rank 1 never sends. Without failure
-              // propagation this would trip the deadlock detector.
-              long long v = 0;
-              world.recv(std::span<long long>(&v, 1), 1, 5);
-            } catch (const RankFailed& e) {
-              EXPECT_EQ(e.failed_rank, 1);
-              EXPECT_EQ(e.epoch, 7);
-              rank_failed_seen.fetch_add(1);
-              throw;
-            } catch (const DeadlockDetected&) {
-              wrong_exception.fetch_add(1);
-              throw;
-            }
-          },
-          options);
-      FAIL() << "the origin's exception must be rethrown";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("injected user failure"),
-                std::string::npos);
+      std::atomic<int> rank_failed_seen{0};
+      std::atomic<int> wrong_exception{0};
+      try {
+        cmtbone::comm::run(
+            3,
+            [&](Comm& world) {
+              if (world.rank() == 1) {
+                throw std::runtime_error("injected user failure");
+              }
+              try {
+                // Blocks forever: rank 1 never sends. Without failure
+                // propagation this would trip the deadlock detector.
+                if (dynamic) {
+                  (void)world.recv_vector<long long>(1, 5);
+                } else {
+                  long long v = 0;
+                  world.recv(std::span<long long>(&v, 1), 1, 5);
+                }
+              } catch (const RankFailed& e) {
+                EXPECT_EQ(e.failed_rank, 1);
+                EXPECT_EQ(e.epoch, 7);
+                rank_failed_seen.fetch_add(1);
+                throw;
+              } catch (const DeadlockDetected&) {
+                wrong_exception.fetch_add(1);
+                throw;
+              }
+            },
+            options);
+        FAIL() << "the origin's exception must be rethrown";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("injected user failure"),
+                  std::string::npos);
+      }
+      EXPECT_EQ(rank_failed_seen.load(), 2) << "seed " << seed;
+      EXPECT_EQ(wrong_exception.load(), 0) << "seed " << seed;
+      EXPECT_EQ(stats.detections, 2) << "seed " << seed;
+      EXPECT_GE(stats.detection_seconds_max, 0.0);
+      EXPECT_GE(stats.detection_seconds_sum, 0.0);
     }
-    EXPECT_EQ(rank_failed_seen.load(), 2) << "seed " << seed;
-    EXPECT_EQ(wrong_exception.load(), 0) << "seed " << seed;
-    EXPECT_EQ(stats.detections, 2) << "seed " << seed;
-    EXPECT_GE(stats.detection_seconds_max, 0.0);
-    EXPECT_GE(stats.detection_seconds_sum, 0.0);
   }
 }
 

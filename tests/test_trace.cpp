@@ -338,39 +338,6 @@ TEST(Recording, CapturesP2PAndCollectives) {
   EXPECT_GT(trace.recorded_makespan(), 0.0);
 }
 
-TEST(Recording, ReceiveCompletedByTestIsTraced) {
-  // A receive that test() completes is as much a receive as one that
-  // wait() completes: the trace must log it on the receiving rank.
-  Recorder recorder(2);
-  cmtbone::comm::RunOptions opts;
-  opts.tracer = &recorder;
-  cmtbone::comm::run(2, [](Comm& world) {
-    if (world.rank() == 0) {
-      double x = 2.5;
-      world.send(std::span<const double>(&x, 1), 1, 7);
-    } else {
-      double x = 0;
-      cmtbone::comm::Request req =
-          world.irecv(std::span<double>(&x, 1), 0, 7);
-      while (!world.test(req)) {
-      }
-      EXPECT_EQ(x, 2.5);
-    }
-  }, opts);
-
-  Trace trace = recorder.take();
-  ASSERT_EQ(trace.nranks(), 2);
-  ASSERT_EQ(trace.ranks[0].size(), 1u);
-  EXPECT_EQ(trace.ranks[0][0].kind, EventKind::kSend);
-  ASSERT_EQ(trace.ranks[1].size(), 1u);
-  const Event& e = trace.ranks[1][0];
-  EXPECT_EQ(e.kind, EventKind::kRecv);
-  EXPECT_EQ(e.peer, 0);
-  EXPECT_EQ(e.tag, 7);
-  EXPECT_EQ(e.bytes, 8);
-  EXPECT_LE(e.t_start, e.t_end);
-}
-
 TEST(Recording, UndersizedRecorderIsRejected) {
   // Each rank writes its own slot of the recorder; a recorder with fewer
   // slots than the job has ranks is refused before any rank starts.

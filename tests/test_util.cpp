@@ -1,4 +1,4 @@
-// Utilities: aligned buffers, CLI parsing, RNG, tensor views, tables.
+// Utilities: byte copies, CLI parsing, RNG, tables.
 
 #include <gtest/gtest.h>
 
@@ -6,45 +6,15 @@
 #include <set>
 #include <vector>
 
-#include "util/aligned.hpp"
 #include "util/bytes.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/tensor.hpp"
 
 namespace {
 
-using cmtbone::util::AlignedBuffer;
 using cmtbone::util::Cli;
 using cmtbone::util::SplitMix64;
-
-TEST(AlignedBuffer, AlignmentAndZeroInit) {
-  AlignedBuffer<double> buf(37);
-  EXPECT_EQ(buf.size(), 37u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) % 64, 0u);
-  for (double v : buf) EXPECT_EQ(v, 0.0);
-}
-
-TEST(AlignedBuffer, CopyAndMoveSemantics) {
-  AlignedBuffer<int> a(5);
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = int(i) * 3;
-  AlignedBuffer<int> b = a;  // copy
-  EXPECT_EQ(b[4], 12);
-  b[4] = 99;
-  EXPECT_EQ(a[4], 12);  // deep copy
-  AlignedBuffer<int> c = std::move(a);
-  EXPECT_EQ(c[4], 12);
-  EXPECT_EQ(a.size(), 0u);  // NOLINT: moved-from is empty by contract
-}
-
-TEST(AlignedBuffer, ResetReallocatesZeroed) {
-  AlignedBuffer<double> buf(4);
-  buf.fill(7.0);
-  buf.reset(10);
-  EXPECT_EQ(buf.size(), 10u);
-  for (double v : buf) EXPECT_EQ(v, 0.0);
-}
 
 TEST(CopyBytes, CopiesAndToleratesNullWithZeroLength) {
   // The degenerate-topology shape: an empty std::vector's data() may be
@@ -117,26 +87,6 @@ TEST(Rng, RankSeedsDistinct) {
     seeds.insert(cmtbone::util::rank_seed(1, r));
   }
   EXPECT_EQ(seeds.size(), 256u);
-}
-
-TEST(TensorView, ColumnMajorIndexing) {
-  const int n = 3;
-  std::vector<double> data(n * n * n * 2);
-  for (std::size_t i = 0; i < data.size(); ++i) data[i] = double(i);
-  cmtbone::util::FieldView<double> field(data.data(), n, 2);
-  EXPECT_EQ(field(1, 0, 0, 0), 1.0);
-  EXPECT_EQ(field(0, 1, 0, 0), 3.0);
-  EXPECT_EQ(field(0, 0, 1, 0), 9.0);
-  EXPECT_EQ(field(0, 0, 0, 1), 27.0);
-  EXPECT_EQ(field.element(1).n(), n);
-}
-
-TEST(TensorView, MatrixViewIndexing) {
-  std::vector<double> m = {1, 2, 3, 4};  // column-major 2x2
-  cmtbone::util::MatrixView<double> view(m.data(), 2);
-  EXPECT_EQ(view(0, 0), 1);
-  EXPECT_EQ(view(1, 0), 2);
-  EXPECT_EQ(view(0, 1), 3);
 }
 
 TEST(Table, FormatsAlignedColumns) {
