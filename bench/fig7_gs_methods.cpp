@@ -15,8 +15,8 @@
 #include "bench_common.hpp"
 #include "comm/runtime.hpp"
 #include "gs/gather_scatter.hpp"
+#include "mesh/layout.hpp"
 #include "mesh/numbering.hpp"
-#include "mesh/partition.hpp"
 #include "nekbone/nekbone.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -34,8 +34,8 @@ struct Setup {
 std::vector<gs::GatherScatter::TuneRow> tune_for(const Setup& setup) {
   std::vector<gs::GatherScatter::TuneRow> rows;
   comm::run(setup.ranks, [&](comm::Comm& world) {
-    mesh::Partition part(setup.spec, world.rank());
-    auto ids = mesh::global_gll_ids(part);
+    auto ids = mesh::global_gll_ids(
+        mesh::ElementLayout::block(setup.spec, world.rank()));
     gs::GatherScatter handle(world, ids, gs::Method::kAuto);
     if (world.rank() == 0) rows = handle.tuning();
   });

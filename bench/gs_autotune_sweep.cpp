@@ -12,8 +12,8 @@
 
 #include "comm/runtime.hpp"
 #include "gs/gather_scatter.hpp"
+#include "mesh/layout.hpp"
 #include "mesh/numbering.hpp"
-#include "mesh/partition.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
     std::vector<gs::GatherScatter::TuneRow> rows;
     gs::Method winner = gs::Method::kPairwise;
     comm::run(p, [&](comm::Comm& world) {
-      mesh::Partition part(spec, world.rank());
-      auto ids = mesh::global_gll_ids(part);
+      auto ids = mesh::global_gll_ids(
+          mesh::ElementLayout::block(spec, world.rank()));
       gs::GatherScatter handle(world, ids, gs::Method::kAuto);
       if (world.rank() == 0) {
         rows = handle.tuning();

@@ -26,8 +26,8 @@
 #include "comm/runtime.hpp"
 #include "core/driver.hpp"
 #include "gs/gather_scatter.hpp"
+#include "mesh/layout.hpp"
 #include "mesh/numbering.hpp"
-#include "mesh/partition.hpp"
 #include "netmodel/calibrate.hpp"
 #include "prof/timer.hpp"
 #include "trace/extrapolate.hpp"
@@ -106,8 +106,8 @@ int main(int argc, char** argv) {
   std::vector<gs::GatherScatter::TuneRow> measured;
   comm::run(ranks, [&](comm::Comm& world) {
     netmodel::LogGPParams params = netmodel::calibrate(world);
-    mesh::Partition part(spec, world.rank());
-    auto ids = mesh::global_gll_ids(part);
+    auto ids = mesh::global_gll_ids(
+        mesh::ElementLayout::block(spec, world.rank()));
     gs::GatherScatter handle(world, ids, gs::Method::kPairwise);
     handle.tune(/*repetitions=*/10);
     if (world.rank() == 0) {

@@ -14,14 +14,21 @@
 // receives through recv_vector, so these rows also run the mailbox's
 // probe. A chaos row's digest pins every hold and hook decision, and the
 // tool exits 1 when a chaos row's state hash differs from the same
-// configuration run without chaos. Each configuration runs a few steps
+// configuration run without chaos. Finally, rebalanced layouts: proxy x
+// ranks {2, 3} x overlap x face backend, ordered gs with coupled particles,
+// a clustered particle cloud adopted after initialization and a rebalance
+// after every step, so face plans, ids and element classes are rebuilt on
+// non-block layouts. These rows print "<name> <hash> moves=<n>", and the
+// tool exits 1 when a balanced row moved no element or its hash differs
+// from the same run without balancing. Each configuration runs a few steps
 // from the default initial condition. The tool uses only public Driver,
-// RunOptions and ChaosEngine API, so the same file builds against older
-// trees: bench/bits_vs_base.sh builds it at HEAD and at a base commit and
-// fails on any differing line, which is how a refactor shows that it keeps
-// every bit and every chaos schedule.
+// Tracker, balance scenario, RunOptions and ChaosEngine API, so the same
+// file builds against older trees: bench/bits_vs_base.sh builds it at HEAD
+// and at a base commit and fails on any differing line, which is how a
+// refactor shows that it keeps every bit, every chaos schedule and every
+// migration.
 //
-//   state_hashes            # prints 182 lines
+//   state_hashes            # prints 190 lines
 
 #include <cinttypes>
 #include <cstdint>
@@ -30,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "balance/scenarios.hpp"
 #include "chaos/chaos.hpp"
 #include "comm/runtime.hpp"
 #include "core/driver.hpp"
@@ -51,16 +59,23 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t h) {
 }
 
 // Runs `cfg` on `ranks` ranks, under `chaos` when given, and hashes every
-// field's global state.
-std::uint64_t final_state_hash(int ranks, const core::Config& cfg,
-                               chaos::ChaosEngine* chaos = nullptr) {
+// field's global state. With a `cloud`, every rank adopts it after
+// initialization; `moves` receives the elements the run migrated.
+std::uint64_t final_state_hash(
+    int ranks, const core::Config& cfg, chaos::ChaosEngine* chaos = nullptr,
+    const std::vector<particles::Particle>* cloud = nullptr,
+    long long* moves = nullptr) {
   std::uint64_t hash = 0;
   comm::RunOptions options;
   options.chaos = chaos;
   comm::run(ranks, [&](comm::Comm& world) {
     core::Driver driver(world, cfg);
     driver.initialize(driver.default_ic());
+    if (cloud != nullptr) driver.tracker()->adopt_global(*cloud);
     driver.run(kSteps);
+    if (moves != nullptr && world.rank() == 0) {
+      *moves = driver.rebalance_moves();
+    }
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (int f = 0; f < driver.nfields(); ++f) {
       const std::vector<double> global = driver.gather_global_field(f);
@@ -199,11 +214,47 @@ int main(int argc, char** argv) {
       }
     }
   }
+  // Rebalanced layouts against the same runs on the static block layout.
+  balance::ClusterSpec cluster;
+  cluster.count = 600;
+  const std::vector<particles::Particle> cloud =
+      balance::clustered_cloud(cluster);
+  bool balance_failed = false;
+  for (int ranks = 2; ranks <= 3; ++ranks) {
+    for (bool overlap : {false, true}) {
+      for (core::FaceBackend fb : backends) {
+        core::Config c = base_config();
+        c.physics = core::Physics::kProxyAdvection;
+        c.overlap = overlap;
+        c.face_backend = fb;
+        c.particles_per_rank = 8;
+        c.particle_coupling = 0.01;
+        c.ordered_gs = true;
+        const std::uint64_t fixed = final_state_hash(ranks, c, nullptr, &cloud);
+        c.balance_interval = 1;
+        c.balance_max_moves = 4;
+        c.balance_cost_mode = balance::CostMode::kParticleCount;
+        long long moves = 0;
+        const std::uint64_t h =
+            final_state_hash(ranks, c, nullptr, &cloud, &moves);
+        std::printf("%s/r%d%s/%s/balanced %016" PRIx64 " moves=%lld\n",
+                    core::physics_name(c.physics), ranks,
+                    overlap ? "/overlap" : "/blocking",
+                    core::face_backend_name(fb), h, moves);
+        std::fflush(stdout);
+        balance_failed = balance_failed || h != fixed || moves == 0;
+      }
+    }
+  }
   if (chaos_moved_bits) {
     std::fprintf(stderr,
                  "state_hashes: a chaos row's final state differs from its "
                  "chaos-free run\n");
-    return 1;
   }
-  return 0;
+  if (balance_failed) {
+    std::fprintf(stderr,
+                 "state_hashes: a balanced row moved no element or its final "
+                 "state differs from the static-layout run\n");
+  }
+  return chaos_moved_bits || balance_failed ? 1 : 0;
 }

@@ -12,8 +12,8 @@
 
 #include "comm/runtime.hpp"
 #include "gs/gather_scatter.hpp"
+#include "mesh/layout.hpp"
 #include "mesh/numbering.hpp"
-#include "mesh/partition.hpp"
 #include "netmodel/loggp.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
   gs::Method chosen = gs::Method::kPairwise;
   netmodel::ExchangeShape shape;
   comm::run(ranks, [&](comm::Comm& world) {
-    mesh::Partition part(spec, world.rank());
-    auto ids = mesh::global_gll_ids(part);
+    auto ids = mesh::global_gll_ids(
+        mesh::ElementLayout::block(spec, world.rank()));
     gs::GatherScatter gs_handle(world, ids, gs::Method::kAuto);
     if (world.rank() == 0) {
       tuning = gs_handle.tuning();

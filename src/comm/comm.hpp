@@ -4,8 +4,8 @@
 // Mirrors the slice of MPI that CMT-bone's programs call, on one
 // communicator: tagged point-to-point (blocking and nonblocking) that names
 // its partner and tag exactly, wait/waitall, a dynamic-size receive
-// (probe + sized receive), and the collectives (barrier, bcast, reduce,
-// allreduce, gather, allgather, alltoall(v), scan). Collectives are
+// (probe + sized receive), and the collectives (barrier, bcast,
+// allreduce, gather(v), allgather(v), alltoallv, scan). Collectives are
 // implemented *algorithmically over point-to-point* (binomial trees,
 // dissemination barrier, posted-all alltoallv) rather than via shared
 // memory, so the message structure a real MPI job would exhibit — counts,
@@ -127,11 +127,6 @@ class Comm {
     bcast_bytes(data.data(), data.size_bytes(), root);
   }
 
-  /// In-place elementwise reduction to `root`; other ranks' buffers are
-  /// unchanged on exit (their contributions were consumed).
-  template <class T>
-  void reduce(std::span<T> data, ReduceOp op, int root);
-
   /// In-place elementwise allreduce.
   template <class T>
   void allreduce(std::span<T> data, ReduceOp op);
@@ -160,11 +155,6 @@ class Comm {
   template <class T>
   std::vector<T> allgatherv(std::span<const T> mine,
                             std::vector<int>* counts = nullptr);
-
-  /// Personalized all-to-all with equal counts: element block i of `send`
-  /// goes to rank i; returns the blocks received, concatenated by source.
-  template <class T>
-  std::vector<T> alltoall(std::span<const T> send, int count_per_rank);
 
   /// Personalized all-to-all with per-destination counts. `send_counts[i]`
   /// elements (taken in order from `send`) go to rank i. Fills `recv_counts`
@@ -244,14 +234,6 @@ void Comm::reduce_tree(std::span<T> data, ReduceOp op, int root, int tag) {
     }
     mask <<= 1;
   }
-}
-
-template <class T>
-void Comm::reduce(std::span<T> data, ReduceOp op, int root) {
-  prof::WallTimer t;
-  int tag = next_coll_tag();
-  reduce_tree(data, op, root, tag);
-  record(prof::CommOp::kReduce, t.seconds(), (long long)(data.size_bytes()));
 }
 
 template <class T>
@@ -361,12 +343,6 @@ std::vector<T> Comm::allgatherv(std::span<const T> mine,
   record(prof::CommOp::kAllgatherv, t.seconds(),
          (long long)(mine.size_bytes()));
   return all;
-}
-
-template <class T>
-std::vector<T> Comm::alltoall(std::span<const T> send, int count_per_rank) {
-  std::vector<int> counts(size(), count_per_rank);
-  return alltoallv(send, counts);
 }
 
 template <class T>

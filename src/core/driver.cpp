@@ -92,38 +92,13 @@ int integrator_order(TimeIntegrator t) {
   return 0;
 }
 
-namespace {
-mesh::BoxSpec make_spec(const Config& cfg, int nranks) {
-  mesh::BoxSpec spec;
-  spec.n = cfg.n;
-  spec.ex = cfg.ex;
-  spec.ey = cfg.ey;
-  spec.ez = cfg.ez;
-  spec.periodic = cfg.periodic;
-  if (cfg.px > 0) {
-    spec.px = cfg.px;
-    spec.py = cfg.py;
-    spec.pz = cfg.pz;
-  } else {
-    auto grid = mesh::BoxSpec::default_proc_grid(nranks);
-    spec.px = grid[0];
-    spec.py = grid[1];
-    spec.pz = grid[2];
-  }
-  if (spec.nranks() != nranks) {
-    throw std::invalid_argument(
-        "Driver: processor grid does not match communicator size");
-  }
-  spec.validate();
-  return spec;
-}
-}  // namespace
-
 Driver::Driver(comm::Comm& comm, const Config& config)
     : comm_(&comm),
       config_(config),
       system_(make_system(config)),
-      spec_(make_spec(config, comm.size())),
+      spec_(mesh::make_box_spec(config.n, {config.ex, config.ey, config.ez},
+                                {config.px, config.py, config.pz},
+                                config.periodic, comm.size())),
       part_(spec_, comm.rank()),
       layout_(mesh::ElementLayout::block(spec_, comm.rank())),
       ops_(sem::Operators::build(config.n)),
@@ -136,19 +111,14 @@ Driver::Driver(comm::Comm& comm, const Config& config)
   cm.mode = config_.balance_cost_mode;
   cost_model_ = balance::CostModel(cm);
 
-  // Per-axis geometry. Uniform maps keep the historical constant-extent
-  // fast path (h_ only); stretched maps additionally tabulate per-slab
-  // widths and left edges. Every map, uniform or not, goes through
-  // axis_breakpoints, which rejects a bad length or parameter.
+  // Per-axis geometry: the width and left edge of every global slab. A
+  // uniform map's widths are exactly length / count (mesh::axis_widths).
+  // axis_breakpoints rejects a bad length or map parameter.
   uniform_mesh_ = config_.uniform_mesh();
-  h_ = {config_.mesh_map[0].length / spec_.ex,
-        config_.mesh_map[1].length / spec_.ey,
-        config_.mesh_map[2].length / spec_.ez};
   const int counts[3] = {spec_.ex, spec_.ey, spec_.ez};
   for (int axis = 0; axis < 3; ++axis) {
     std::vector<double> bp =
         mesh::axis_breakpoints(config_.mesh_map[axis], counts[axis]);
-    if (uniform_mesh_) continue;
     widths_[axis] = mesh::axis_widths(config_.mesh_map[axis], counts[axis]);
     bp.pop_back();
     offsets_[axis] = std::move(bp);
@@ -173,9 +143,6 @@ Driver::Driver(comm::Comm& comm, const Config& config)
 void Driver::rebuild_topology() {
   const bool ordered = ordered_gs_enabled();
 
-  // For the block layout the generalized plans coincide exactly with the
-  // static Partition plans, so this path is bit-identical to the historical
-  // Partition-based construction.
   exchange_ = std::make_unique<mesh::FaceExchange>(*comm_, layout_);
   exchange_->set_threads(threads_);
 
@@ -209,17 +176,13 @@ void Driver::rebuild_topology() {
     late_elems_ = all_elems_;
   }
 
-  // Per-local-element extents under a stretched map (layout-dependent, so
-  // rebuilt here). Uniform meshes keep elem_h_ empty and read h_.
-  elem_h_.clear();
-  if (!uniform_mesh_) {
-    elem_h_.resize(std::size_t(nel));
-    for (int e = 0; e < nel; ++e) {
-      const auto g = layout_.global_coords(e);
-      elem_h_[std::size_t(e)] = {widths_[0][std::size_t(g[0])],
-                                 widths_[1][std::size_t(g[1])],
-                                 widths_[2][std::size_t(g[2])]};
-    }
+  // Per-local-element extents (layout-dependent, so rebuilt here).
+  elem_h_.resize(std::size_t(nel));
+  for (int e = 0; e < nel; ++e) {
+    const auto g = layout_.global_coords(e);
+    elem_h_[std::size_t(e)] = {widths_[0][std::size_t(g[0])],
+                               widths_[1][std::size_t(g[1])],
+                               widths_[2][std::size_t(g[2])]};
   }
 
   // u_ carries state across a rebalance: migrate_fields() resized it to the
@@ -275,12 +238,15 @@ void Driver::rebuild_topology() {
 std::array<double, 3> Driver::node_coords(int e, int i, int j, int k) const {
   auto g = layout_.global_coords(e);
   const std::vector<double>& r = ops_.rule.nodes;
-  if (uniform_mesh_) {
-    return {(g[0] + 0.5 * (r[i] + 1.0)) * h_[0],
-            (g[1] + 0.5 * (r[j] + 1.0)) * h_[1],
-            (g[2] + 0.5 * (r[k] + 1.0)) * h_[2]};
-  }
   const std::array<double, 3>& eh = elem_h_[std::size_t(e)];
+  // Two formulas on purpose: on a uniform mesh (g + (r+1)/2) * h rounds
+  // differently from offset + (r+1)/2 * h, and every uniform initial
+  // condition (hence every uniform result bit) is built on the former.
+  if (uniform_mesh_) {
+    return {(g[0] + 0.5 * (r[i] + 1.0)) * eh[0],
+            (g[1] + 0.5 * (r[j] + 1.0)) * eh[1],
+            (g[2] + 0.5 * (r[k] + 1.0)) * eh[2]};
+  }
   return {offsets_[0][std::size_t(g[0])] + 0.5 * (r[i] + 1.0) * eh[0],
           offsets_[1][std::size_t(g[1])] + 0.5 * (r[j] + 1.0) * eh[1],
           offsets_[2][std::size_t(g[2])] + 0.5 * (r[k] + 1.0) * eh[2]};
@@ -421,8 +387,7 @@ ElementRhs Driver::element_rhs(const std::vector<std::vector<double>>& u,
   k.nbrfaces = nbrfaces_.data();
   k.face_size = mesh::face_array_size(config_.n, layout_.nel());
   k.w_edge = ops_.rule.weights[0];  // == weights[n-1]
-  k.h = h_;
-  k.elem_h = elem_h_.empty() ? nullptr : elem_h_.data();
+  k.elem_h = elem_h_.data();
   return k;
 }
 
@@ -695,13 +660,10 @@ void Driver::restore_state(const io::CheckpointHeader& header,
     throw std::runtime_error(
         "load_checkpoint: geometry mismatch with this configuration");
   }
-  // Resolve the layout the checkpoint was taken under: the stored v3 owner
-  // map, or the static block partition for v1/v2 files.
-  mesh::ElementLayout saved =
-      owner.empty()
-          ? mesh::ElementLayout::block(spec_, comm_->rank())
-          : mesh::ElementLayout(spec_, comm_->rank(),
-                                std::vector<int>(owner.begin(), owner.end()));
+  // The layout the checkpoint was taken under (ElementLayout rejects an
+  // owner map that does not fit the grid).
+  mesh::ElementLayout saved(spec_, comm_->rank(),
+                            std::vector<int>(owner.begin(), owner.end()));
   if (header.nel != saved.nel()) {
     throw std::runtime_error(
         "load_checkpoint: geometry mismatch with this configuration");

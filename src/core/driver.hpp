@@ -89,6 +89,9 @@ class Driver {
   /// solutions, admissibility).
   const HyperbolicSystem& system() const { return *system_; }
 
+  /// The static block decomposition the run started from (processor
+  /// coordinates and block ranges only; element indices come from
+  /// element_layout()).
   const mesh::Partition& partition() const { return part_; }
   /// Current element ownership (the block layout until a rebalance moves
   /// elements; local indices are ascending-gid over the owned set).
@@ -156,12 +159,12 @@ class Driver {
   /// map, so a rebalanced run restores into the layout it saved from).
   std::vector<std::byte> serialize_checkpoint(long long epoch = -1) const;
   /// Adopt a parsed checkpoint (geometry-checked) as the current state.
-  /// `owner` is the v3 ownership map (empty for v1/v2 files, which imply
-  /// the static block partition). Collective when the stored layout differs
-  /// from the current one — every rank restores together anyway.
+  /// `owner` is the checkpoint's element-ownership map. Collective when the
+  /// stored layout differs from the current one — every rank restores
+  /// together anyway.
   void restore_state(const io::CheckpointHeader& header,
                      std::vector<std::vector<double>>&& fields,
-                     std::span<const std::int32_t> owner = {});
+                     std::span<const std::int32_t> owner);
   /// Export this rank's fields as a legacy-VTK point cloud.
   void export_vtk(const std::string& path) const;
 
@@ -199,10 +202,9 @@ class Driver {
   void step_rk4(double dt);
   void apply_dssum();
   void step_particles(double dt);
-  /// Physical extent of local element `e` along `axis` (the uniform h_ or
-  /// the element's slab width under a stretched map).
+  /// Physical extent of local element `e` along `axis`.
   double elem_h(int e, int axis) const {
-    return elem_h_.empty() ? h_[axis] : elem_h_[std::size_t(e)][axis];
+    return elem_h_[std::size_t(e)][axis];
   }
 
   /// Ordered (key-canonical) gs folds: explicit knob or implied by dynamic
@@ -265,13 +267,10 @@ class Driver {
   // system fills it pointwise and the tracker interpolates from it.
   std::array<std::vector<double>, 3> carrier_;
 
-  // Geometry. h_ is the uniform per-axis element extent (the historical
-  // unit-box fast path, still used verbatim when every axis map is
-  // uniform). Under stretched maps, widths_[axis][g] / offsets_[axis][g]
-  // hold the physical width and left edge of global slab g along `axis`,
-  // and elem_h_ caches the per-local-element extents (rebuilt with the
-  // layout; empty on uniform meshes).
-  std::array<double, 3> h_;
+  // Geometry. widths_[axis][g] / offsets_[axis][g] hold the physical width
+  // and left edge of global slab g along `axis`; elem_h_ holds every local
+  // element's extents (rebuilt with the layout) and is the only extent the
+  // solver reads. uniform_mesh_ selects node_coords' uniform formula.
   bool uniform_mesh_ = true;
   std::array<std::vector<double>, 3> widths_, offsets_;
   std::vector<std::array<double, 3>> elem_h_;

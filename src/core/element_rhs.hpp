@@ -65,13 +65,10 @@ struct ElementRhs {
   std::size_t face_size = 0;
   double w_edge = 0.0;
 
-  // Element extents: elem_h[e] under a stretched map, else h.
-  std::array<double, 3> h{};
+  // Element extents, one per local element on every mesh.
   const std::array<double, 3>* elem_h = nullptr;
 
-  const std::array<double, 3>& extent(int e) const {
-    return elem_h ? elem_h[e] : h;
-  }
+  const std::array<double, 3>& extent(int e) const { return elem_h[e]; }
 
   /// Volume term of elems[lo, hi); overwrites those elements' rhs.
   void volume(std::span<const int> elems, std::size_t lo,

@@ -10,8 +10,9 @@
 
 #ifndef _WIN32
 #include <unistd.h>
-#include "util/bytes.hpp"
 #endif
+
+#include "util/bytes.hpp"
 
 namespace cmtbone::io {
 
@@ -27,13 +28,18 @@ using File = std::unique_ptr<std::FILE, FileCloser>;
   throw std::runtime_error("checkpoint " + path + ": " + what);
 }
 
-// Sanity checks shared by all parses (runs on the v1 header prefix, which
-// already contains the version field).
 void check_plausible(const CheckpointHeader& h, const std::string& path) {
   CheckpointHeader expected;
   if (h.magic != expected.magic) fail(path, "bad magic");
-  if (h.version < 1 || h.version > 3) fail(path, "unsupported version");
+  if (h.version != kCheckpointVersion) {
+    fail(path, "unsupported version " + std::to_string(h.version) +
+                   " (only version " + std::to_string(kCheckpointVersion) +
+                   " is read)");
+  }
   if (h.n < 2 || h.nel < 0 || h.nfields < 0) fail(path, "implausible header");
+  if (h.total_elements < h.nel) {
+    fail(path, "implausible header (owner map shorter than local count)");
+  }
 }
 }  // namespace
 
@@ -78,26 +84,27 @@ std::vector<std::byte> serialize_checkpoint(
     throw std::runtime_error(
         "checkpoint serialize: field count does not match header");
   }
+  if (static_cast<long long>(owner.size()) < header.nel) {
+    throw std::runtime_error(
+        "checkpoint serialize: owner map shorter than the local element "
+        "count");
+  }
   CheckpointHeader h = header;
-  h.version = owner.empty() ? 2 : 3;
+  h.version = kCheckpointVersion;
   h.total_elements = static_cast<std::int64_t>(owner.size());
-  const std::size_t header_bytes =
-      owner.empty() ? kHeaderBytesV2 : kHeaderBytesV3;
   const std::size_t owner_bytes = owner.size() * sizeof(std::int32_t);
   const std::size_t payload =
       owner_bytes + fields.size() * points * sizeof(double);
-  std::vector<std::byte> out(header_bytes + payload);
-  std::byte* dst = out.data() + header_bytes;
-  if (!owner.empty()) {
-    util::copy_bytes(dst, owner.data(), owner_bytes);
-    dst += owner_bytes;
-  }
+  std::vector<std::byte> out(kHeaderBytes + payload);
+  std::byte* dst = out.data() + kHeaderBytes;
+  util::copy_bytes(dst, owner.data(), owner_bytes);
+  dst += owner_bytes;
   for (const double* field : fields) {
     util::copy_bytes(dst, field, points * sizeof(double));
     dst += points * sizeof(double);
   }
-  h.payload_crc = crc32(out.data() + header_bytes, payload);
-  util::copy_bytes(out.data(), &h, header_bytes);
+  h.payload_crc = crc32(out.data() + kHeaderBytes, payload);
+  util::copy_bytes(out.data(), &h, kHeaderBytes);
   return out;
 }
 
@@ -105,44 +112,28 @@ CheckpointHeader parse_checkpoint(std::span<const std::byte> bytes,
                                   const std::string& path,
                                   std::vector<std::vector<double>>* fields,
                                   std::vector<std::int32_t>* owner) {
-  if (bytes.size() < kHeaderBytesV1) fail(path, "truncated header");
+  if (bytes.size() < kHeaderBytes) fail(path, "truncated header");
   CheckpointHeader header;
-  util::copy_bytes(static_cast<void*>(&header), bytes.data(), kHeaderBytesV1);
+  util::copy_bytes(static_cast<void*>(&header), bytes.data(), kHeaderBytes);
   check_plausible(header, path);
-  std::size_t header_bytes = kHeaderBytesV1;
-  if (header.version >= 2) {
-    header_bytes = header.version == 2 ? kHeaderBytesV2 : kHeaderBytesV3;
-    if (bytes.size() < header_bytes) fail(path, "truncated header");
-    util::copy_bytes(static_cast<void*>(&header), bytes.data(), header_bytes);
-  }
-  if (header.version == 3 && header.total_elements < header.nel) {
-    fail(path, "implausible header (owner map shorter than local count)");
-  }
   const std::size_t owner_bytes =
-      header.version == 3
-          ? std::size_t(header.total_elements) * sizeof(std::int32_t)
-          : 0;
+      std::size_t(header.total_elements) * sizeof(std::int32_t);
   const std::size_t points =
       std::size_t(header.n) * header.n * header.n * header.nel;
   const std::size_t payload =
       owner_bytes + std::size_t(header.nfields) * points * sizeof(double);
-  if (bytes.size() != header_bytes + payload) {
+  if (bytes.size() != kHeaderBytes + payload) {
     fail(path, "payload size mismatch (truncated or trailing garbage)");
   }
-  const std::byte* src = bytes.data() + header_bytes;
-  if (header.version >= 2) {
-    const std::uint32_t actual = crc32(src, payload);
-    if (actual != header.payload_crc) {
-      throw ChecksumMismatch(path, header.rank, header.epoch,
-                             header.payload_crc, actual);
-    }
+  const std::byte* src = bytes.data() + kHeaderBytes;
+  const std::uint32_t actual = crc32(src, payload);
+  if (actual != header.payload_crc) {
+    throw ChecksumMismatch(path, header.rank, header.epoch,
+                           header.payload_crc, actual);
   }
   if (owner != nullptr) {
-    owner->assign(header.version == 3 ? std::size_t(header.total_elements) : 0,
-                  0);
-    if (!owner->empty()) {
-      util::copy_bytes(owner->data(), src, owner_bytes);
-    }
+    owner->assign(std::size_t(header.total_elements), 0);
+    util::copy_bytes(owner->data(), src, owner_bytes);
   }
   src += owner_bytes;
   if (fields != nullptr) {
@@ -221,12 +212,6 @@ std::vector<std::byte> read_file(const std::string& path) {
     fail(path, "read failed");
   }
   return bytes;
-}
-
-void write_checkpoint(const std::string& path, const CheckpointHeader& header,
-                      std::span<const double* const> fields,
-                      std::size_t points) {
-  write_file_atomic(path, serialize_checkpoint(header, fields, points));
 }
 
 CheckpointHeader read_checkpoint(const std::string& path,

@@ -3,25 +3,23 @@
 //
 // Production Nek runs checkpoint conserved variables so long simulations
 // survive machine faults; the mini-app carries the same capability so its
-// I/O phase can be profiled alongside compute and comm. Format: a fixed
-// little-endian header (magic, version, n, nel, nfields, steps, time, and —
-// since version 2 — a CRC32 of the payload plus the writing rank and
-// checkpoint epoch) followed by the raw field payload. One file per rank,
+// I/O phase can be profiled alongside compute and comm. One file per rank,
 // as Nek5000 does in its one-file-per-processor mode.
 //
-// Version 3 (dynamic load balancing) additionally records the element
-// ownership map: the header grows a total_elements count and the payload is
-// prefixed with total_elements int32 owner ranks (the replicated gid->rank
-// map) ahead of the field data; the CRC covers both. Version 1/2 files have
-// no map and imply the static block partition.
+// Format (version 3, the only version written or read): a fixed 64-byte
+// little-endian header (magic, version, n, nel, nfields, steps, time, a
+// CRC32 of the payload, the writing rank, the checkpoint epoch and the
+// global element count), then the payload: the element-ownership map
+// (total_elements int32 owner ranks, the replicated gid -> rank map) and
+// the raw field data. The CRC covers the whole payload.
 //
 // Durability contract (the resilience layer depends on it):
 //   * Writes are torn-write-safe: the bytes go to `<path>.tmp`, are
 //     fsync'd, and only then renamed over `path`, so a crash mid-write
 //     never leaves a truncated file under the real name.
-//   * Version-2 readers verify the payload CRC32 and throw
-//     ChecksumMismatch (carrying rank/path/epoch) on silent corruption.
-//   * Version-1 files (no CRC trailer) remain readable.
+//   * Readers verify the payload CRC32 and throw ChecksumMismatch
+//     (carrying rank/path/epoch) on silent corruption.
+//   * A file of any other version is rejected as unsupported.
 
 #include <cstddef>
 #include <cstdint>
@@ -32,37 +30,29 @@
 
 namespace cmtbone::io {
 
+inline constexpr std::uint32_t kCheckpointVersion = 3;
+
 struct CheckpointHeader {
   std::uint64_t magic = 0x434d54424f4e4531ull;  // "CMTBONE1"
-  std::uint32_t version = 2;
+  std::uint32_t version = kCheckpointVersion;
   std::int32_t n = 0;
   std::int32_t nel = 0;
   std::int32_t nfields = 0;
   std::int64_t steps = 0;
   double time = 0.0;
-  // --- version 2 trailer ---------------------------------------------------
   std::uint32_t payload_crc = 0;  // CRC32 (IEEE) of the raw payload
   std::int32_t rank = -1;         // writing rank (-1 when not rank-addressed)
   std::int64_t epoch = -1;        // coordinated-checkpoint epoch (-1 = none)
-  // --- version 3 trailer ---------------------------------------------------
   // Global element count = length of the int32 owner map that prefixes the
-  // payload. 0 in v1/v2 files (static block partition implied).
+  // field payload.
   std::int64_t total_elements = 0;
 };
 
-// The on-disk layout is the in-memory layout: the first 40 bytes are the
-// version-1 header, the v2 trailer extends it to 56 and the v3 trailer to
-// 64. Reads of older files parse only the prefix, so the struct must never
-// be reordered.
-inline constexpr std::size_t kHeaderBytesV1 = 40;
-inline constexpr std::size_t kHeaderBytesV2 = 56;
-inline constexpr std::size_t kHeaderBytesV3 = 64;
-static_assert(sizeof(CheckpointHeader) == kHeaderBytesV3,
+// The on-disk header is the in-memory struct, so it must never be
+// reordered.
+inline constexpr std::size_t kHeaderBytes = 64;
+static_assert(sizeof(CheckpointHeader) == kHeaderBytes,
               "checkpoint header layout is part of the file format");
-static_assert(offsetof(CheckpointHeader, payload_crc) == kHeaderBytesV1,
-              "v2 trailer must start exactly where the v1 header ended");
-static_assert(offsetof(CheckpointHeader, total_elements) == kHeaderBytesV2,
-              "v3 trailer must start exactly where the v2 header ended");
 
 /// CRC32 (IEEE 802.3, reflected) over `bytes` bytes. Pass the previous
 /// return value as `seed` to checksum data in chunks.
@@ -81,19 +71,19 @@ struct ChecksumMismatch : std::runtime_error {
                    std::uint32_t expected, std::uint32_t actual);
 };
 
-/// Serialize header + fields (each `points` doubles) to bytes, filling the
-/// header's payload CRC. The result is exactly what write_checkpoint puts
-/// on disk — the resilience layer ships the same bytes to a buddy rank.
-/// With a non-empty `owner` map the file is written as version 3 (the map
-/// prefixes the field payload); otherwise the historical version-2 bytes.
+/// Serialize header + owner map + fields (each `points` doubles) to
+/// version-3 bytes, filling the header's version, element count and payload
+/// CRC. The result is exactly what core::Driver puts on disk — the
+/// resilience layer ships the same bytes to a buddy rank. Throws
+/// std::runtime_error when the field count differs from header.nfields or
+/// the owner map is shorter than header.nel.
 std::vector<std::byte> serialize_checkpoint(
     const CheckpointHeader& header, std::span<const double* const> fields,
-    std::size_t points, std::span<const std::int32_t> owner = {});
+    std::size_t points, std::span<const std::int32_t> owner);
 
-/// Parse serialized checkpoint bytes (v1..v3); validates magic, version,
-/// payload size, and (v2+) the payload CRC. Fills `fields` and `owner`
-/// when non-null (`owner` is cleared for v1/v2 files — no map stored, the
-/// static block partition is implied). `path` is used only for messages.
+/// Parse serialized checkpoint bytes; validates magic, version (3 only),
+/// payload size and the payload CRC. Fills `fields` and `owner` when
+/// non-null. `path` is used only for messages.
 CheckpointHeader parse_checkpoint(std::span<const std::byte> bytes,
                                   const std::string& path,
                                   std::vector<std::vector<double>>* fields,
@@ -115,15 +105,9 @@ void set_write_failure_after(long long bytes);
 /// Read a whole file into memory. Throws std::runtime_error on failure.
 std::vector<std::byte> read_file(const std::string& path);
 
-/// Write fields (each `points` doubles) to `path`, torn-write-safe.
-/// Throws std::runtime_error on I/O failure.
-void write_checkpoint(const std::string& path, const CheckpointHeader& header,
-                      std::span<const double* const> fields,
-                      std::size_t points);
-
 /// Read a checkpoint; returns the header and fills `fields` (resized to
-/// header.nfields vectors of the stored point count) and, for v3 files,
-/// `owner`. Validates magic, version, payload size, and (v2+) the CRC.
+/// header.nfields vectors of the stored point count) and `owner`. Validates
+/// like parse_checkpoint.
 CheckpointHeader read_checkpoint(const std::string& path,
                                  std::vector<std::vector<double>>* fields,
                                  std::vector<std::int32_t>* owner = nullptr);

@@ -2,8 +2,10 @@
 // Small-matrix multiply, the workhorse of the spectral element solver.
 //
 // Nek5000's `mxm(a,n1,b,n2,c,n3)` computes C = A*B for column-major
-// matrices A(n1,n2), B(n2,n3), C(n1,n3). The derivative, dealiasing, and
-// Nekbone stiffness kernels are all expressed through it (paper §IV-V).
+// matrices A(n1,n2), B(n2,n3), C(n1,n3) (paper §IV-V). The dispatch layer
+// (kernels/dispatch.hpp) hands out MxmFixedFn contractions for the
+// derivative and dealiasing kernels; the dealiasing interpolation
+// (kernels/tensor.hpp) falls back to mxm() when it hands out none.
 
 #include <cstddef>
 
@@ -11,10 +13,6 @@ namespace cmtbone::kernels {
 
 /// C(n1,n3) = A(n1,n2) * B(n2,n3), column-major, C overwritten.
 void mxm(const double* a, int n1, const double* b, int n2, double* c, int n3);
-
-/// C += A * B (accumulating form, used by the Nekbone operator).
-void mxm_acc(const double* a, int n1, const double* b, int n2, double* c,
-             int n3);
 
 /// Signature of a contraction kernel with its length n2 fixed at compile
 /// time: (a, n1, b, c, n3), same contract as mxm() otherwise. Every SIMD

@@ -23,9 +23,6 @@ std::array<int, 3> face_delta(int f) {
 }
 }  // namespace
 
-FaceExchange::FaceExchange(comm::Comm& comm, const Partition& part)
-    : FaceExchange(comm, ElementLayout::block(part.spec(), part.rank())) {}
-
 FaceExchange::FaceExchange(comm::Comm& comm, const ElementLayout& layout)
     : comm_(&comm), n_(layout.spec().n), nel_(layout.nel()) {
   const BoxSpec& spec = layout.spec();

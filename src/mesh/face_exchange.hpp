@@ -6,27 +6,25 @@
 // (§IV). This class builds the exchange plan once (which faces are interior
 // copies, which cross a partition boundary and to whom) and then moves any
 // number of fields per call with Isend/Irecv/Waitall — the message pattern
-// the paper's Figs. 8-10 profile.
+// the paper's Figs. 8-10 profile. The plan is built from an ElementLayout,
+// so the static block decomposition and every rebalanced layout share one
+// planner.
 
 #include <vector>
 
 #include "comm/comm.hpp"
 #include "mesh/faces.hpp"
 #include "mesh/layout.hpp"
-#include "mesh/partition.hpp"
 
 namespace cmtbone::mesh {
 
 class FaceExchange {
  public:
-  FaceExchange(comm::Comm& comm, const Partition& part);
-
-  /// Exchange plan over an arbitrary element layout (the dynamic load
+  /// Exchange plan over `layout` (the block layout or any of the load
   /// balancer's relayouts): one plan per (face direction, partner rank);
-  /// sender packs its plane in ascending own-gid order and the receiver
+  /// the sender packs its plane in ascending own-gid order and the receiver
   /// unpacks in ascending neighbor-gid order, which enumerate the paired
-  /// faces identically on both sides. For the block layout this reproduces
-  /// the Partition plan exactly (ascending local order is ascending gid).
+  /// faces identically on both sides.
   FaceExchange(comm::Comm& comm, const ElementLayout& layout);
 
   /// Withdraws any receives still posted by an interrupted begin()/finish()

@@ -6,11 +6,8 @@
 
 namespace cmtbone::mesh {
 
-namespace {
-// Shared body: `Mesh` provides spec(), nel(), global_coords(e).
-template <class Mesh>
-std::vector<long long> face_gids_impl(const Mesh& part) {
-  const BoxSpec& spec = part.spec();
+std::vector<long long> face_point_gids(const ElementLayout& layout) {
+  const BoxSpec& spec = layout.spec();
   const int n = spec.n;
   const std::array<int, 3> extent = {spec.ex, spec.ey, spec.ez};
 
@@ -36,9 +33,9 @@ std::vector<long long> face_gids_impl(const Mesh& part) {
             (long long)(n) * n;
   }
 
-  std::vector<long long> ids(face_array_size(n, part.nel()));
-  for (int e = 0; e < part.nel(); ++e) {
-    auto g = part.global_coords(e);
+  std::vector<long long> ids(face_array_size(n, layout.nel()));
+  for (int e = 0; e < layout.nel(); ++e) {
+    auto g = layout.global_coords(e);
     for (int f = 0; f < kFacesPerElement; ++f) {
       const int ax = face_axis(f);
       long long plane = g[ax] + face_side(f);
@@ -60,15 +57,6 @@ std::vector<long long> face_gids_impl(const Mesh& part) {
     }
   }
   return ids;
-}
-}  // namespace
-
-std::vector<long long> face_point_gids(const Partition& part) {
-  return face_gids_impl(part);
-}
-
-std::vector<long long> face_point_gids(const ElementLayout& layout) {
-  return face_gids_impl(layout);
 }
 
 std::vector<long long> face_point_keys(const ElementLayout& layout) {

@@ -19,19 +19,14 @@
 #include <vector>
 
 #include "mesh/layout.hpp"
-#include "mesh/partition.hpp"
 
 namespace cmtbone::mesh {
 
-/// One id per local face slot, in face-array layout (a, b, face, element):
-/// id[a + n*(b + n*(f + 6*e))]. Interior (and periodic-wrap) face points
-/// share their id with exactly one other slot — the coincident point of the
-/// neighbor element, possibly on another rank. Physical-boundary points
-/// (non-periodic box) hold unique ids.
-std::vector<long long> face_point_gids(const Partition& part);
-
-/// Same numbering over an arbitrary element layout (identical to the
-/// Partition form for the block layout — local element order coincides).
+/// One id per local face slot of `layout`'s elements, in face-array layout
+/// (a, b, face, element): id[a + n*(b + n*(f + 6*e))]. Interior (and
+/// periodic-wrap) face points share their id with exactly one other slot —
+/// the coincident point of the neighbor element, possibly on another rank.
+/// Physical-boundary points (non-periodic box) hold unique ids.
 std::vector<long long> face_point_gids(const ElementLayout& layout);
 
 /// Canonical per-slot reduction keys for ordered gather-scatter over face

@@ -17,19 +17,4 @@ void full2face(const double* u, double* faces, int n, int nel) {
   }
 }
 
-void face2full_add(const double* faces, double* u, int n, int nel) {
-  const std::size_t elem_stride = std::size_t(n) * n * n;
-  for (int e = 0; e < nel; ++e) {
-    double* ue = u + e * elem_stride;
-    for (int f = 0; f < kFacesPerElement; ++f) {
-      const double* fe = faces + face_offset(f, e, n);
-      for (int b = 0; b < n; ++b) {
-        for (int a = 0; a < n; ++a) {
-          ue[face_point_volume_index(f, a, b, n)] += fe[a + std::size_t(n) * b];
-        }
-      }
-    }
-  }
-}
-
 }  // namespace cmtbone::mesh

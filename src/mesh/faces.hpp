@@ -1,5 +1,5 @@
 #pragma once
-// Element face conventions and the full2face / face2full maps.
+// Element face conventions and the full2face map.
 //
 // full2face_cmt is one of CMT-bone's key kernels (paper §IV): it "creates an
 // array of surface data, that needs to be transferred to the neighbors, from
@@ -44,10 +44,6 @@ inline std::size_t face_offset(int f, int e, int n) {
 /// Extract all element faces from volume data: u is (n,n,n,nel), faces is
 /// (n,n,6,nel). This is full2face_cmt.
 void full2face(const double* u, double* faces, int n, int nel);
-
-/// Scatter-add face data back into the volume (the surface-lift access
-/// pattern): u(face point) += faces(face point) for every face.
-void face2full_add(const double* faces, double* u, int n, int nel);
 
 /// Bytes of one field's face array.
 inline std::size_t face_array_size(int n, int nel) {

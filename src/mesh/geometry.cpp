@@ -1,6 +1,5 @@
 #include "mesh/geometry.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -91,11 +90,6 @@ std::vector<double> axis_widths(const AxisMap& map, int count) {
   std::vector<double> w(std::size_t(count), 0.0);
   for (int i = 0; i < count; ++i) w[i] = x[std::size_t(i) + 1] - x[i];
   return w;
-}
-
-double min_axis_width(const AxisMap& map, int count) {
-  const std::vector<double> w = axis_widths(map, count);
-  return *std::min_element(w.begin(), w.end());
 }
 
 }  // namespace cmtbone::mesh

@@ -57,7 +57,4 @@ std::vector<double> axis_breakpoints(const AxisMap& map, int count);
 /// like axis_breakpoints.
 std::vector<double> axis_widths(const AxisMap& map, int count);
 
-/// Smallest layer width (the CFL-limiting extent along this axis).
-double min_axis_width(const AxisMap& map, int count);
-
 }  // namespace cmtbone::mesh

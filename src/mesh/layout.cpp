@@ -8,6 +8,7 @@
 namespace cmtbone::mesh {
 
 ElementLayout ElementLayout::block(const BoxSpec& spec, int rank) {
+  spec.validate();  // before the owner map is sized from the grid
   std::vector<int> owner(std::size_t(spec.total_elements()), 0);
   for (int cz = 0; cz < spec.pz; ++cz) {
     for (int cy = 0; cy < spec.py; ++cy) {
@@ -30,6 +31,9 @@ ElementLayout ElementLayout::block(const BoxSpec& spec, int rank) {
 ElementLayout::ElementLayout(const BoxSpec& spec, int rank,
                              std::vector<int> owner)
     : spec_(spec), rank_(rank), owner_(std::move(owner)) {
+  // A bad spec (n < 2, an empty grid, fewer elements than processors along
+  // an axis) would reach the numbering as a division by zero.
+  spec_.validate();
   if (static_cast<long long>(owner_.size()) != spec_.total_elements()) {
     throw std::invalid_argument(
         "ElementLayout: owner map size does not match the element grid");

@@ -1,19 +1,20 @@
 #pragma once
-// Arbitrary element-ownership layouts over the structured box mesh.
+// Element ownership over the structured box mesh: the one element index.
 //
-// mesh::Partition is the *static* Cartesian decomposition (contiguous
-// blocks). The dynamic load balancer (Zhai et al., PAPERS.md) needs to move
-// individual elements between ranks, so ownership becomes an arbitrary map
-// gid -> rank replicated on every rank. ElementLayout is that map plus the
-// rank's own element list.
+// Every element-indexed structure — GLL and face-point numbering, the
+// face-exchange plans, the interior/boundary classes, core::Driver's
+// fields and extents — is built from an ElementLayout. Ownership is an
+// arbitrary map gid -> rank replicated on every rank, so the dynamic load
+// balancer (Zhai et al., PAPERS.md) can move single elements between
+// ranks; the static decomposition of the paper's Fig. 3 is the block()
+// layout, built from mesh::Partition's block ranges.
 //
 // Local ordering invariant: a rank's owned elements are kept in ascending
 // global-id order, with gid = gx + ex*(gy + ey*gz) (x fastest). For the
-// block layout this coincides exactly with Partition's local lexicographic
-// ordering, so every consumer generalized from Partition to ElementLayout
-// (GLL/face numbering, element classification, FaceExchange) reproduces the
-// static-partition behavior bit for bit — the anchor for the balancer's
-// "migration changes *where*, never *what*" guarantee.
+// block layout this is the lexicographic order of the rank's block (x
+// fastest), so the static decomposition keeps its historical local order —
+// the anchor for the balancer's "migration changes *where*, never *what*"
+// guarantee.
 
 #include <array>
 #include <vector>
@@ -24,12 +25,12 @@ namespace cmtbone::mesh {
 
 class ElementLayout {
  public:
-  /// The static block layout of Partition — ownership identical to
-  /// Partition(spec, r) for every rank r.
+  /// The static block layout: rank r owns Partition(spec, r)'s block.
   static ElementLayout block(const BoxSpec& spec, int rank);
 
   /// Arbitrary ownership map: owner[gid] in [0, spec.nranks()) for every
-  /// global element. Throws std::invalid_argument on size/range mismatch.
+  /// global element. Throws std::invalid_argument when the spec fails
+  /// BoxSpec::validate() or on a size/range mismatch.
   ElementLayout(const BoxSpec& spec, int rank, std::vector<int> owner);
 
   const BoxSpec& spec() const { return spec_; }
@@ -88,8 +89,16 @@ class ElementLayout {
   std::vector<long long> owned_; // my gids, ascending
 };
 
-/// Interior/boundary split for compute–communication overlap, generalized
-/// over an arbitrary layout (see Partition's classify_interior_boundary).
+/// Interior/boundary split of a rank's elements for compute–communication
+/// overlap: an element is `boundary` when at least one of its six faces
+/// pairs with an element on another rank (its surface term needs in-flight
+/// halo data), `interior` otherwise. Both lists are in ascending local
+/// order and together cover 0..nel-1 exactly once.
+struct ElementClasses {
+  std::vector<int> interior;
+  std::vector<int> boundary;
+};
+
 ElementClasses classify_interior_boundary(const ElementLayout& layout);
 
 }  // namespace cmtbone::mesh

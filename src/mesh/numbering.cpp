@@ -17,21 +17,16 @@ long long total_gll_points(const BoxSpec& spec) {
          grid_extent(spec.ez, spec.n, spec.periodic);
 }
 
-namespace {
-// Shared body: `Mesh` provides spec(), nel(), global_coords(e).
-template <class Mesh>
-std::vector<long long> gll_ids_impl(const Mesh& part) {
-  const BoxSpec& spec = part.spec();
+std::vector<long long> global_gll_ids(const ElementLayout& layout) {
+  const BoxSpec& spec = layout.spec();
   const int n = spec.n;
   const long long gx_extent = grid_extent(spec.ex, n, spec.periodic);
   const long long gy_extent = grid_extent(spec.ey, n, spec.periodic);
-  const long long gz_extent = grid_extent(spec.ez, n, spec.periodic);
-  (void)gz_extent;
 
-  std::vector<long long> ids(std::size_t(n) * n * n * part.nel());
+  std::vector<long long> ids(std::size_t(n) * n * n * layout.nel());
   std::size_t idx = 0;
-  for (int e = 0; e < part.nel(); ++e) {
-    auto [egx, egy, egz] = part.global_coords(e);
+  for (int e = 0; e < layout.nel(); ++e) {
+    auto [egx, egy, egz] = layout.global_coords(e);
     for (int k = 0; k < n; ++k) {
       long long pz = 1LL * egz * (n - 1) + k;
       if (spec.periodic) pz %= 1LL * spec.ez * (n - 1);
@@ -47,15 +42,6 @@ std::vector<long long> gll_ids_impl(const Mesh& part) {
     }
   }
   return ids;
-}
-}  // namespace
-
-std::vector<long long> global_gll_ids(const Partition& part) {
-  return gll_ids_impl(part);
-}
-
-std::vector<long long> global_gll_ids(const ElementLayout& layout) {
-  return gll_ids_impl(layout);
 }
 
 std::vector<long long> global_gll_keys(const ElementLayout& layout) {

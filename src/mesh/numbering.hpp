@@ -12,18 +12,13 @@
 #include <vector>
 
 #include "mesh/layout.hpp"
-#include "mesh/partition.hpp"
 
 namespace cmtbone::mesh {
 
-/// One global id per local GLL point, in field layout (i,j,k,e), i fastest.
-/// Points shared between adjacent elements (and, for a periodic box, across
-/// the wrap) receive equal ids. Ids are dense in [0, total_points).
-std::vector<long long> global_gll_ids(const Partition& part);
-
-/// Same numbering over an arbitrary element layout. For the block layout
-/// this returns exactly global_gll_ids(Partition) — the local element order
-/// coincides (see mesh/layout.hpp).
+/// One global id per local GLL point of `layout`'s elements, in field
+/// layout (i,j,k,e), i fastest. Points shared between adjacent elements
+/// (and, for a periodic box, across the wrap) receive equal ids, whichever
+/// ranks own the elements. Ids are dense in [0, total_points).
 std::vector<long long> global_gll_ids(const ElementLayout& layout);
 
 /// Canonical per-slot reduction keys for ordered gather-scatter: every

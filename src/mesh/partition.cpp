@@ -27,6 +27,28 @@ std::array<int, 3> BoxSpec::default_proc_grid(int nranks) {
   return best;
 }
 
+BoxSpec make_box_spec(int n, const std::array<int, 3>& elements,
+                      const std::array<int, 3>& procs, bool periodic,
+                      int nranks) {
+  BoxSpec spec;
+  spec.n = n;
+  spec.ex = elements[0];
+  spec.ey = elements[1];
+  spec.ez = elements[2];
+  spec.periodic = periodic;
+  const std::array<int, 3> grid =
+      procs[0] > 0 ? procs : BoxSpec::default_proc_grid(nranks);
+  spec.px = grid[0];
+  spec.py = grid[1];
+  spec.pz = grid[2];
+  if (spec.nranks() != nranks) {
+    throw std::invalid_argument(
+        "BoxSpec: processor grid does not match communicator size");
+  }
+  spec.validate();
+  return spec;
+}
+
 void Partition::split_range(int extent, int procs, int coord, int* lo, int* hi) {
   int base = extent / procs;
   int extra = extent % procs;
@@ -53,49 +75,6 @@ Partition::Partition(const BoxSpec& spec, int rank) : spec_(spec), rank_(rank) {
   split_range(spec.ez, spec.pz, cz_, &z0_, &z1_);
 }
 
-int Partition::local_index(int gx, int gy, int gz) const {
-  return (gx - x0_) + nelx() * ((gy - y0_) + nely() * (gz - z0_));
-}
-
-std::array<int, 3> Partition::global_coords(int e) const {
-  int lx = e % nelx();
-  int ly = (e / nelx()) % nely();
-  int lz = e / (nelx() * nely());
-  return {x0_ + lx, y0_ + ly, z0_ + lz};
-}
-
-int Partition::owner_of(int gx, int gy, int gz) const {
-  auto coord_owner = [](int extent, int procs, int g) {
-    int base = extent / procs;
-    int extra = extent % procs;
-    int boundary = extra * (base + 1);
-    if (g < boundary) return g / (base + 1);
-    return extra + (g - boundary) / base;
-  };
-  int ox = coord_owner(spec_.ex, spec_.px, gx);
-  int oy = coord_owner(spec_.ey, spec_.py, gy);
-  int oz = coord_owner(spec_.ez, spec_.pz, gz);
-  return rank_of(spec_, ox, oy, oz);
-}
-
-bool Partition::element_touches_remote(int e) const {
-  const std::array<int, 3> extent = {spec_.ex, spec_.ey, spec_.ez};
-  const std::array<int, 3> lo = {x0_, y0_, z0_};
-  const std::array<int, 3> hi = {x1_, y1_, z1_};
-  auto g = global_coords(e);
-  for (int ax = 0; ax < 3; ++ax) {
-    for (int side = -1; side <= 1; side += 2) {
-      int ng = g[ax] + side;
-      if (ng < 0 || ng >= extent[ax]) {
-        if (!spec_.periodic) continue;  // physical boundary mirrors locally
-        ng = (ng + extent[ax]) % extent[ax];
-      }
-      if (ng < lo[ax] || ng >= hi[ax]) return true;
-    }
-  }
-  return false;
-}
-
 int Partition::neighbor_rank(int dx, int dy, int dz) const {
   int nx = cx_ + dx, ny = cy_ + dy, nz = cz_ + dz;
   if (spec_.periodic) {
@@ -107,16 +86,6 @@ int Partition::neighbor_rank(int dx, int dy, int dz) const {
     return -1;
   }
   return rank_of(spec_, nx, ny, nz);
-}
-
-ElementClasses classify_interior_boundary(const Partition& part) {
-  ElementClasses cls;
-  const int nel = part.nel();
-  cls.interior.reserve(nel);
-  for (int e = 0; e < nel; ++e) {
-    (part.element_touches_remote(e) ? cls.boundary : cls.interior).push_back(e);
-  }
-  return cls;
 }
 
 }  // namespace cmtbone::mesh

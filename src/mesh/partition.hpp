@@ -1,17 +1,22 @@
 #pragma once
-// Structured box mesh of hexahedral elements and its Cartesian partition
-// onto a processor grid.
+// Structured box mesh of hexahedral elements and its Cartesian block
+// decomposition onto a processor grid.
 //
 // Reproduces the domain decomposition of the paper's Fig. 3 and the Fig. 7
 // setup: a global element grid (Ex,Ey,Ez) is split across a processor grid
 // (Px,Py,Pz); each rank owns a contiguous block of elements ("local element
 // distribution"). Non-divisible extents are balanced: the first
 // (extent mod procs) ranks along a direction get one extra layer.
+//
+// Partition is only that block arithmetic: processor coordinates, block
+// ranges and neighbor ranks. It does not index elements. Every element
+// index (local order, global coordinates, owners, classification) lives in
+// mesh::ElementLayout (mesh/layout.hpp), whose block() layout is built from
+// these ranges.
 
 #include <array>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace cmtbone::mesh {
 
@@ -32,7 +37,16 @@ struct BoxSpec {
   static std::array<int, 3> default_proc_grid(int nranks);
 };
 
-/// One rank's slice of the box.
+/// The validated box of a job on `nranks` ranks: `n` GLL points per
+/// direction, the global element grid, periodicity and the processor grid
+/// `procs` (procs[0] <= 0 picks default_proc_grid(nranks)). Throws
+/// std::invalid_argument when the processor grid does not hold exactly
+/// `nranks` ranks or the box fails validate().
+BoxSpec make_box_spec(int n, const std::array<int, 3>& elements,
+                      const std::array<int, 3>& procs, bool periodic,
+                      int nranks);
+
+/// One rank's block of the box.
 class Partition {
  public:
   Partition(const BoxSpec& spec, int rank);
@@ -61,23 +75,10 @@ class Partition {
   int nelz() const { return z1_ - z0_; }
   int nel() const { return nelx() * nely() * nelz(); }
 
-  /// Local index (lexicographic, x fastest) of owned global element.
-  int local_index(int gx, int gy, int gz) const;
-  /// Global coordinates of local element `e`.
-  std::array<int, 3> global_coords(int e) const;
-
-  /// Rank owning global element (gx,gy,gz); coordinates must be in range.
-  int owner_of(int gx, int gy, int gz) const;
-
   /// Neighbor rank in direction (dx,dy,dz) in {-1,0,1}^3 on the processor
   /// grid, honoring periodicity. Returns -1 for a physical boundary in a
   /// non-periodic box.
   int neighbor_rank(int dx, int dy, int dz) const;
-
-  /// True when any face of local element `e` pairs with an element on a
-  /// remote rank (including periodic wrap). Physical-boundary faces mirror
-  /// locally and do not count.
-  bool element_touches_remote(int e) const;
 
  private:
   static void split_range(int extent, int procs, int coord, int* lo, int* hi);
@@ -87,17 +88,5 @@ class Partition {
   int cx_, cy_, cz_;
   int x0_, x1_, y0_, y1_, z0_, z1_;
 };
-
-/// Interior/boundary split of a rank's elements for compute–communication
-/// overlap: an element is `boundary` when at least one of its six faces
-/// pairs with an element on another rank (its surface term needs in-flight
-/// halo data), `interior` otherwise. Both lists are in ascending local
-/// order and together cover 0..nel-1 exactly once.
-struct ElementClasses {
-  std::vector<int> interior;
-  std::vector<int> boundary;
-};
-
-ElementClasses classify_interior_boundary(const Partition& part);
 
 }  // namespace cmtbone::mesh

@@ -1,7 +1,6 @@
 #include "nekbone/nekbone.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 #include "kernels/dispatch.hpp"
 #include "kernels/vecops.hpp"
@@ -11,49 +10,24 @@
 
 namespace cmtbone::nekbone {
 
-namespace {
-mesh::BoxSpec make_spec(const NekboneConfig& cfg, int nranks) {
-  mesh::BoxSpec spec;
-  spec.n = cfg.n;
-  spec.ex = cfg.ex;
-  spec.ey = cfg.ey;
-  spec.ez = cfg.ez;
-  spec.periodic = cfg.periodic;
-  if (cfg.px > 0) {
-    spec.px = cfg.px;
-    spec.py = cfg.py;
-    spec.pz = cfg.pz;
-  } else {
-    auto grid = mesh::BoxSpec::default_proc_grid(nranks);
-    spec.px = grid[0];
-    spec.py = grid[1];
-    spec.pz = grid[2];
-  }
-  if (spec.nranks() != nranks) {
-    throw std::invalid_argument(
-        "Nekbone: processor grid does not match communicator size");
-  }
-  spec.validate();
-  return spec;
-}
-}  // namespace
-
 Nekbone::Nekbone(comm::Comm& comm, const NekboneConfig& config)
     : comm_(&comm),
       config_(config),
-      spec_(make_spec(config, comm.size())),
-      part_(spec_, comm.rank()),
+      spec_(mesh::make_box_spec(config.n, {config.ex, config.ey, config.ez},
+                                {config.px, config.py, config.pz},
+                                config.periodic, comm.size())),
+      layout_(mesh::ElementLayout::block(spec_, comm.rank())),
       ops_(sem::Operators::build(config.n)),
       threads_(parallel::resolve_threads(config.threads_per_rank)) {
   {
     prof::ScopedRegion region("gs_setup");
-    std::vector<long long> ids = mesh::global_gll_ids(part_);
+    std::vector<long long> ids = mesh::global_gll_ids(layout_);
     gs_ = std::make_unique<gs::GatherScatter>(
         comm, std::span<const long long>(ids), config.gs_method);
   }
 
   const int n = config_.n;
-  const int nel = part_.nel();
+  const int nel = layout_.nel();
   pts_ = std::size_t(n) * n * n * nel;
   h_ = {1.0 / spec_.ex, 1.0 / spec_.ey, 1.0 / spec_.ez};
 
@@ -96,7 +70,7 @@ Nekbone::Nekbone(comm::Comm& comm, const NekboneConfig& config)
 }
 
 std::array<double, 3> Nekbone::node_coords(int e, int i, int j, int k) const {
-  auto g = part_.global_coords(e);
+  auto g = layout_.global_coords(e);
   const std::vector<double>& r = ops_.rule.nodes;
   return {(g[0] + 0.5 * (r[i] + 1.0)) * h_[0],
           (g[1] + 0.5 * (r[j] + 1.0)) * h_[1],
@@ -105,7 +79,7 @@ std::array<double, 3> Nekbone::node_coords(int e, int i, int j, int k) const {
 
 void Nekbone::local_ax(const double* u, double* w) {
   prof::ScopedRegion region("ax_ (local stiffness)");
-  const std::size_t nel = std::size_t(part_.nel());
+  const std::size_t nel = std::size_t(layout_.nel());
   parallel::for_elements(nel, parallel::default_grain(nel, threads_), threads_,
                          [&](std::size_t e0, std::size_t e1) {
                            local_ax_range(u, w, e0, e1);
@@ -173,7 +147,7 @@ void Nekbone::assemble_rhs(
     std::span<double> b) {
   const int n = config_.n;
   std::size_t idx = 0;
-  for (int e = 0; e < part_.nel(); ++e) {
+  for (int e = 0; e < layout_.nel(); ++e) {
     for (int k = 0; k < n; ++k) {
       for (int j = 0; j < n; ++j) {
         for (int i = 0; i < n; ++i) {
@@ -191,7 +165,7 @@ void Nekbone::evaluate(const std::function<double(double, double, double)>& f,
                        std::span<double> out) const {
   const int n = config_.n;
   std::size_t idx = 0;
-  for (int e = 0; e < part_.nel(); ++e) {
+  for (int e = 0; e < layout_.nel(); ++e) {
     for (int k = 0; k < n; ++k) {
       for (int j = 0; j < n; ++j) {
         for (int i = 0; i < n; ++i) {

@@ -19,7 +19,7 @@
 #include "comm/comm.hpp"
 #include "gs/gather_scatter.hpp"
 #include "kernels/gradient.hpp"
-#include "mesh/partition.hpp"
+#include "mesh/layout.hpp"
 #include "sem/operators.hpp"
 
 namespace cmtbone::nekbone {
@@ -45,7 +45,6 @@ class Nekbone {
 
   int n() const { return config_.n; }
   std::size_t points() const { return pts_; }
-  const mesh::Partition& partition() const { return part_; }
   gs::GatherScatter& gather_scatter() { return *gs_; }
 
   /// w = A u (local tensor-product operator + dssum). u must be continuous;
@@ -90,7 +89,7 @@ class Nekbone {
   comm::Comm* comm_;
   NekboneConfig config_;
   mesh::BoxSpec spec_;
-  mesh::Partition part_;
+  mesh::ElementLayout layout_;  // the static block layout
   sem::Operators ops_;
   int threads_ = 1;  // resolved threads_per_rank
   std::unique_ptr<gs::GatherScatter> gs_;

@@ -27,7 +27,7 @@ namespace cmtbone::prof {
 enum class CommOp : std::uint8_t {
   kSend, kIsend, kRecv, kIrecv, kSendrecv,
   kWait, kWaitall,
-  kBarrier, kBcast, kReduce, kAllreduce, kGather, kGatherv,
+  kBarrier, kBcast, kAllreduce, kGather, kGatherv,
   kAllgather, kAllgatherv, kAlltoallv, kScan,
 };
 inline constexpr std::size_t kCommOpCount = std::size_t(CommOp::kScan) + 1;
@@ -56,7 +56,6 @@ inline constexpr std::array<CommOpInfo, kCommOpCount> kCommOps = {{
     {"MPI_Waitall", TraceRole::kRecvCompletion},
     {"MPI_Barrier", TraceRole::kCollective},
     {"MPI_Bcast", TraceRole::kCollective},
-    {"MPI_Reduce", TraceRole::kCollective},
     {"MPI_Allreduce", TraceRole::kCollective},
     {"MPI_Gather", TraceRole::kCollective},
     {"MPI_Gatherv", TraceRole::kCollective},

@@ -68,9 +68,9 @@ void corrupt_payload_byte(const std::string& path) {
   if (f == nullptr) return;
   if (std::fseek(f, 0, SEEK_END) == 0) {
     const long size = std::ftell(f);
-    if (size > long(io::kHeaderBytesV2)) {
-      const long at = long(io::kHeaderBytesV2) +
-                      (size - long(io::kHeaderBytesV2)) / 2;
+    if (size > long(io::kHeaderBytes)) {
+      const long at = long(io::kHeaderBytes) +
+                      (size - long(io::kHeaderBytes)) / 2;
       unsigned char byte = 0;
       if (std::fseek(f, at, SEEK_SET) == 0 &&
           std::fread(&byte, 1, 1, f) == 1) {
@@ -194,11 +194,8 @@ std::vector<long long> CheckpointCoordinator::my_restorable_epochs() const {
     try {
       const io::CheckpointHeader h =
           io::validate_checkpoint(entry.path().string());
-      // A v2 file must also claim the (epoch, rank) its name promises;
-      // a v1 file carries neither and is accepted on CRC-free plausibility.
-      if (h.version >= 2 && (h.epoch != parsed.epoch || h.rank != parsed.rank)) {
-        continue;
-      }
+      // The file must also claim the (epoch, rank) its name promises.
+      if (h.epoch != parsed.epoch || h.rank != parsed.rank) continue;
     } catch (const std::exception&) {
       continue;  // torn, truncated, or corrupt — not restorable from here
     }

@@ -21,10 +21,4 @@ inline void copy_bytes(void* dst, const void* src, std::size_t bytes) {
   std::memcpy(dst, src, bytes);
 }
 
-/// Typed form: copy `count` values of trivially-copyable T.
-template <class T>
-void copy_values(T* dst, const T* src, std::size_t count) {
-  copy_bytes(dst, src, count * sizeof(T));
-}
-
 }  // namespace cmtbone::util

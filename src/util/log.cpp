@@ -1,33 +1,17 @@
 #include "util/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
-namespace cmtbone::util {
+namespace cmtbone::util::detail {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
 std::mutex g_mutex;
-
-const char* level_tag(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug: return "debug";
-    case LogLevel::kInfo: return "info ";
-    case LogLevel::kWarn: return "warn ";
-    case LogLevel::kError: return "error";
-  }
-  return "?";
-}
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(level); }
-LogLevel log_level() { return g_level.load(); }
-
-void log_line(LogLevel level, const std::string& msg) {
-  if (int(level) < int(g_level.load())) return;
+void write_warn_line(const std::string& msg) {
   std::lock_guard<std::mutex> lock(g_mutex);
-  std::fprintf(stderr, "[%s] %s\n", level_tag(level), msg.c_str());
+  std::fprintf(stderr, "[warn ] %s\n", msg.c_str());
 }
 
-}  // namespace cmtbone::util
+}  // namespace cmtbone::util::detail

@@ -1,26 +1,19 @@
 #pragma once
-// Tiny leveled logger. Thread-safe; each line is written atomically so logs
-// from 256 in-process ranks interleave by line, never by character.
+// Warning lines on stderr. Thread-safe; each line is written atomically so
+// logs from 256 in-process ranks interleave by line, never by character.
 
 #include <sstream>
 #include <string>
 
 namespace cmtbone::util {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
-
-/// Global threshold; messages below it are dropped. Default: kInfo.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-/// Write one line (a newline is appended) if `level` passes the threshold.
-void log_line(LogLevel level, const std::string& msg);
-
 namespace detail {
+// Write "[warn ] <msg>" and a newline to stderr as one line.
+void write_warn_line(const std::string& msg);
+
 class LineStream {
  public:
-  explicit LineStream(LogLevel level) : level_(level) {}
-  ~LineStream() { log_line(level_, os_.str()); }
+  ~LineStream() { write_warn_line(os_.str()); }
   template <class T>
   LineStream& operator<<(const T& v) {
     os_ << v;
@@ -28,14 +21,11 @@ class LineStream {
   }
 
  private:
-  LogLevel level_;
   std::ostringstream os_;
 };
 }  // namespace detail
 
-inline detail::LineStream log_debug() { return detail::LineStream(LogLevel::kDebug); }
-inline detail::LineStream log_info() { return detail::LineStream(LogLevel::kInfo); }
-inline detail::LineStream log_warn() { return detail::LineStream(LogLevel::kWarn); }
-inline detail::LineStream log_error() { return detail::LineStream(LogLevel::kError); }
+/// `log_warn() << a << b;` writes one warning line when the statement ends.
+inline detail::LineStream log_warn() { return detail::LineStream(); }
 
 }  // namespace cmtbone::util

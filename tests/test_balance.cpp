@@ -165,7 +165,7 @@ TEST(ProposeOwner, ThresholdDeadbandSuppressesSmallImbalance) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint v3 format: ownership map roundtrip, v2 backward compatibility
+// Checkpoint v3 format: ownership map roundtrip
 // ---------------------------------------------------------------------------
 
 TEST(CheckpointV3, OwnerMapRoundtripsAndV2StaysV2) {
@@ -186,7 +186,7 @@ TEST(CheckpointV3, OwnerMapRoundtripsAndV2StaysV2) {
   const std::vector<const double*> fields = {f0.data(), f1.data()};
   const std::vector<std::int32_t> owner = {0, 1, 1, 0};
 
-  // v3: a non-empty owner map prefixes the payload.
+  // The owner map prefixes the field payload.
   const std::vector<std::byte> v3 = io::serialize_checkpoint(
       header, std::span<const double* const>(fields), points,
       std::span<const std::int32_t>(owner));
@@ -200,18 +200,6 @@ TEST(CheckpointV3, OwnerMapRoundtripsAndV2StaysV2) {
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(0, std::memcmp(got[0].data(), f0.data(), points * 8));
   EXPECT_EQ(0, std::memcmp(got[1].data(), f1.data(), points * 8));
-
-  // No owner map: the historical v2 bytes, which a v3 reader still parses
-  // (empty owner out-param = static block partition implied).
-  const std::vector<std::byte> v2 = io::serialize_checkpoint(
-      header, std::span<const double* const>(fields), points);
-  got_owner = {9, 9};  // stale content must be cleared
-  const io::CheckpointHeader h2 =
-      io::parse_checkpoint(v2, "v2", &got, &got_owner);
-  EXPECT_EQ(h2.version, 2u);
-  EXPECT_EQ(h2.total_elements, 0);
-  EXPECT_TRUE(got_owner.empty());
-  EXPECT_EQ(0, std::memcmp(got[0].data(), f0.data(), points * 8));
 }
 
 // ---------------------------------------------------------------------------

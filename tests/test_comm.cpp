@@ -317,19 +317,6 @@ TEST_P(CollectiveSizes, AllreduceVectorMatchesSerialReference) {
   });
 }
 
-TEST_P(CollectiveSizes, ReduceToEveryRoot) {
-  const int p = GetParam();
-  cmtbone::comm::run(p, [&](Comm& world) {
-    for (int root = 0; root < p; ++root) {
-      std::vector<long long> v = {1LL << world.rank()};
-      world.reduce(std::span<long long>(v), ReduceOp::kSum, root);
-      if (world.rank() == root) {
-        EXPECT_EQ(v[0], (1LL << p) - 1);
-      }
-    }
-  });
-}
-
 TEST_P(CollectiveSizes, GatherAndAllgather) {
   const int p = GetParam();
   cmtbone::comm::run(p, [&](Comm& world) {

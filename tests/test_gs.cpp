@@ -17,8 +17,8 @@
 #include "gs/crystal.hpp"
 #include "gs/gather_scatter.hpp"
 #include "mesh/face_numbering.hpp"
+#include "mesh/layout.hpp"
 #include "mesh/numbering.hpp"
-#include "mesh/partition.hpp"
 #include "prof/callprof.hpp"
 #include "util/rng.hpp"
 
@@ -50,12 +50,12 @@ std::map<long long, double> oracle_reduce(
   return out;
 }
 
-// Build per-rank slot ids from a mesh partition (the realistic workload).
+// Build per-rank slot ids from the block layout (the realistic workload).
 std::vector<std::vector<long long>> mesh_ids(const cmtbone::mesh::BoxSpec& spec) {
   std::vector<std::vector<long long>> ids(spec.nranks());
   for (int r = 0; r < spec.nranks(); ++r) {
-    cmtbone::mesh::Partition part(spec, r);
-    ids[r] = cmtbone::mesh::global_gll_ids(part);
+    ids[r] = cmtbone::mesh::global_gll_ids(
+        cmtbone::mesh::ElementLayout::block(spec, r));
   }
   return ids;
 }
@@ -374,7 +374,7 @@ TEST(GsReference, FacePointGids) {
       std::vector<std::vector<long long>> ids(spec.nranks());
       for (int r = 0; r < spec.nranks(); ++r) {
         ids[r] = cmtbone::mesh::face_point_gids(
-            cmtbone::mesh::Partition(spec, r));
+            cmtbone::mesh::ElementLayout::block(spec, r));
       }
       expect_reference_topology(ids, "face points");
     }

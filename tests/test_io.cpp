@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -51,17 +53,23 @@ TEST_F(IoTest, CheckpointRoundTripPreservesEverything) {
     f1[i] = -double(i) * 0.5;
   }
   const double* fields[] = {f0.data(), f1.data()};
+  const std::vector<std::int32_t> owner = {1, 0, 0};
   std::string path = (dir_ / "ckpt.bin").string();
-  cmtbone::io::write_checkpoint(path, header,
-                                std::span<const double* const>(fields, 2),
-                                points);
+  cmtbone::io::write_file_atomic(
+      path, cmtbone::io::serialize_checkpoint(
+                header, std::span<const double* const>(fields, 2), points,
+                std::span<const std::int32_t>(owner)));
 
   std::vector<std::vector<double>> loaded;
-  auto h = cmtbone::io::read_checkpoint(path, &loaded);
+  std::vector<std::int32_t> loaded_owner;
+  auto h = cmtbone::io::read_checkpoint(path, &loaded, &loaded_owner);
+  EXPECT_EQ(h.version, 3u);
   EXPECT_EQ(h.n, 3);
   EXPECT_EQ(h.nel, 2);
   EXPECT_EQ(h.steps, 42);
   EXPECT_DOUBLE_EQ(h.time, 1.75);
+  EXPECT_EQ(h.total_elements, 3);
+  EXPECT_EQ(loaded_owner, owner);
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0], f0);
   EXPECT_EQ(loaded[1], f1);
@@ -77,11 +85,12 @@ TEST_F(IoTest, ReadRejectsBadMagicAndTruncation) {
   EXPECT_THROW(cmtbone::io::read_checkpoint(path, &fields),
                std::runtime_error);
 
-  // Valid header but truncated payload.
+  // Valid version-3 header but truncated payload.
   cmtbone::io::CheckpointHeader header;
   header.n = 4;
   header.nel = 4;
   header.nfields = 1;
+  header.total_elements = 4;
   std::string path2 = (dir_ / "trunc.bin").string();
   {
     std::ofstream out(path2, std::ios::binary);
@@ -91,6 +100,40 @@ TEST_F(IoTest, ReadRejectsBadMagicAndTruncation) {
   }
   EXPECT_THROW(cmtbone::io::read_checkpoint(path2, &fields),
                std::runtime_error);
+}
+
+TEST(Checkpoint, RejectsVersionsOtherThan3) {
+  // Well-formed files of the two earlier formats: version 1 is the 40-byte
+  // header prefix with no CRC, version 2 the 56-byte prefix whose CRC
+  // covers the fields (no owner map). Both are refused as unsupported.
+  std::vector<double> payload(8);  // n=2 -> 8 points/element, one element
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = 1.5 * double(i);
+  const std::size_t payload_bytes = payload.size() * sizeof(double);
+  for (std::uint32_t version : {1u, 2u}) {
+    cmtbone::io::CheckpointHeader h;
+    h.version = version;
+    h.n = 2;
+    h.nel = 1;
+    h.nfields = 1;
+    h.steps = 9;
+    h.time = 2.25;
+    h.rank = 0;
+    h.epoch = 4;
+    h.payload_crc = cmtbone::io::crc32(payload.data(), payload_bytes);
+    const std::size_t header_bytes = version == 1 ? 40 : 56;
+    std::vector<std::byte> bytes(header_bytes + payload_bytes);
+    std::memcpy(bytes.data(), &h, header_bytes);
+    std::memcpy(bytes.data() + header_bytes, payload.data(), payload_bytes);
+    std::vector<std::vector<double>> fields;
+    try {
+      cmtbone::io::parse_checkpoint(bytes, "old", &fields);
+      ADD_FAILURE() << "version " << version << " was read";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(IoTest, MissingFileThrows) {

@@ -54,16 +54,6 @@ TEST(Mxm, IdentityLeavesMatrixUnchanged) {
   for (std::size_t i = 0; i < b.size(); ++i) EXPECT_DOUBLE_EQ(c[i], b[i]);
 }
 
-TEST(Mxm, AccumulatingFormAddsToC) {
-  const int n = 4;
-  auto a = random_vec(n * n, 4);
-  auto b = random_vec(n * n, 5);
-  std::vector<double> c0(n * n, 1.0), c1(n * n, 0.0);
-  cmtbone::kernels::mxm(a.data(), n, b.data(), n, c1.data(), n);
-  cmtbone::kernels::mxm_acc(a.data(), n, b.data(), n, c0.data(), n);
-  for (int i = 0; i < n * n; ++i) EXPECT_NEAR(c0[i], c1[i] + 1.0, 1e-13);
-}
-
 TEST(Gradient, MxmFixedVariantBitIdenticalToBasic) {
   // The batched backend (per-N SIMD contractions, D^T staged once per call)
   // against the basic loops, through the dispatched variant.

@@ -1,7 +1,11 @@
-// Mesh substrate: partitioning, global numbering, face maps, face exchange.
+// Mesh substrate: the block decomposition, element layouts, global
+// numbering, face maps, face exchange. Every element-index function is run
+// on the block layout and on a strided and a random owner map
+// (tests/layouts.hpp).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <set>
@@ -9,10 +13,12 @@
 #include <vector>
 
 #include "comm/runtime.hpp"
+#include "layouts.hpp"
 #include "mesh/face_exchange.hpp"
-#include "mesh/geometry.hpp"
 #include "mesh/face_numbering.hpp"
 #include "mesh/faces.hpp"
+#include "mesh/geometry.hpp"
+#include "mesh/layout.hpp"
 #include "mesh/numbering.hpp"
 #include "mesh/partition.hpp"
 
@@ -20,8 +26,14 @@ namespace {
 
 using cmtbone::comm::Comm;
 using cmtbone::mesh::BoxSpec;
+using cmtbone::mesh::ElementLayout;
 using cmtbone::mesh::FaceExchange;
 using cmtbone::mesh::Partition;
+using cmtbone::test::kOwnerMaps;
+using cmtbone::test::layout_of;
+using cmtbone::test::owner_map;
+using cmtbone::test::owner_map_name;
+using cmtbone::test::OwnerMap;
 
 BoxSpec spec_of(int n, int ex, int ey, int ez, int px, int py, int pz,
                 bool periodic = true) {
@@ -91,14 +103,31 @@ TEST(Partition, BlocksTileTheBoxExactly) {
 }
 
 TEST(Partition, OwnerOfAgreesWithBlocks) {
+  // ElementLayout::owner_of and owns against two oracles: Partition's block
+  // ranges for the block layout, the owner map itself for every map.
   BoxSpec spec = spec_of(5, 7, 5, 3, 3, 2, 2);
-  Partition any(spec, 0);
+  const ElementLayout block = ElementLayout::block(spec, 0);
   for (int r = 0; r < spec.nranks(); ++r) {
     Partition part(spec, r);
     for (int z = part.z0(); z < part.z1(); ++z) {
       for (int y = part.y0(); y < part.y1(); ++y) {
         for (int x = part.x0(); x < part.x1(); ++x) {
-          EXPECT_EQ(any.owner_of(x, y, z), r);
+          EXPECT_EQ(block.owner_of(x, y, z), r);
+        }
+      }
+    }
+  }
+  for (OwnerMap kind : kOwnerMaps) {
+    const std::vector<int> owner = owner_map(spec, kind);
+    for (int r = 0; r < spec.nranks(); ++r) {
+      const ElementLayout layout(spec, r, owner);
+      for (int z = 0; z < spec.ez; ++z) {
+        for (int y = 0; y < spec.ey; ++y) {
+          for (int x = 0; x < spec.ex; ++x) {
+            const int want = owner[x + spec.ex * (y + spec.ey * z)];
+            ASSERT_EQ(layout.owner_of(x, y, z), want) << owner_map_name(kind);
+            ASSERT_EQ(layout.owns(x, y, z), want == r) << owner_map_name(kind);
+          }
         }
       }
     }
@@ -106,14 +135,50 @@ TEST(Partition, OwnerOfAgreesWithBlocks) {
 }
 
 TEST(Partition, LocalIndexRoundTrips) {
+  // Local index <-> gid <-> coordinates on every map; gids ascend, and a
+  // gid another rank owns has no local index.
   BoxSpec spec = spec_of(5, 6, 4, 4, 2, 2, 1);
-  for (int r = 0; r < spec.nranks(); ++r) {
-    Partition part(spec, r);
-    for (int e = 0; e < part.nel(); ++e) {
-      auto g = part.global_coords(e);
-      EXPECT_EQ(part.local_index(g[0], g[1], g[2]), e);
+  for (OwnerMap kind : kOwnerMaps) {
+    long long owned = 0;
+    for (int r = 0; r < spec.nranks(); ++r) {
+      const ElementLayout layout = layout_of(spec, r, kind);
+      EXPECT_GT(layout.nel(), 0) << owner_map_name(kind);
+      owned += layout.nel();
+      for (int e = 0; e < layout.nel(); ++e) {
+        const auto g = layout.global_coords(e);
+        EXPECT_EQ(layout.local_index(g[0], g[1], g[2]), e);
+        EXPECT_EQ(layout.local_of_gid(layout.gid_of(e)), e);
+        EXPECT_EQ(layout.coords_of_gid(layout.gid_of(e)), g);
+        EXPECT_EQ(layout.gid(g[0], g[1], g[2]), layout.gid_of(e));
+        if (e > 0) {
+          EXPECT_LT(layout.gid_of(e - 1), layout.gid_of(e));
+        }
+      }
+      for (long long gid = 0; gid < spec.total_elements(); ++gid) {
+        if (layout.owner_of_gid(gid) != r) {
+          EXPECT_EQ(layout.local_of_gid(gid), -1) << owner_map_name(kind);
+        }
+      }
     }
+    EXPECT_EQ(owned, spec.total_elements()) << owner_map_name(kind);
   }
+}
+
+TEST(ElementLayout, RejectsInvalidSpec) {
+  // The layout validates its spec before building anything: n = 1 would
+  // reach the periodic wrap of the numbering as an integer % 0.
+  auto expect_rejected = [](const BoxSpec& spec) {
+    const std::vector<int> owner(std::size_t(spec.total_elements()), 0);
+    EXPECT_THROW(ElementLayout(spec, 0, owner), std::invalid_argument)
+        << spec.n << " " << spec.ex << " " << spec.px;
+    EXPECT_THROW(ElementLayout::block(spec, 0), std::invalid_argument)
+        << spec.n << " " << spec.ex << " " << spec.px;
+  };
+  expect_rejected(spec_of(1, 4, 4, 4, 1, 1, 1));  // n = 1
+  expect_rejected(spec_of(5, 2, 4, 4, 4, 1, 1));  // ex < px
+  expect_rejected(spec_of(5, 4, 4, 4, 0, 1, 1));  // px = 0
+  EXPECT_NO_THROW(ElementLayout(spec_of(5, 4, 4, 4, 2, 2, 1), 3,
+                                std::vector<int>(64, 3)));
 }
 
 TEST(Partition, NeighborRanksPeriodicWrap) {
@@ -130,75 +195,126 @@ TEST(Partition, NeighborRanksPeriodicWrap) {
 
 // --- global numbering ---------------------------------------------------------
 
+// Every rank's numbering of its elements under `kind`, keyed by gid:
+// by_gid[g] holds the `per_elem` ids element g received from its owner.
+std::vector<std::vector<long long>> ids_by_gid(
+    const BoxSpec& spec, OwnerMap kind,
+    std::vector<long long> (*number)(const ElementLayout&),
+    std::size_t per_elem) {
+  std::vector<std::vector<long long>> by_gid(
+      std::size_t(spec.total_elements()));
+  for (int r = 0; r < spec.nranks(); ++r) {
+    const ElementLayout layout = layout_of(spec, r, kind);
+    const std::vector<long long> ids = number(layout);
+    EXPECT_EQ(ids.size(), per_elem * std::size_t(layout.nel()));
+    for (int e = 0; e < layout.nel(); ++e) {
+      by_gid[std::size_t(layout.gid_of(e))].assign(
+          ids.begin() + std::ptrdiff_t(e * per_elem),
+          ids.begin() + std::ptrdiff_t((e + 1) * per_elem));
+    }
+  }
+  return by_gid;
+}
+
+std::vector<std::vector<long long>> gll_ids_by_gid(const BoxSpec& spec,
+                                                   OwnerMap kind) {
+  return ids_by_gid(spec, kind, cmtbone::mesh::global_gll_ids,
+                    std::size_t(spec.n) * spec.n * spec.n);
+}
+
+std::vector<std::vector<long long>> face_ids_by_gid(const BoxSpec& spec,
+                                                    OwnerMap kind) {
+  return ids_by_gid(spec, kind, cmtbone::mesh::face_point_gids,
+                    cmtbone::mesh::face_array_size(spec.n, 1));
+}
+
 TEST(Numbering, SharedFacePointsGetEqualIds) {
-  // Single rank, 2x1x1 elements: the x-interface points of element 0 and 1
-  // must carry identical ids.
-  BoxSpec spec = spec_of(4, 2, 1, 1, 1, 1, 1, /*periodic=*/false);
-  Partition part(spec, 0);
-  auto ids = cmtbone::mesh::global_gll_ids(part);
+  // The x-interface points of every pair of x-adjacent elements carry
+  // identical ids, whichever ranks own the two elements.
+  BoxSpec spec = spec_of(4, 4, 2, 1, 2, 1, 1, /*periodic=*/false);
   const int n = spec.n;
-  auto at = [&](int e, int i, int j, int k) {
-    return ids[i + n * (j + n * (k + std::size_t(n) * e))];
-  };
-  for (int k = 0; k < n; ++k) {
-    for (int j = 0; j < n; ++j) {
-      EXPECT_EQ(at(0, n - 1, j, k), at(1, 0, j, k));
-      EXPECT_NE(at(0, 0, j, k), at(1, 0, j, k));
+  for (OwnerMap kind : kOwnerMaps) {
+    const auto ids = gll_ids_by_gid(spec, kind);
+    auto at = [&](long long g, int i, int j, int k) {
+      return ids[std::size_t(g)][i + n * (j + std::size_t(n) * k)];
+    };
+    for (long long g = 0; g < spec.total_elements(); ++g) {
+      if ((g + 1) % spec.ex == 0) continue;  // no +x neighbor in the box
+      for (int k = 0; k < n; ++k) {
+        for (int j = 0; j < n; ++j) {
+          ASSERT_EQ(at(g, n - 1, j, k), at(g + 1, 0, j, k))
+              << owner_map_name(kind);
+          ASSERT_NE(at(g, 0, j, k), at(g + 1, 0, j, k)) << owner_map_name(kind);
+        }
+      }
     }
   }
 }
 
 TEST(Numbering, PeriodicWrapIdentifiesOppositeBoundaries) {
-  BoxSpec spec = spec_of(3, 2, 1, 1, 1, 1, 1, /*periodic=*/true);
-  Partition part(spec, 0);
-  auto ids = cmtbone::mesh::global_gll_ids(part);
+  BoxSpec spec = spec_of(3, 4, 2, 1, 2, 1, 1, /*periodic=*/true);
   const int n = spec.n;
-  auto at = [&](int e, int i, int j, int k) {
-    return ids[i + n * (j + n * (k + std::size_t(n) * e))];
-  };
-  // +x face of the last element wraps onto the -x face of the first.
-  for (int k = 0; k < n; ++k) {
-    for (int j = 0; j < n; ++j) {
-      EXPECT_EQ(at(1, n - 1, j, k), at(0, 0, j, k));
+  for (OwnerMap kind : kOwnerMaps) {
+    const auto ids = gll_ids_by_gid(spec, kind);
+    auto at = [&](long long g, int i, int j, int k) {
+      return ids[std::size_t(g)][i + n * (j + std::size_t(n) * k)];
+    };
+    // +x face of the last element of each x-row wraps onto the -x face of
+    // the row's first.
+    for (long long first = 0; first < spec.total_elements(); first += spec.ex) {
+      const long long last = first + spec.ex - 1;
+      for (int k = 0; k < n; ++k) {
+        for (int j = 0; j < n; ++j) {
+          ASSERT_EQ(at(last, n - 1, j, k), at(first, 0, j, k))
+              << owner_map_name(kind);
+        }
+      }
     }
   }
 }
 
 TEST(Numbering, MultiplicityCountsMatchStencil) {
   // Interior points appear once, face points twice, edge points four
-  // times, corner points eight times (periodic 2x2x2 box).
-  BoxSpec spec = spec_of(3, 2, 2, 2, 1, 1, 1);
-  Partition part(spec, 0);
-  auto ids = cmtbone::mesh::global_gll_ids(part);
-  std::map<long long, int> mult;
-  for (long long id : ids) mult[id]++;
-  std::map<int, int> histogram;
-  for (auto& [id, m] : mult) histogram[m]++;
-  // Multiplicities on a periodic conforming mesh are 1, 2, 4, or 8.
-  for (auto& [m, count] : histogram) {
-    EXPECT_TRUE(m == 1 || m == 2 || m == 4 || m == 8) << "multiplicity " << m;
+  // times, corner points eight times (periodic box), counted over the ids
+  // of every rank.
+  BoxSpec spec = spec_of(3, 4, 2, 2, 2, 1, 1);
+  for (OwnerMap kind : kOwnerMaps) {
+    std::map<long long, int> mult;
+    for (const auto& elem : gll_ids_by_gid(spec, kind)) {
+      for (long long id : elem) mult[id]++;
+    }
+    std::map<int, int> histogram;
+    for (auto& [id, m] : mult) histogram[m]++;
+    // Multiplicities on a periodic conforming mesh are 1, 2, 4, or 8.
+    for (auto& [m, count] : histogram) {
+      EXPECT_TRUE(m == 1 || m == 2 || m == 4 || m == 8)
+          << "multiplicity " << m << " " << owner_map_name(kind);
+    }
+    EXPECT_EQ(histogram.size(), 4u) << owner_map_name(kind);
+    EXPECT_EQ(cmtbone::mesh::total_gll_points(spec),
+              static_cast<long long>(mult.size()));
   }
-  EXPECT_EQ(cmtbone::mesh::total_gll_points(spec),
-            static_cast<long long>(mult.size()));
 }
 
 TEST(Numbering, ParallelIdsAgreeWithSerialOracle) {
   // The ids a rank derives for its elements must equal those the serial
-  // (single-rank) partition derives for the same global elements.
+  // (single-rank) layout derives for the same global elements.
   BoxSpec par = spec_of(4, 4, 2, 2, 2, 2, 1);
   BoxSpec ser = spec_of(4, 4, 2, 2, 1, 1, 1);
-  Partition serial(ser, 0);
-  auto serial_ids = cmtbone::mesh::global_gll_ids(serial);
-  const int n = par.n;
-  const std::size_t elem = std::size_t(n) * n * n;
-  for (int r = 0; r < par.nranks(); ++r) {
-    Partition part(par, r);
-    auto ids = cmtbone::mesh::global_gll_ids(part);
-    for (int e = 0; e < part.nel(); ++e) {
-      auto g = part.global_coords(e);
-      int se = serial.local_index(g[0], g[1], g[2]);
-      for (std::size_t p = 0; p < elem; ++p) {
-        ASSERT_EQ(ids[e * elem + p], serial_ids[se * elem + p]);
+  const ElementLayout serial = ElementLayout::block(ser, 0);
+  const auto serial_ids = cmtbone::mesh::global_gll_ids(serial);
+  const std::size_t elem = std::size_t(par.n) * par.n * par.n;
+  for (OwnerMap kind : kOwnerMaps) {
+    for (int r = 0; r < par.nranks(); ++r) {
+      const ElementLayout layout = layout_of(par, r, kind);
+      const auto ids = cmtbone::mesh::global_gll_ids(layout);
+      for (int e = 0; e < layout.nel(); ++e) {
+        auto g = layout.global_coords(e);
+        int se = serial.local_index(g[0], g[1], g[2]);
+        for (std::size_t p = 0; p < elem; ++p) {
+          ASSERT_EQ(ids[e * elem + p], serial_ids[se * elem + p])
+              << owner_map_name(kind);
+        }
       }
     }
   }
@@ -227,25 +343,6 @@ TEST(Faces, Full2FaceExtractsTheRightPoints) {
   }
 }
 
-TEST(Faces, Face2FullAddIsAdjointOfExtraction) {
-  const int n = 4, nel = 1;
-  std::vector<double> u(n * n * n, 0.0);
-  std::vector<double> faces(cmtbone::mesh::face_array_size(n, nel), 1.0);
-  cmtbone::mesh::face2full_add(faces.data(), u.data(), n, nel);
-  // Each volume point receives one unit per face it belongs to: corners 3,
-  // edges 2, face interiors 1, interior 0.
-  auto on_boundary = [n](int c) { return c == 0 || c == n - 1; };
-  for (int k = 0; k < n; ++k) {
-    for (int j = 0; j < n; ++j) {
-      for (int i = 0; i < n; ++i) {
-        int faces_touching = on_boundary(i) + on_boundary(j) + on_boundary(k);
-        EXPECT_DOUBLE_EQ(u[i + n * (j + std::size_t(n) * k)],
-                         double(faces_touching));
-      }
-    }
-  }
-}
-
 TEST(Faces, OppositeFaceConvention) {
   using cmtbone::mesh::opposite_face;
   EXPECT_EQ(opposite_face(0), 1);
@@ -256,57 +353,68 @@ TEST(Faces, OppositeFaceConvention) {
 // --- face-point numbering (gs-based exchange ids) ------------------------------
 
 TEST(FaceNumbering, EveryInteriorFacePointHasExactlyTwoCopies) {
-  BoxSpec spec = spec_of(3, 2, 2, 2, 1, 1, 1, /*periodic=*/true);
-  Partition part(spec, 0);
-  auto ids = cmtbone::mesh::face_point_gids(part);
-  std::map<long long, int> mult;
-  for (long long id : ids) mult[id]++;
-  for (const auto& [id, m] : mult) {
-    EXPECT_EQ(m, 2) << "face-point id " << id;
+  BoxSpec spec = spec_of(3, 4, 2, 2, 2, 1, 1, /*periodic=*/true);
+  for (OwnerMap kind : kOwnerMaps) {
+    std::map<long long, int> mult;
+    std::size_t slots = 0;
+    for (const auto& elem : face_ids_by_gid(spec, kind)) {
+      for (long long id : elem) mult[id]++;
+      slots += elem.size();
+    }
+    for (const auto& [id, m] : mult) {
+      EXPECT_EQ(m, 2) << "face-point id " << id << " " << owner_map_name(kind);
+    }
+    // Total slots = nel*6*n^2 over all ranks, each id twice.
+    EXPECT_EQ(mult.size() * 2, slots);
   }
-  // 3 axes x 2 planes... total slots = nel*6*n^2, each id twice.
-  EXPECT_EQ(mult.size() * 2, ids.size());
 }
 
 TEST(FaceNumbering, NonPeriodicBoundaryPointsAreUnique) {
-  BoxSpec spec = spec_of(3, 2, 2, 1, 1, 1, 1, /*periodic=*/false);
-  Partition part(spec, 0);
-  auto ids = cmtbone::mesh::face_point_gids(part);
-  std::map<long long, int> mult;
-  for (long long id : ids) mult[id]++;
-  int singles = 0, doubles = 0;
-  for (const auto& [id, m] : mult) {
-    ASSERT_TRUE(m == 1 || m == 2) << m;
-    (m == 1 ? singles : doubles)++;
+  BoxSpec spec = spec_of(3, 4, 2, 1, 2, 1, 1, /*periodic=*/false);
+  for (OwnerMap kind : kOwnerMaps) {
+    std::map<long long, int> mult;
+    for (const auto& elem : face_ids_by_gid(spec, kind)) {
+      for (long long id : elem) mult[id]++;
+    }
+    int singles = 0, doubles = 0;
+    for (const auto& [id, m] : mult) {
+      ASSERT_TRUE(m == 1 || m == 2) << m;
+      (m == 1 ? singles : doubles)++;
+    }
+    // 4x2x1 box: interior mesh faces: x: 3*2*1, y: 4*1*1, z: none (ez=1,
+    // both z faces physical). Each interior face has n^2 paired points.
+    EXPECT_EQ(doubles, (3 * 2 + 4 * 1) * 9) << owner_map_name(kind);
+    EXPECT_GT(singles, 0);
   }
-  // 2x2x1 box: interior mesh faces: x: 1*2*1, y: 2*1*1, z: none interior
-  // (ez=1, both z faces physical). Each interior face has n^2 paired points.
-  EXPECT_EQ(doubles, (1 * 2 + 2 * 1) * 9);
-  EXPECT_GT(singles, 0);
 }
 
 TEST(FaceNumbering, PairedSlotsAreGeometricallyAdjacent) {
   // The two slots sharing an id must be (element, face f) and its neighbor
-  // (element', opposite(f)) at the same (a, b).
-  BoxSpec spec = spec_of(3, 2, 2, 2, 1, 1, 1, /*periodic=*/true);
-  Partition part(spec, 0);
-  auto ids = cmtbone::mesh::face_point_gids(part);
+  // (element', opposite(f)) at the same (a, b), wherever the two live.
+  BoxSpec spec = spec_of(3, 4, 2, 2, 2, 1, 1, /*periodic=*/true);
   const int n = spec.n;
-  auto slot = [&](int e, int f, int a, int b) {
-    return cmtbone::mesh::face_offset(f, e, n) + a + std::size_t(n) * b;
+  const std::array<int, 3> extent = {spec.ex, spec.ey, spec.ez};
+  auto slot = [&](int f, int a, int b) {
+    return cmtbone::mesh::face_offset(f, 0, n) + a + std::size_t(n) * b;
   };
-  for (int e = 0; e < part.nel(); ++e) {
-    auto g = part.global_coords(e);
-    for (int f = 0; f < 6; ++f) {
-      int axis = cmtbone::mesh::face_axis(f);
-      int dir = cmtbone::mesh::face_side(f) == 0 ? -1 : 1;
-      std::array<int, 3> ng = {g[0], g[1], g[2]};
-      ng[axis] = (ng[axis] + dir + 2) % 2;  // extent 2 per direction
-      int ne = part.local_index(ng[0], ng[1], ng[2]);
-      for (int b = 0; b < n; ++b) {
-        for (int a = 0; a < n; ++a) {
-          ASSERT_EQ(ids[slot(e, f, a, b)],
-                    ids[slot(ne, cmtbone::mesh::opposite_face(f), a, b)]);
+  for (OwnerMap kind : kOwnerMaps) {
+    const auto ids = face_ids_by_gid(spec, kind);
+    const ElementLayout any = layout_of(spec, 0, kind);
+    for (long long g = 0; g < spec.total_elements(); ++g) {
+      const auto c = any.coords_of_gid(g);
+      for (int f = 0; f < 6; ++f) {
+        int axis = cmtbone::mesh::face_axis(f);
+        int dir = cmtbone::mesh::face_side(f) == 0 ? -1 : 1;
+        std::array<int, 3> ng = c;
+        ng[axis] = (ng[axis] + dir + extent[axis]) % extent[axis];
+        const long long ngid = any.gid(ng[0], ng[1], ng[2]);
+        for (int b = 0; b < n; ++b) {
+          for (int a = 0; a < n; ++a) {
+            ASSERT_EQ(ids[std::size_t(g)][slot(f, a, b)],
+                      ids[std::size_t(ngid)][slot(
+                          cmtbone::mesh::opposite_face(f), a, b)])
+                << owner_map_name(kind);
+          }
         }
       }
     }
@@ -316,17 +424,20 @@ TEST(FaceNumbering, PairedSlotsAreGeometricallyAdjacent) {
 TEST(FaceNumbering, ParallelIdsAgreeWithSerialOracle) {
   BoxSpec par = spec_of(3, 4, 2, 2, 2, 2, 1);
   BoxSpec ser = spec_of(3, 4, 2, 2, 1, 1, 1);
-  Partition serial(ser, 0);
-  auto serial_ids = cmtbone::mesh::face_point_gids(serial);
+  const ElementLayout serial = ElementLayout::block(ser, 0);
+  const auto serial_ids = cmtbone::mesh::face_point_gids(serial);
   const std::size_t per_elem = cmtbone::mesh::face_array_size(par.n, 1);
-  for (int r = 0; r < par.nranks(); ++r) {
-    Partition part(par, r);
-    auto ids = cmtbone::mesh::face_point_gids(part);
-    for (int e = 0; e < part.nel(); ++e) {
-      auto g = part.global_coords(e);
-      int se = serial.local_index(g[0], g[1], g[2]);
-      for (std::size_t p = 0; p < per_elem; ++p) {
-        ASSERT_EQ(ids[e * per_elem + p], serial_ids[se * per_elem + p]);
+  for (OwnerMap kind : kOwnerMaps) {
+    for (int r = 0; r < par.nranks(); ++r) {
+      const ElementLayout layout = layout_of(par, r, kind);
+      const auto ids = cmtbone::mesh::face_point_gids(layout);
+      for (int e = 0; e < layout.nel(); ++e) {
+        auto g = layout.global_coords(e);
+        int se = serial.local_index(g[0], g[1], g[2]);
+        for (std::size_t p = 0; p < per_elem; ++p) {
+          ASSERT_EQ(ids[e * per_elem + p], serial_ids[se * per_elem + p])
+              << owner_map_name(kind);
+        }
       }
     }
   }
@@ -340,18 +451,33 @@ double global_marker(int gx, int gy, int gz, int face, int a, int b) {
   return gx * 1.0e6 + gy * 1.0e4 + gz * 1.0e2 + face * 10.0 + a + 0.01 * b;
 }
 
-void face_exchange_check(const BoxSpec& spec) {
+// Geometric neighbor of element g across face f: false on a physical
+// (non-periodic) boundary.
+bool face_neighbor(const BoxSpec& spec, std::array<int, 3> g, int f,
+                   std::array<int, 3>* ng) {
+  const std::array<int, 3> extent = {spec.ex, spec.ey, spec.ez};
+  const int axis = cmtbone::mesh::face_axis(f);
+  g[axis] += cmtbone::mesh::face_side(f) == 0 ? -1 : 1;
+  if (g[axis] < 0 || g[axis] >= extent[axis]) {
+    if (!spec.periodic) return false;
+    g[axis] = (g[axis] + extent[axis]) % extent[axis];
+  }
+  *ng = g;
+  return true;
+}
+
+void face_exchange_check(const BoxSpec& spec, OwnerMap kind) {
   cmtbone::comm::run(spec.nranks(), [&](Comm& world) {
-    Partition part(spec, world.rank());
-    FaceExchange ex(world, part);
+    const ElementLayout layout = layout_of(spec, world.rank(), kind);
+    FaceExchange ex(world, layout);
     const int n = spec.n;
-    const int nel = part.nel();
+    const int nel = layout.nel();
     const std::size_t fsz = cmtbone::mesh::face_array_size(n, nel);
 
     // Hand-build a face array whose entries encode (element, face, a, b).
     std::vector<double> myfaces(fsz), nbrfaces(fsz, -1);
     for (int e = 0; e < nel; ++e) {
-      auto g = part.global_coords(e);
+      auto g = layout.global_coords(e);
       for (int f = 0; f < 6; ++f) {
         for (int b = 0; b < n; ++b) {
           for (int a = 0; a < n; ++a) {
@@ -365,24 +491,11 @@ void face_exchange_check(const BoxSpec& spec) {
 
     // Every (element, face) must now hold the neighbor element's opposite
     // face marker with identical (a, b).
-    const std::array<int, 3> extent = {spec.ex, spec.ey, spec.ez};
     for (int e = 0; e < nel; ++e) {
-      auto g = part.global_coords(e);
+      auto g = layout.global_coords(e);
       for (int f = 0; f < 6; ++f) {
-        int axis = cmtbone::mesh::face_axis(f);
-        int dir = cmtbone::mesh::face_side(f) == 0 ? -1 : 1;
-        std::array<int, 3> ng = {g[0], g[1], g[2]};
-        ng[axis] += dir;
-        bool physical = false;
-        for (int ax = 0; ax < 3; ++ax) {
-          if (ng[ax] < 0 || ng[ax] >= extent[ax]) {
-            if (spec.periodic) {
-              ng[ax] = (ng[ax] + extent[ax]) % extent[ax];
-            } else {
-              physical = true;
-            }
-          }
-        }
+        std::array<int, 3> ng;
+        const bool physical = !face_neighbor(spec, g, f, &ng);
         for (int b = 0; b < n; ++b) {
           for (int a = 0; a < n; ++a) {
             double got = nbrfaces[cmtbone::mesh::face_offset(f, e, n) + a +
@@ -393,12 +506,17 @@ void face_exchange_check(const BoxSpec& spec) {
                     : global_marker(ng[0], ng[1], ng[2],
                                     cmtbone::mesh::opposite_face(f), a, b);
             ASSERT_DOUBLE_EQ(got, want)
-                << "e=" << e << " f=" << f << " a=" << a << " b=" << b;
+                << owner_map_name(kind) << " e=" << e << " f=" << f
+                << " a=" << a << " b=" << b;
           }
         }
       }
     }
   });
+}
+
+void face_exchange_check(const BoxSpec& spec) {
+  for (OwnerMap kind : kOwnerMaps) face_exchange_check(spec, kind);
 }
 
 TEST(FaceExchange, SingleRankPeriodicWrap) {
@@ -418,9 +536,9 @@ TEST(FaceExchange, NonPeriodicBoundariesMirror) {
 }
 
 TEST(FaceExchange, SingleElementPerRankPeriodic) {
-  // nelx == 1 with px == 2: both x faces of each element are remote, and
-  // both exchanges target the same partner (distinct tags must keep them
-  // apart).
+  // nelx == 1 with px == 2: both x faces of each block element are remote,
+  // and both exchanges target the same partner (distinct tags must keep
+  // them apart).
   face_exchange_check(spec_of(3, 2, 2, 2, 2, 1, 1));
 }
 
@@ -430,43 +548,67 @@ TEST(FaceExchange, OddProcessorCounts) {
 
 TEST(FaceExchange, MultiFieldExchangeKeepsFieldsSeparate) {
   BoxSpec spec = spec_of(3, 4, 2, 2, 2, 1, 1);
-  cmtbone::comm::run(spec.nranks(), [&](Comm& world) {
-    Partition part(spec, world.rank());
-    FaceExchange ex(world, part);
-    const int n = spec.n;
-    const int nel = part.nel();
-    const std::size_t fsz = cmtbone::mesh::face_array_size(n, nel);
-    const int nf = 3;
-    std::vector<double> myfaces(nf * fsz), nbrfaces(nf * fsz, -1);
-    for (int f = 0; f < nf; ++f) {
-      for (std::size_t i = 0; i < fsz; ++i) {
-        myfaces[f * fsz + i] = world.rank() * 1000.0 + f * 100.0;
+  for (OwnerMap kind : kOwnerMaps) {
+    cmtbone::comm::run(spec.nranks(), [&](Comm& world) {
+      const ElementLayout layout = layout_of(spec, world.rank(), kind);
+      FaceExchange ex(world, layout);
+      const int n = spec.n;
+      const std::size_t fsz = cmtbone::mesh::face_array_size(n, layout.nel());
+      const int nf = 3;
+      std::vector<double> myfaces(nf * fsz), nbrfaces(nf * fsz, -1);
+      for (int f = 0; f < nf; ++f) {
+        for (std::size_t i = 0; i < fsz; ++i) {
+          myfaces[f * fsz + i] = world.rank() * 1000.0 + f * 100.0;
+        }
       }
-    }
-    ex.exchange(myfaces.data(), nbrfaces.data(), nf);
-    // Whatever the source rank was, the field id digit must be preserved.
-    for (int f = 0; f < nf; ++f) {
-      for (std::size_t i = 0; i < fsz; ++i) {
-        double v = nbrfaces[f * fsz + i];
-        int field_digit = int(v) % 1000 / 100;
-        EXPECT_EQ(field_digit, f);
+      ex.exchange(myfaces.data(), nbrfaces.data(), nf);
+      // Whatever the source rank was, the field id digit must be preserved.
+      for (int f = 0; f < nf; ++f) {
+        for (std::size_t i = 0; i < fsz; ++i) {
+          double v = nbrfaces[f * fsz + i];
+          int field_digit = int(v) % 1000 / 100;
+          EXPECT_EQ(field_digit, f) << owner_map_name(kind);
+        }
       }
-    }
-  });
+    });
+  }
 }
 
 TEST(FaceExchange, ByteAccountingMatchesPlanes) {
   BoxSpec spec = spec_of(4, 4, 4, 4, 2, 2, 1);
+  const long long plane_bytes = 16LL * 8;  // n^2 points x 8 bytes
   cmtbone::comm::run(4, [&](Comm& world) {
-    Partition part(spec, world.rank());
-    FaceExchange ex(world, part);
+    FaceExchange ex(world, ElementLayout::block(spec, world.rank()));
     // Each rank owns a 2x2x4 block: remote planes are +x/-x (2x4 elements)
     // and +y/-y (2x4); z wraps locally (pz=1). 4 planes x 8 faces x n^2
     // points x 8 bytes.
-    long long expected = 4LL * 8 * 16 * 8;
-    EXPECT_EQ(ex.send_bytes_per_exchange(1), expected);
+    EXPECT_EQ(ex.send_bytes_per_exchange(1), 4LL * 8 * plane_bytes);
     EXPECT_EQ(ex.remote_partner_count(), 2);
   });
+  // Any map: one plane per (element, face) whose neighbor another rank
+  // owns, to as many partners as there are such owners.
+  for (OwnerMap kind : kOwnerMaps) {
+    cmtbone::comm::run(4, [&](Comm& world) {
+      const ElementLayout layout = layout_of(spec, world.rank(), kind);
+      FaceExchange ex(world, layout);
+      long long planes = 0;
+      std::set<int> partners;
+      for (int e = 0; e < layout.nel(); ++e) {
+        for (int f = 0; f < 6; ++f) {
+          std::array<int, 3> ng;
+          if (!face_neighbor(spec, layout.global_coords(e), f, &ng)) continue;
+          const int owner = layout.owner_of(ng[0], ng[1], ng[2]);
+          if (owner == world.rank()) continue;
+          ++planes;
+          partners.insert(owner);
+        }
+      }
+      EXPECT_EQ(ex.send_bytes_per_exchange(2), 2 * planes * plane_bytes)
+          << owner_map_name(kind);
+      EXPECT_EQ(ex.remote_partner_count(), int(partners.size()))
+          << owner_map_name(kind);
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -474,15 +616,22 @@ TEST(FaceExchange, ByteAccountingMatchesPlanes) {
 // ---------------------------------------------------------------------------
 
 TEST(AxisMap, UniformWidthsAreTheExactHistoricalConstant) {
-  cmtbone::mesh::AxisMap map;  // uniform, length 1
-  const auto w = cmtbone::mesh::axis_widths(map, 8);
-  ASSERT_EQ(w.size(), 8u);
-  for (double wi : w) {
-    // Bit-exact 1.0/8, not a breakpoint difference — the uniform fast path
-    // must reproduce the seed geometry exactly.
-    EXPECT_EQ(wi, 1.0 / 8);
+  // Bit-exact length / count, not a breakpoint difference: core::Driver's
+  // per-element extents on a uniform mesh are these widths, so they must be
+  // the very doubles the seed geometry used.
+  using cmtbone::mesh::AxisMap;
+  using cmtbone::mesh::AxisMapKind;
+  for (double length : {1.0, 2.5, 0.3}) {
+    for (int count : {1, 6, 8}) {
+      const auto w = cmtbone::mesh::axis_widths(
+          AxisMap{AxisMapKind::kUniform, 1.0, length}, count);
+      ASSERT_EQ(w.size(), std::size_t(count));
+      for (double wi : w) {
+        EXPECT_EQ(wi, length / count) << length << "/" << count;
+      }
+      EXPECT_EQ(*std::min_element(w.begin(), w.end()), length / count);
+    }
   }
-  EXPECT_EQ(cmtbone::mesh::min_axis_width(map, 8), 1.0 / 8);
 }
 
 TEST(AxisMap, BreakpointsSpanTheAxisAndIncrease) {

@@ -173,8 +173,8 @@ TEST(Nekbone, DenseOperatorMatrixIsSymmetric) {
     spec.n = cfg.n;
     spec.ex = spec.ey = spec.ez = cfg.ex;
     spec.px = spec.py = spec.pz = 1;
-    cmtbone::mesh::Partition part(spec, 0);
-    auto gids = cmtbone::mesh::global_gll_ids(part);
+    auto gids = cmtbone::mesh::global_gll_ids(
+        cmtbone::mesh::ElementLayout::block(spec, 0));
 
     std::vector<long long> unique(gids.begin(), gids.end());
     std::sort(unique.begin(), unique.end());

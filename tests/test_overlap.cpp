@@ -16,8 +16,10 @@
 #include "comm/runtime.hpp"
 #include "core/driver.hpp"
 #include "gs/gather_scatter.hpp"
+#include "layouts.hpp"
 #include "mesh/face_exchange.hpp"
 #include "mesh/faces.hpp"
+#include "mesh/layout.hpp"
 #include "mesh/partition.hpp"
 #include "prof/callprof.hpp"
 #include "util/rng.hpp"
@@ -34,7 +36,12 @@ using cmtbone::core::FaceBackend;
 using cmtbone::core::Physics;
 using cmtbone::core::TimeIntegrator;
 using cmtbone::mesh::BoxSpec;
-using cmtbone::mesh::Partition;
+using cmtbone::mesh::ElementLayout;
+using cmtbone::test::kOwnerMaps;
+using cmtbone::test::layout_of;
+using cmtbone::test::owner_map;
+using cmtbone::test::owner_map_name;
+using cmtbone::test::OwnerMap;
 using cmtbone::util::SplitMix64;
 
 // --- interior/boundary classification ---------------------------------------
@@ -49,22 +56,59 @@ BoxSpec spec_for(int n, int e, int px, int py, int pz) {
   return spec;
 }
 
+// Brute force: rank `rank` of map `owner` must call an element boundary
+// exactly when one of its six face neighbors (periodic wrap included,
+// physical boundary excluded) belongs to another rank.
+void expect_classes_match_scan(const BoxSpec& spec, int rank,
+                               const std::vector<int>& owner,
+                               const cmtbone::mesh::ElementClasses& cls,
+                               const std::string& label) {
+  const ElementLayout layout(spec, rank, owner);
+  const std::array<int, 3> extent = {spec.ex, spec.ey, spec.ez};
+  std::vector<int> want_interior, want_boundary;
+  for (int e = 0; e < layout.nel(); ++e) {
+    const auto g = layout.global_coords(e);
+    bool remote = false;
+    for (int axis = 0; axis < 3; ++axis) {
+      for (int step : {-1, 1}) {
+        std::array<int, 3> ng = g;
+        ng[axis] += step;
+        if (ng[axis] < 0 || ng[axis] >= extent[axis]) {
+          if (!spec.periodic) continue;
+          ng[axis] = (ng[axis] + extent[axis]) % extent[axis];
+        }
+        const long long gid =
+            ng[0] + 1LL * spec.ex * (ng[1] + 1LL * spec.ey * ng[2]);
+        remote = remote || owner[std::size_t(gid)] != rank;
+      }
+    }
+    (remote ? want_boundary : want_interior).push_back(e);
+  }
+  EXPECT_EQ(cls.interior, want_interior) << label;
+  EXPECT_EQ(cls.boundary, want_boundary) << label;
+}
+
 TEST(ElementClasses, PartitionCoveredExactlyOnceInAscendingOrder) {
   for (auto [px, py, pz] : {std::array<int, 3>{1, 1, 1},
                             std::array<int, 3>{2, 1, 1},
                             std::array<int, 3>{2, 2, 1},
                             std::array<int, 3>{3, 1, 1}}) {
     BoxSpec spec = spec_for(4, 6, px, py, pz);
-    for (int rank = 0; rank < spec.nranks(); ++rank) {
-      Partition part(spec, rank);
-      auto cls = cmtbone::mesh::classify_interior_boundary(part);
-      EXPECT_TRUE(std::is_sorted(cls.interior.begin(), cls.interior.end()));
-      EXPECT_TRUE(std::is_sorted(cls.boundary.begin(), cls.boundary.end()));
-      std::vector<int> all(cls.interior);
-      all.insert(all.end(), cls.boundary.begin(), cls.boundary.end());
-      std::sort(all.begin(), all.end());
-      ASSERT_EQ(int(all.size()), part.nel());
-      for (int e = 0; e < part.nel(); ++e) EXPECT_EQ(all[e], e);
+    for (OwnerMap kind : kOwnerMaps) {
+      const std::vector<int> owner = owner_map(spec, kind);
+      for (int rank = 0; rank < spec.nranks(); ++rank) {
+        const ElementLayout layout(spec, rank, owner);
+        auto cls = cmtbone::mesh::classify_interior_boundary(layout);
+        EXPECT_TRUE(std::is_sorted(cls.interior.begin(), cls.interior.end()));
+        EXPECT_TRUE(std::is_sorted(cls.boundary.begin(), cls.boundary.end()));
+        std::vector<int> all(cls.interior);
+        all.insert(all.end(), cls.boundary.begin(), cls.boundary.end());
+        std::sort(all.begin(), all.end());
+        ASSERT_EQ(int(all.size()), layout.nel());
+        for (int e = 0; e < layout.nel(); ++e) EXPECT_EQ(all[e], e);
+        expect_classes_match_scan(spec, rank, owner, cls,
+                                  owner_map_name(kind));
+      }
     }
   }
 }
@@ -72,10 +116,23 @@ TEST(ElementClasses, PartitionCoveredExactlyOnceInAscendingOrder) {
 TEST(ElementClasses, SingleRankPeriodicBoxIsAllInterior) {
   // Every periodic neighbor wraps back onto this rank, so no element's
   // surface term waits on a message.
-  Partition part(spec_for(4, 3, 1, 1, 1), 0);
-  auto cls = cmtbone::mesh::classify_interior_boundary(part);
-  EXPECT_EQ(int(cls.interior.size()), part.nel());
+  const ElementLayout layout = ElementLayout::block(spec_for(4, 3, 1, 1, 1), 0);
+  auto cls = cmtbone::mesh::classify_interior_boundary(layout);
+  EXPECT_EQ(int(cls.interior.size()), layout.nel());
   EXPECT_TRUE(cls.boundary.empty());
+  // On more ranks the strided and random maps leave no rank all interior:
+  // the periodic box is connected, so some element of every non-empty rank
+  // faces another rank.
+  BoxSpec spec = spec_for(4, 4, 2, 1, 1);
+  for (OwnerMap kind : {OwnerMap::kStrided, OwnerMap::kRandom}) {
+    const std::vector<int> owner = owner_map(spec, kind);
+    for (int rank = 0; rank < spec.nranks(); ++rank) {
+      auto c = cmtbone::mesh::classify_interior_boundary(
+          ElementLayout(spec, rank, owner));
+      EXPECT_FALSE(c.boundary.empty()) << owner_map_name(kind);
+      expect_classes_match_scan(spec, rank, owner, c, owner_map_name(kind));
+    }
+  }
 }
 
 TEST(ElementClasses, BoundaryIsTheRemoteFacingLayer) {
@@ -84,91 +141,141 @@ TEST(ElementClasses, BoundaryIsTheRemoteFacingLayer) {
   // wrap) touch a remote rank.
   BoxSpec spec = spec_for(4, 8, 2, 1, 1);
   for (int rank = 0; rank < 2; ++rank) {
-    Partition part(spec, rank);
-    auto cls = cmtbone::mesh::classify_interior_boundary(part);
+    cmtbone::mesh::Partition part(spec, rank);
+    const ElementLayout layout = ElementLayout::block(spec, rank);
+    auto cls = cmtbone::mesh::classify_interior_boundary(layout);
     for (int e : cls.boundary) {
-      auto g = part.global_coords(e);
+      auto g = layout.global_coords(e);
       EXPECT_TRUE(g[0] == part.x0() || g[0] == part.x1() - 1) << e;
     }
     for (int e : cls.interior) {
-      auto g = part.global_coords(e);
+      auto g = layout.global_coords(e);
       EXPECT_TRUE(g[0] > part.x0() && g[0] < part.x1() - 1) << e;
     }
     EXPECT_EQ(cls.boundary.size(), std::size_t(2 * 8 * 8));
+  }
+  // Strided map: x-neighbors always differ in rank, so every element faces
+  // a remote rank. Random map: the brute-force scan decides.
+  for (OwnerMap kind : {OwnerMap::kStrided, OwnerMap::kRandom}) {
+    const std::vector<int> owner = owner_map(spec, kind);
+    for (int rank = 0; rank < 2; ++rank) {
+      auto cls = cmtbone::mesh::classify_interior_boundary(
+          ElementLayout(spec, rank, owner));
+      if (kind == OwnerMap::kStrided) {
+        EXPECT_TRUE(cls.interior.empty());
+      }
+      expect_classes_match_scan(spec, rank, owner, cls, owner_map_name(kind));
+    }
   }
 }
 
 TEST(ElementClasses, NonPeriodicPhysicalBoundaryDoesNotCount) {
   // One rank, non-periodic: faces at the domain edge mirror locally, so
   // everything stays interior.
-  BoxSpec spec = spec_for(4, 3, 1, 1, 1);
-  spec.periodic = false;
-  Partition part(spec, 0);
-  auto cls = cmtbone::mesh::classify_interior_boundary(part);
+  BoxSpec one = spec_for(4, 3, 1, 1, 1);
+  one.periodic = false;
+  auto cls = cmtbone::mesh::classify_interior_boundary(
+      ElementLayout::block(one, 0));
   EXPECT_TRUE(cls.boundary.empty());
+  // On two ranks the open box's boundary elements are a subset of the
+  // periodic box's: closing the wrap only adds remote faces.
+  BoxSpec open = spec_for(4, 4, 2, 1, 1);
+  open.periodic = false;
+  BoxSpec wrapped = open;
+  wrapped.periodic = true;
+  for (OwnerMap kind : kOwnerMaps) {
+    const std::vector<int> owner = owner_map(open, kind);
+    for (int rank = 0; rank < 2; ++rank) {
+      auto c_open = cmtbone::mesh::classify_interior_boundary(
+          ElementLayout(open, rank, owner));
+      auto c_wrapped = cmtbone::mesh::classify_interior_boundary(
+          ElementLayout(wrapped, rank, owner));
+      EXPECT_TRUE(std::includes(c_wrapped.boundary.begin(),
+                                c_wrapped.boundary.end(),
+                                c_open.boundary.begin(), c_open.boundary.end()))
+          << owner_map_name(kind);
+      expect_classes_match_scan(open, rank, owner, c_open,
+                                owner_map_name(kind));
+    }
+  }
+  // Block layout on two ranks: the open box has no wrap, so only the
+  // layer facing the partner is boundary.
+  for (int rank = 0; rank < 2; ++rank) {
+    auto c = cmtbone::mesh::classify_interior_boundary(
+        ElementLayout::block(open, rank));
+    EXPECT_EQ(c.boundary.size(), std::size_t(4 * 4));
+  }
 }
 
 // --- FaceExchange begin/finish ----------------------------------------------
 
 TEST(FaceExchangeSplit, BeginFinishBitIdenticalToBlockingExchange) {
-  cmtbone::comm::run(2, [](Comm& world) {
-    BoxSpec spec = spec_for(4, 4, 2, 1, 1);
-    Partition part(spec, world.rank());
-    cmtbone::mesh::FaceExchange ex(world, part);
+  BoxSpec spec = spec_for(4, 4, 2, 1, 1);
+  for (OwnerMap kind : kOwnerMaps) {
+    cmtbone::comm::run(2, [&](Comm& world) {
+      const ElementLayout layout = layout_of(spec, world.rank(), kind);
+      cmtbone::mesh::FaceExchange ex(world, layout);
 
-    const int nfields = 3;
-    const std::size_t fsz =
-        cmtbone::mesh::face_array_size(spec.n, part.nel()) * nfields;
-    SplitMix64 rng(77 + world.rank());
-    std::vector<double> myfaces(fsz);
-    for (double& v : myfaces) v = rng.uniform(-1.0, 1.0);
+      const int nfields = 3;
+      const std::size_t fsz =
+          cmtbone::mesh::face_array_size(spec.n, layout.nel()) * nfields;
+      SplitMix64 rng(77 + world.rank());
+      std::vector<double> myfaces(fsz);
+      for (double& v : myfaces) v = rng.uniform(-1.0, 1.0);
 
-    std::vector<double> blocking(fsz, -1.0), split(fsz, -2.0);
-    ex.exchange(myfaces.data(), blocking.data(), nfields);
+      std::vector<double> blocking(fsz, -1.0), split(fsz, -2.0);
+      ex.exchange(myfaces.data(), blocking.data(), nfields);
 
-    EXPECT_FALSE(ex.in_flight());
-    ex.begin(myfaces.data(), split.data(), nfields);
-    EXPECT_TRUE(ex.in_flight());
-    ex.finish();
-    EXPECT_FALSE(ex.in_flight());
+      EXPECT_FALSE(ex.in_flight());
+      ex.begin(myfaces.data(), split.data(), nfields);
+      EXPECT_TRUE(ex.in_flight());
+      ex.finish();
+      EXPECT_FALSE(ex.in_flight());
 
-    for (std::size_t i = 0; i < fsz; ++i) {
-      ASSERT_EQ(blocking[i], split[i]) << "face value " << i;
-    }
-    // finish() without a begin() is a harmless no-op.
-    ex.finish();
-  });
+      for (std::size_t i = 0; i < fsz; ++i) {
+        ASSERT_EQ(blocking[i], split[i])
+            << owner_map_name(kind) << " face value " << i;
+      }
+      // finish() without a begin() is a harmless no-op.
+      ex.finish();
+    });
+  }
 }
 
 TEST(FaceExchangeSplit, SecondBeginThrowsAndFirstStillCompletes) {
-  cmtbone::comm::run(2, [](Comm& world) {
-    BoxSpec spec = spec_for(4, 4, 2, 1, 1);
-    Partition part(spec, world.rank());
-    cmtbone::mesh::FaceExchange ex(world, part);
+  BoxSpec spec = spec_for(4, 4, 2, 1, 1);
+  for (OwnerMap kind : kOwnerMaps) {
+    cmtbone::comm::run(2, [&](Comm& world) {
+      const ElementLayout layout = layout_of(spec, world.rank(), kind);
+      cmtbone::mesh::FaceExchange ex(world, layout);
 
-    const int nfields = 3;
-    const std::size_t fsz =
-        cmtbone::mesh::face_array_size(spec.n, part.nel()) * nfields;
-    SplitMix64 rng(78 + world.rank());
-    std::vector<double> myfaces(fsz);
-    for (double& v : myfaces) v = rng.uniform(-1.0, 1.0);
+      const int nfields = 3;
+      const std::size_t fsz =
+          cmtbone::mesh::face_array_size(spec.n, layout.nel()) * nfields;
+      SplitMix64 rng(78 + world.rank());
+      std::vector<double> myfaces(fsz);
+      for (double& v : myfaces) v = rng.uniform(-1.0, 1.0);
 
-    std::vector<double> blocking(fsz, -1.0), split(fsz, -2.0),
-        other(fsz, -3.0);
-    ex.exchange(myfaces.data(), blocking.data(), nfields);
+      std::vector<double> blocking(fsz, -1.0), split(fsz, -2.0),
+          other(fsz, -3.0);
+      ex.exchange(myfaces.data(), blocking.data(), nfields);
 
-    ex.begin(myfaces.data(), split.data(), nfields);
-    EXPECT_THROW(ex.begin(myfaces.data(), other.data(), nfields),
-                 std::logic_error);
-    EXPECT_TRUE(ex.in_flight());
-    ex.finish();
-    EXPECT_FALSE(ex.in_flight());
+      ex.begin(myfaces.data(), split.data(), nfields);
+      EXPECT_THROW(ex.begin(myfaces.data(), other.data(), nfields),
+                   std::logic_error);
+      EXPECT_TRUE(ex.in_flight());
+      ex.finish();
+      EXPECT_FALSE(ex.in_flight());
 
-    for (std::size_t i = 0; i < fsz; ++i) {
-      ASSERT_EQ(blocking[i], split[i]) << "face value " << i;
-      ASSERT_EQ(other[i], -3.0) << "the refused begin wrote face value " << i;
-    }
-  });
+      for (std::size_t i = 0; i < fsz; ++i) {
+        ASSERT_EQ(blocking[i], split[i])
+            << owner_map_name(kind) << " face value " << i;
+        ASSERT_EQ(other[i], -3.0)
+            << owner_map_name(kind) << " the refused begin wrote face value "
+            << i;
+      }
+    });
+  }
 }
 
 // --- GatherScatter begin/finish ---------------------------------------------

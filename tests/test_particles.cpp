@@ -135,7 +135,7 @@ TEST(Tracker, InterpolationIsExactForTensorPolynomials) {
     std::vector<double> field(std::size_t(n) * n * n * part.nel());
     std::size_t idx = 0;
     for (int e = 0; e < part.nel(); ++e) {
-      auto g = part.global_coords(e);
+      auto g = tracker.layout().global_coords(e);
       for (int k = 0; k < n; ++k) {
         for (int j = 0; j < n; ++j) {
           for (int i = 0; i < n; ++i) {
@@ -218,7 +218,7 @@ TEST(Tracker, DepositAtNodeIsADelta) {
     double y = (0 + 0.5 * (ops.rule.nodes[1] + 1.0)) / spec.ey;
     double z = (0 + 0.5 * (ops.rule.nodes[1] + 1.0)) / spec.ez;
     tracker.deposit(field.data(), x, y, z, 4.0);
-    int e = part.local_index(0, 0, 0);
+    int e = tracker.layout().local_index(0, 0, 0);
     std::size_t idx = std::size_t(e) * n * n * n + 1 + n * (1 + std::size_t(n) * 1);
     EXPECT_NEAR(field[idx], 4.0, 1e-12);
     double total = 0.0;

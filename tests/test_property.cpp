@@ -15,8 +15,10 @@
 #include "gs/gather_scatter.hpp"
 #include "kernels/gradient.hpp"
 #include "kernels/mxm.hpp"
+#include "layouts.hpp"
 #include "mesh/face_exchange.hpp"
 #include "mesh/faces.hpp"
+#include "mesh/layout.hpp"
 #include "mesh/partition.hpp"
 #include "util/rng.hpp"
 
@@ -26,6 +28,11 @@ using cmtbone::comm::Comm;
 using cmtbone::comm::ReduceOp;
 using cmtbone::gs::GatherScatter;
 using cmtbone::gs::Method;
+using cmtbone::test::kOwnerMaps;
+using cmtbone::test::layout_of;
+using cmtbone::test::owner_map;
+using cmtbone::test::owner_map_name;
+using cmtbone::test::OwnerMap;
 using cmtbone::util::SplitMix64;
 
 // --- randomized gs against the serial oracle ---------------------------------
@@ -212,7 +219,7 @@ TEST(GradProperty, LinearityInTheField) {
   }
 }
 
-// --- random partitions tile exactly ----------------------------------------------
+// --- random specs: every owner map tiles exactly ---------------------------
 
 class PartitionFuzz : public ::testing::TestWithParam<int> {};
 
@@ -229,17 +236,32 @@ TEST_P(PartitionFuzz, RandomSpecsTileWithoutGapsOrOverlap) {
   spec.periodic = rng.below(2) == 0;
   spec.validate();
 
-  std::set<std::tuple<int, int, int>> covered;
-  cmtbone::mesh::Partition oracle(spec, 0);
-  for (int r = 0; r < spec.nranks(); ++r) {
-    cmtbone::mesh::Partition part(spec, r);
-    for (int e = 0; e < part.nel(); ++e) {
-      auto g = part.global_coords(e);
-      EXPECT_TRUE(covered.insert({g[0], g[1], g[2]}).second);
-      EXPECT_EQ(oracle.owner_of(g[0], g[1], g[2]), r);
+  // Every map's layouts tile the box: each element on exactly one rank, the
+  // rank its owner map names. The block layout also matches Partition's
+  // block ranges.
+  for (OwnerMap kind : kOwnerMaps) {
+    const std::vector<int> owner = owner_map(spec, kind, 12000 + GetParam());
+    std::set<std::tuple<int, int, int>> covered;
+    for (int r = 0; r < spec.nranks(); ++r) {
+      const cmtbone::mesh::ElementLayout layout(spec, r, owner);
+      const cmtbone::mesh::Partition part(spec, r);
+      if (kind == OwnerMap::kBlock) {
+        EXPECT_EQ(layout.nel(), part.nel());
+      }
+      for (int e = 0; e < layout.nel(); ++e) {
+        auto g = layout.global_coords(e);
+        EXPECT_TRUE(covered.insert({g[0], g[1], g[2]}).second);
+        EXPECT_EQ(layout.owner_of(g[0], g[1], g[2]), r);
+        if (kind == OwnerMap::kBlock) {
+          EXPECT_TRUE(g[0] >= part.x0() && g[0] < part.x1() &&
+                      g[1] >= part.y0() && g[1] < part.y1() &&
+                      g[2] >= part.z0() && g[2] < part.z1());
+        }
+      }
     }
+    EXPECT_EQ(covered.size(), std::size_t(spec.total_elements()))
+        << owner_map_name(kind);
   }
-  EXPECT_EQ(covered.size(), std::size_t(spec.total_elements()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionFuzz, ::testing::Range(0, 12));
@@ -263,7 +285,7 @@ cmtbone::mesh::BoxSpec random_face_spec(int param) {
   return spec;
 }
 
-void check_face_exchange(const cmtbone::mesh::BoxSpec& spec,
+void check_face_exchange(const cmtbone::mesh::BoxSpec& spec, OwnerMap kind,
                          const cmtbone::comm::RunOptions& options) {
   // Every received face value must encode the geometric neighbor's
   // (element, opposite face, a, b).
@@ -272,14 +294,15 @@ void check_face_exchange(const cmtbone::mesh::BoxSpec& spec,
   };
 
   cmtbone::comm::run(spec.nranks(), [&](Comm& world) {
-    cmtbone::mesh::Partition part(spec, world.rank());
-    cmtbone::mesh::FaceExchange ex(world, part);
+    const cmtbone::mesh::ElementLayout layout =
+        layout_of(spec, world.rank(), kind);
+    cmtbone::mesh::FaceExchange ex(world, layout);
     const int n = spec.n;
-    const int nel = part.nel();
+    const int nel = layout.nel();
     const std::size_t fsz = cmtbone::mesh::face_array_size(n, nel);
     std::vector<double> mine(fsz), nbr(fsz, -1);
     for (int e = 0; e < nel; ++e) {
-      auto g = part.global_coords(e);
+      auto g = layout.global_coords(e);
       for (int f = 0; f < 6; ++f) {
         for (int b = 0; b < n; ++b) {
           for (int a = 0; a < n; ++a) {
@@ -293,7 +316,7 @@ void check_face_exchange(const cmtbone::mesh::BoxSpec& spec,
 
     const std::array<int, 3> extent = {spec.ex, spec.ey, spec.ez};
     for (int e = 0; e < nel; ++e) {
-      auto g = part.global_coords(e);
+      auto g = layout.global_coords(e);
       for (int f = 0; f < 6; ++f) {
         int axis = cmtbone::mesh::face_axis(f);
         int dir = cmtbone::mesh::face_side(f) == 0 ? -1 : 1;
@@ -320,7 +343,8 @@ void check_face_exchange(const cmtbone::mesh::BoxSpec& spec,
             ASSERT_DOUBLE_EQ(got, want)
                 << "spec " << spec.ex << "x" << spec.ey << "x" << spec.ez
                 << " procs " << spec.px << "x" << spec.py << "x" << spec.pz
-                << (spec.periodic ? " periodic" : " open");
+                << (spec.periodic ? " periodic " : " open ")
+                << owner_map_name(kind);
           }
         }
       }
@@ -329,20 +353,23 @@ void check_face_exchange(const cmtbone::mesh::BoxSpec& spec,
 }
 
 TEST_P(FaceExchangeFuzz, RandomSpecsExchangeConsistently) {
-  check_face_exchange(random_face_spec(GetParam()), {});
+  const cmtbone::mesh::BoxSpec spec = random_face_spec(GetParam());
+  for (OwnerMap kind : kOwnerMaps) check_face_exchange(spec, kind, {});
 }
 
 TEST_P(FaceExchangeFuzz, RandomSpecsExchangeConsistentlyUnderChaos) {
   // Same property while a seeded ChaosEngine delays, holds, and reorders
   // the DG halo messages: the nearest-neighbor isend/irecv/waitall pattern
   // must be schedule-independent.
-  cmtbone::mesh::BoxSpec spec = random_face_spec(GetParam());
-  cmtbone::chaos::ChaosEngine engine(
-      cmtbone::chaos::ChaosPolicy::for_seed(100 + GetParam(), spec.nranks()),
-      spec.nranks());
-  cmtbone::comm::RunOptions options;
-  options.chaos = &engine;
-  check_face_exchange(spec, options);
+  const cmtbone::mesh::BoxSpec spec = random_face_spec(GetParam());
+  for (OwnerMap kind : kOwnerMaps) {
+    cmtbone::chaos::ChaosEngine engine(
+        cmtbone::chaos::ChaosPolicy::for_seed(100 + GetParam(), spec.nranks()),
+        spec.nranks());
+    cmtbone::comm::RunOptions options;
+    options.chaos = &engine;
+    check_face_exchange(spec, kind, options);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FaceExchangeFuzz, ::testing::Range(0, 10));

@@ -1,8 +1,8 @@
-// Resilience: checkpoint format hardening (CRC32, torn-write safety, v1
-// compatibility), the coordinated checkpoint/restore protocol (buddy
-// replication, newest-globally-complete selection), failure detection
-// (survivors observe RankFailed, not DeadlockDetected), and the recovery
-// supervisor's bit-identical chaos-kill recovery matrix.
+// Resilience: checkpoint format hardening (CRC32, torn-write safety,
+// truncation and corruption rejection), the coordinated checkpoint/restore
+// protocol (buddy replication, newest-globally-complete selection), failure
+// detection (survivors observe RankFailed, not DeadlockDetected), and the
+// recovery supervisor's bit-identical chaos-kill recovery matrix.
 
 #include <gtest/gtest.h>
 
@@ -100,13 +100,16 @@ ToyCheckpoint write_toy(const fs::path& dir, int rank = 3,
   header.rank = rank;
   header.epoch = epoch;
   const double* fields[] = {toy.field.data()};
+  const std::int32_t owner[] = {3, 3};
   toy.path = (dir / "toy.chk").string();
-  cmtbone::io::write_checkpoint(
-      toy.path, header, std::span<const double* const>(fields, 1), toy.points);
+  cmtbone::io::write_file_atomic(
+      toy.path, cmtbone::io::serialize_checkpoint(
+                    header, std::span<const double* const>(fields, 1),
+                    toy.points, std::span<const std::int32_t>(owner, 2)));
   return toy;
 }
 
-// ---- checkpoint format: CRC32, atomic writes, v1 compatibility --------------
+// ---- checkpoint format: CRC32, atomic writes, truncation -------------------
 
 TEST(Crc32, MatchesKnownVectors) {
   // The canonical IEEE CRC32 check value.
@@ -117,11 +120,11 @@ TEST(Crc32, MatchesKnownVectors) {
   EXPECT_EQ(cmtbone::io::crc32("6789", 4, first), 0xcbf43926u);
 }
 
-TEST_F(ResilienceTest, V2RoundTripCarriesRankEpochAndLeavesNoTmp) {
+TEST_F(ResilienceTest, V3RoundTripCarriesRankEpochAndLeavesNoTmp) {
   ToyCheckpoint toy = write_toy(dir_);
   std::vector<std::vector<double>> loaded;
   auto h = cmtbone::io::read_checkpoint(toy.path, &loaded);
-  EXPECT_EQ(h.version, 2u);
+  EXPECT_EQ(h.version, 3u);
   EXPECT_EQ(h.rank, 3);
   EXPECT_EQ(h.epoch, 12);
   ASSERT_EQ(loaded.size(), 1u);
@@ -135,12 +138,12 @@ TEST_F(ResilienceTest, PayloadBitFlipThrowsChecksumMismatchWithContext) {
   {
     std::FILE* f = std::fopen(toy.path.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, long(cmtbone::io::kHeaderBytesV2) + 16, SEEK_SET),
+    ASSERT_EQ(std::fseek(f, long(cmtbone::io::kHeaderBytes) + 16, SEEK_SET),
               0);
     unsigned char b = 0;
     ASSERT_EQ(std::fread(&b, 1, 1, f), 1u);
     b ^= 0x01;  // single bit flip
-    ASSERT_EQ(std::fseek(f, long(cmtbone::io::kHeaderBytesV2) + 16, SEEK_SET),
+    ASSERT_EQ(std::fseek(f, long(cmtbone::io::kHeaderBytes) + 16, SEEK_SET),
               0);
     ASSERT_EQ(std::fwrite(&b, 1, 1, f), 1u);
     std::fclose(f);
@@ -160,10 +163,9 @@ TEST_F(ResilienceTest, PayloadBitFlipThrowsChecksumMismatchWithContext) {
 TEST_F(ResilienceTest, TruncationMidHeaderAndMidPayloadAreRejected) {
   ToyCheckpoint toy = write_toy(dir_);
   const auto full = cmtbone::io::read_file(toy.path);
-  // Mid-v1-header, between the v1 prefix and the v2 trailer, mid-payload.
+  // Early in the header, late in the header, mid-payload.
   for (std::size_t keep :
-       {std::size_t(17), cmtbone::io::kHeaderBytesV1 + 8,
-        full.size() - 11}) {
+       {std::size_t(17), cmtbone::io::kHeaderBytes - 8, full.size() - 11}) {
     const std::string path = (dir_ / ("trunc" + std::to_string(keep))).string();
     std::ofstream out(path, std::ios::binary);
     out.write(reinterpret_cast<const char*>(full.data()),
@@ -174,38 +176,6 @@ TEST_F(ResilienceTest, TruncationMidHeaderAndMidPayloadAreRejected) {
                  std::runtime_error)
         << "accepted a file truncated to " << keep << " bytes";
   }
-}
-
-TEST_F(ResilienceTest, Version1CheckpointsStillRead) {
-  // Hand-craft a v1 file: the 40-byte prefix (version = 1, no CRC trailer)
-  // followed by the raw payload — what a pre-upgrade writer produced.
-  std::vector<double> payload(8);  // n=2 -> 8 points/element, one element
-  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = 1.5 * double(i);
-  cmtbone::io::CheckpointHeader h;
-  h.version = 1;
-  h.n = 2;
-  h.nel = 1;
-  h.nfields = 1;
-  h.steps = 9;
-  h.time = 2.25;
-  const std::string path = (dir_ / "v1.chk").string();
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(&h),
-              std::streamsize(cmtbone::io::kHeaderBytesV1));
-    out.write(reinterpret_cast<const char*>(payload.data()),
-              std::streamsize(payload.size() * sizeof(double)));
-  }
-  std::vector<std::vector<double>> fields;
-  auto back = cmtbone::io::read_checkpoint(path, &fields);
-  EXPECT_EQ(back.version, 1u);
-  EXPECT_EQ(back.steps, 9);
-  EXPECT_DOUBLE_EQ(back.time, 2.25);
-  // v2 trailer fields keep their "absent" defaults on a v1 read.
-  EXPECT_EQ(back.rank, -1);
-  EXPECT_EQ(back.epoch, -1);
-  ASSERT_EQ(fields.size(), 1u);
-  EXPECT_EQ(fields[0], payload);
 }
 
 // ---- coordinator: commit, prune, globally-complete selection ----------------

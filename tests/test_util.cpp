@@ -24,14 +24,14 @@ TEST(CopyBytes, CopiesAndToleratesNullWithZeroLength) {
 
   std::vector<double> empty_src, empty_dst;
   cmtbone::util::copy_bytes(empty_dst.data(), empty_src.data(), 0);
-  cmtbone::util::copy_values(empty_dst.data(), empty_src.data(), 0);
 
   std::vector<int> src = {1, 2, 3, 4}, dst(4, 0);
   cmtbone::util::copy_bytes(dst.data(), src.data(), 4 * sizeof(int));
   EXPECT_EQ(dst, src);
 
   std::vector<double> dsrc = {0.5, -1.25, 3.75}, ddst(3, 0.0);
-  cmtbone::util::copy_values(ddst.data(), dsrc.data(), dsrc.size());
+  cmtbone::util::copy_bytes(ddst.data(), dsrc.data(),
+                            dsrc.size() * sizeof(double));
   EXPECT_EQ(ddst, dsrc);
 }
 
