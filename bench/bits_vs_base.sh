@@ -35,7 +35,7 @@ find_package(Threads REQUIRED)
 include_directories("$1/src")
 add_subdirectory("$1/src" cmtbone EXCLUDE_FROM_ALL)
 add_executable(state_hashes "$1/bench/state_hashes.cpp")
-target_link_libraries(state_hashes PRIVATE cmtbone_core)
+target_link_libraries(state_hashes PRIVATE cmtbone_core cmtbone_nekbone)
 EOF
   cmake -S "$proj" -B "$proj/build" -DCMAKE_BUILD_TYPE=Release > "$work/$2-build.log"
   cmake --build "$proj/build" --target state_hashes -j "$jobs" >> "$work/$2-build.log"

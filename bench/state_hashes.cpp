@@ -21,18 +21,23 @@
 // non-block layouts. These rows print "<name> <hash> moves=<n>", and the
 // tool exits 1 when a balanced row moved no element or its hash differs
 // from the same run without balancing. Each configuration runs a few steps
-// from the default initial condition. The tool uses only public Driver,
-// Tracker, balance scenario, RunOptions and ChaosEngine API, so the same
+// from the default initial condition. Last, Nekbone: a CG solve on ranks
+// {1, 2, 3} x gs method {pairwise, crystal router}, printing "<name> <hash
+// of the solution> iters=<k>", so Nekbone's operator, dssum and dot
+// product are pinned too. The tool uses only public Driver, Tracker,
+// balance scenario, RunOptions, ChaosEngine and Nekbone API, so the same
 // file builds against older trees: bench/bits_vs_base.sh builds it at HEAD
 // and at a base commit and fails on any differing line, which is how a
 // refactor shows that it keeps every bit, every chaos schedule and every
 // migration.
 //
-//   state_hashes            # prints 190 lines
+//   state_hashes            # prints 196 lines
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,6 +46,7 @@
 #include "chaos/chaos.hpp"
 #include "comm/runtime.hpp"
 #include "core/driver.hpp"
+#include "nekbone/nekbone.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -89,6 +95,36 @@ std::uint64_t final_state_hash(
 void print(const std::string& name, int ranks, const core::Config& cfg) {
   std::printf("%s %016" PRIx64 "\n", name.c_str(), final_state_hash(ranks, cfg));
   std::fflush(stdout);
+}
+
+// Solves Nekbone's Helmholtz system on `ranks` ranks from a zero guess and
+// hashes the solution, every rank's points in rank order; `iters` receives
+// the CG iteration count.
+std::uint64_t nekbone_solution_hash(int ranks, gs::Method method, int* iters) {
+  std::uint64_t hash = 0;
+  comm::run(ranks, [&](comm::Comm& world) {
+    nekbone::NekboneConfig cfg;
+    cfg.n = 5;
+    cfg.ex = 6, cfg.ey = 2, cfg.ez = 2;
+    cfg.gs_method = method;
+    cfg.threads_per_rank = 1;
+    nekbone::Nekbone nb(world, cfg);
+    std::vector<double> b(nb.points()), x(nb.points(), 0.0);
+    nb.assemble_rhs(
+        [](double px, double py, double pz) {
+          return std::sin(2 * M_PI * px) * std::cos(2 * M_PI * py) + pz;
+        },
+        std::span<double>(b));
+    const int k = nb.solve_cg(std::span<double>(x), b, 200, 1e-10).iterations;
+    const std::vector<double> all =
+        world.allgatherv(std::span<const double>(x));
+    if (world.rank() == 0) {
+      hash = fnv1a(all.data(), all.size() * sizeof(double),
+                   0xcbf29ce484222325ull);
+      *iters = k;
+    }
+  });
+  return hash;
 }
 
 core::Config base_config() {
@@ -244,6 +280,16 @@ int main(int argc, char** argv) {
         std::fflush(stdout);
         balance_failed = balance_failed || h != fixed || moves == 0;
       }
+    }
+  }
+  // Nekbone's CG solve on a point-to-point and a collective gs method.
+  for (int ranks = 1; ranks <= 3; ++ranks) {
+    for (const auto& [method, label] : chaos_methods) {
+      int iters = 0;
+      const std::uint64_t h = nekbone_solution_hash(ranks, method, &iters);
+      std::printf("nekbone/r%d/%s %016" PRIx64 " iters=%d\n", ranks, label, h,
+                  iters);
+      std::fflush(stdout);
     }
   }
   if (chaos_moved_bits) {

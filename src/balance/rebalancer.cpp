@@ -1,7 +1,6 @@
 #include "balance/rebalancer.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 
@@ -43,8 +42,7 @@ double load_imbalance(const std::vector<double>& loads) {
 RebalancePlan propose_owner(const mesh::ElementLayout& layout,
                             std::span<const double> cost,
                             const RebalanceConfig& config) {
-  const mesh::BoxSpec& spec = layout.spec();
-  const int nranks = spec.nranks();
+  const int nranks = layout.nranks();
   const long long total = layout.total_elements();
 
   RebalancePlan plan;
@@ -63,19 +61,9 @@ RebalancePlan propose_owner(const mesh::ElementLayout& layout,
   // True when gid g has a face neighbor owned by rank r (periodic wrap
   // included): the adjacency preference that keeps partitions compact.
   auto adjacent_to = [&](long long g, int r) {
-    const std::array<int, 3> extent = {spec.ex, spec.ey, spec.ez};
-    auto c = layout.coords_of_gid(g);
     for (int f = 0; f < mesh::kFacesPerElement; ++f) {
-      std::array<int, 3> nc = c;
-      const int ax = mesh::face_axis(f);
-      nc[ax] += mesh::face_side(f) == 0 ? -1 : 1;
-      if (nc[ax] < 0 || nc[ax] >= extent[ax]) {
-        if (!spec.periodic) continue;
-        nc[ax] = (nc[ax] + extent[ax]) % extent[ax];
-      }
-      if (plan.owner[std::size_t(layout.gid(nc[0], nc[1], nc[2]))] == r) {
-        return true;
-      }
+      const long long ng = layout.face_neighbor(g, f);
+      if (ng >= 0 && plan.owner[std::size_t(ng)] == r) return true;
     }
     return false;
   };

@@ -7,8 +7,6 @@
 // grid, a processor grid, and N gridpoints per element per direction.
 
 #include <array>
-#include <cstdint>
-#include <optional>
 #include <string>
 
 #include "balance/cost_model.hpp"
@@ -69,8 +67,8 @@ enum class TimeIntegrator {
 };
 
 const char* integrator_name(TimeIntegrator t);
+/// Stages per step, which is also the integrator's order of accuracy.
 int integrator_stages(TimeIntegrator t);
-int integrator_order(TimeIntegrator t);
 
 /// How the nearest-neighbor surface exchange moves data. The paper (§IV):
 /// nearest-neighbor exchanges "take place using a specialized gather-scatter
@@ -108,14 +106,12 @@ struct Config {
   kernels::GradVariant variant = kernels::GradVariant::kDispatch;
   gs::Method gs_method = gs::Method::kPairwise;
 
-  /// Concrete value: force that kernel backend (scalar / simd-fma /
-  /// batched, see kernels/dispatch.hpp) process-wide at Driver
-  /// construction. Kernel selection is process-global shared state — the
-  /// kernels are stateless and every in-process rank uses the same ones —
-  /// so the last Driver constructed wins. nullopt (default) leaves the
-  /// process selection alone: CMTBONE_KERNEL_BACKEND or the built-in
-  /// batched default.
-  std::optional<kernels::Backend> kernel_backend;
+  /// The contraction backend of this run's derivatives and dealias round
+  /// trip (scalar / simd-fma / batched, see kernels/dispatch.hpp). It
+  /// belongs to the Driver built from this config alone: other Drivers in
+  /// the same process keep their own. Every backend except simd-fma gives
+  /// the same bits as scalar.
+  kernels::Backend kernel_backend = kernels::kDefaultBackend;
 
   /// Overlap the nearest-neighbor surface exchange with element compute.
   /// Every RHS begins the face exchange, runs a window of element work
@@ -148,7 +144,6 @@ struct Config {
   /// (Euler) and migrate between ranks through the crystal router — the
   /// point-particle capability the paper schedules for CMT-nek (§III-A).
   int particles_per_rank = 0;
-  std::uint64_t particle_seed = 2015;
   /// Two-way coupling strength: when nonzero, every particle deposits this
   /// much momentum-source per RHS evaluation onto its owning element (the
   /// conservation-law source term R of paper Eq. 1, which current CMT-bone

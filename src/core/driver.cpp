@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -20,6 +21,11 @@
 #include "prof/timer.hpp"
 
 namespace cmtbone::core {
+
+namespace {
+// Seed of every rank's random particle positions.
+constexpr std::uint64_t kParticleSeed = 2015;
+}  // namespace
 
 const char* physics_name(Physics p) {
   switch (p) {
@@ -82,16 +88,6 @@ const char* face_backend_name(FaceBackend b) {
   return "?";
 }
 
-int integrator_order(TimeIntegrator t) {
-  switch (t) {
-    case TimeIntegrator::kForwardEuler: return 1;
-    case TimeIntegrator::kRk2Ssp: return 2;
-    case TimeIntegrator::kRk3Ssp: return 3;
-    case TimeIntegrator::kRk4: return 4;
-  }
-  return 0;
-}
-
 Driver::Driver(comm::Comm& comm, const Config& config)
     : comm_(&comm),
       config_(config),
@@ -103,10 +99,6 @@ Driver::Driver(comm::Comm& comm, const Config& config)
       layout_(mesh::ElementLayout::block(spec_, comm.rank())),
       ops_(sem::Operators::build(config.n)),
       threads_(parallel::resolve_threads(config.threads_per_rank)) {
-  if (config_.kernel_backend) {
-    kernels::set_forced_backend(*config_.kernel_backend);
-  }
-
   balance::CostModelConfig cm;
   cm.mode = config_.balance_cost_mode;
   cost_model_ = balance::CostModel(cm);
@@ -136,7 +128,7 @@ Driver::Driver(comm::Comm& comm, const Config& config)
           "Driver: particles require the uniform unit-box mesh");
     }
     tracker_ = std::make_unique<particles::Tracker>(comm, part_, ops_);
-    tracker_->seed_random(config_.particles_per_rank, config_.particle_seed);
+    tracker_->seed_random(config_.particles_per_rank, kParticleSeed);
   }
 }
 
@@ -379,7 +371,7 @@ ElementRhs Driver::element_rhs(const std::vector<std::vector<double>>& u,
   }
   k.variant = config_.variant;
   if (k.variant == kernels::GradVariant::kDispatch) {
-    k.mxm = kernels::dispatch_mxm(config_.n);
+    k.mxm = kernels::dispatch_mxm(config_.n, config_.kernel_backend);
   }
   k.d = ops_.d.data();
   k.dt = ops_.dt.data();
@@ -457,7 +449,7 @@ void Driver::dealias_term(const std::vector<std::vector<double>>& u) {
     kernels::dealias_roundtrip(ops_.interp.data(), ops_.interp_t.data(),
                                ops_.m, n, u[last].data() + e * elem,
                                dealias_fine_.data(), dealias_back_.data(),
-                               dealias_work_.data());
+                               dealias_work_.data(), config_.kernel_backend);
   }
 }
 

@@ -131,11 +131,6 @@ class Driver {
   /// The layout-independent view the determinism tests compare.
   std::vector<double> gather_global_field(int f) const;
 
-  /// Payload bytes this rank sends per RHS evaluation (face exchange only).
-  long long face_bytes_per_rhs() const {
-    return exchange_->send_bytes_per_exchange(nfields());
-  }
-
   /// Analytic flop counts on this rank (documented model: derivative
   /// kernels dominate at 2 N^4 per element per field per direction, plus
   /// pointwise flux/axpy work at O(N^3)).

@@ -50,9 +50,9 @@ struct ElementRhs {
   const double* u[kMaxFields] = {};
   double* rhs[kMaxFields] = {};
 
-  // Derivatives: the contraction kernel for length n under the backend
-  // selected when the RHS began (nullptr: the basic loops), or, for a
-  // variant other than kDispatch, that variant's loops.
+  // Derivatives: the contraction kernel for length n under the run's
+  // kernel backend (nullptr: the basic loops), or, for a variant other
+  // than kDispatch, that variant's loops.
   kernels::GradVariant variant = kernels::GradVariant::kDispatch;
   kernels::MxmFixedFn mxm = nullptr;
   const double* d = nullptr;   // D, n x n

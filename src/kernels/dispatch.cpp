@@ -1,12 +1,7 @@
 #include "kernels/dispatch.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <mutex>
-
 #include "kernels/gradient.hpp"
 #include "kernels/simd_backend.hpp"
-#include "util/log.hpp"
 
 namespace cmtbone::kernels {
 
@@ -53,13 +48,6 @@ const char* backend_name(Backend b) {
   return "?";
 }
 
-std::optional<Backend> backend_from_name(std::string_view name) {
-  for (Backend b : all_backends()) {
-    if (name == backend_name(b)) return b;
-  }
-  return std::nullopt;
-}
-
 const std::vector<Backend>& all_backends() {
   static const std::vector<Backend> v = {Backend::kScalar, Backend::kSimdFma,
                                          Backend::kBatched};
@@ -67,66 +55,6 @@ const std::vector<Backend>& all_backends() {
 }
 
 bool backend_bit_identical(Backend b) { return b != Backend::kSimdFma; }
-
-// ---- selection state --------------------------------------------------------
-
-namespace {
-
-constexpr int kNoBackend = -1;
-
-std::atomic<int> g_forced{kNoBackend};
-
-// The environment is read once, under g_env_mu; g_env_done publishes the
-// result (release) so that every later selection costs one acquire load
-// instead of a lock that all rank threads and pool workers would share.
-std::mutex g_env_mu;
-std::atomic<bool> g_env_done{false};
-
-// Reads the environment knob. Called under g_env_mu; must not call the
-// public ensure_env()-guarded accessors (re-entrancy).
-void init_from_env() {
-  const char* v = std::getenv(kBackendEnvVar);
-  if (v == nullptr) return;
-  if (auto b = backend_from_name(v)) {
-    g_forced.store(int(*b), std::memory_order_relaxed);
-  } else {
-    util::log_warn() << "ignoring " << kBackendEnvVar << "=\"" << v
-                     << "\" (unknown backend; valid: scalar simd-fma "
-                        "batched)";
-  }
-}
-
-void ensure_env() {
-  if (g_env_done.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(g_env_mu);
-  if (g_env_done.load(std::memory_order_relaxed)) return;
-  init_from_env();
-  g_env_done.store(true, std::memory_order_release);
-}
-
-}  // namespace
-
-void set_forced_backend(std::optional<Backend> b) {
-  ensure_env();
-  g_forced.store(b ? int(*b) : kNoBackend, std::memory_order_relaxed);
-}
-
-std::optional<Backend> forced_backend() {
-  ensure_env();
-  int f = g_forced.load(std::memory_order_relaxed);
-  return f == kNoBackend ? std::nullopt : std::optional<Backend>(Backend(f));
-}
-
-Backend selected_backend(int /*n*/) {
-  return forced_backend().value_or(Backend::kBatched);
-}
-
-void reload_env_selection() {
-  std::lock_guard<std::mutex> lock(g_env_mu);
-  g_forced.store(kNoBackend, std::memory_order_relaxed);
-  init_from_env();
-  g_env_done.store(true, std::memory_order_release);
-}
 
 // ---- kernel entry points ----------------------------------------------------
 
@@ -138,8 +66,8 @@ MxmFixedFn simd_mxm_or_null(int n2, bool fma) {
 
 }  // namespace
 
-MxmFixedFn dispatch_mxm(int n2) {
-  switch (selected_backend(n2)) {
+MxmFixedFn dispatch_mxm(int n2, Backend b) {
+  switch (b) {
     case Backend::kScalar: return nullptr;
     case Backend::kSimdFma: return simd_mxm_or_null(n2, true);
     // Batching is a gradient-level layout trick; for a lone mxm the
@@ -238,7 +166,7 @@ void grad_backend(Backend b, int dir, const double* d, const double* u,
 
 void grad_dispatch(int dir, const double* d, const double* u, double* out,
                    int n, int nel) {
-  grad_backend(selected_backend(n), dir, d, u, out, n, nel);
+  grad_backend(kDefaultBackend, dir, d, u, out, n, nel);
 }
 
 }  // namespace cmtbone::kernels

@@ -1,17 +1,13 @@
 #pragma once
 // Unified kernel-backend dispatch: scalar, SIMD+FMA, and element-batched
-// SIMD variants of the solver's tensor contractions behind one call site,
-// selectable at runtime.
+// SIMD variants of the solver's tensor contractions behind one call site.
 //
-// Selection is two-level:
-//
-//   1. forced backend — set_forced_backend() or, once at first use, the
-//      CMTBONE_KERNEL_BACKEND environment variable (scalar | simd-fma |
-//      batched; any other value, including the retired "simd" and
-//      "fixed-n", is warned about and ignored)
-//   2. default: kBatched (the widest compiled-in, CPU-supported SIMD ISA
-//      with element batching — the fastest bit-exact choice on every
-//      machine we have measured)
+// The backend is a per-run value, never process state: core::Driver hands
+// its Config::kernel_backend to every contraction it makes, and code that
+// runs outside a Driver (GradVariant::kDispatch, Nekbone) uses
+// kDefaultBackend, kBatched — the fastest bit-exact choice on every machine
+// we have measured. Two runs in one process therefore never see each
+// other's kernels or bits.
 //
 // Every non-scalar backend contracts the r-direction of all elements in
 // one kernel call and the s/t directions per element against a D^T staged
@@ -26,8 +22,6 @@
 // fuses each multiply-add into a single rounding — deterministic
 // run-to-run and across thread counts, ULP-bounded against scalar.
 
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "kernels/mxm.hpp"
@@ -41,12 +35,13 @@ enum class Backend {
 };
 
 inline constexpr int kNumBackends = 3;
+/// The backend of every contraction made outside a Driver, and the default
+/// of core::Config::kernel_backend.
+inline constexpr Backend kDefaultBackend = Backend::kBatched;
 inline constexpr int kMinDispatchN = 2;
 inline constexpr int kMaxDispatchN = 25;
 
 const char* backend_name(Backend b);
-/// Parse "scalar" | "simd-fma" | "batched"; nullopt on anything else.
-std::optional<Backend> backend_from_name(std::string_view name);
 /// All backends in declaration order (for sweeps and tests).
 const std::vector<Backend>& all_backends();
 
@@ -59,58 +54,25 @@ bool backend_bit_identical(Backend b);
 /// CPU-supported.
 const char* isa_name();
 
-// ---- selection --------------------------------------------------------------
-
-/// Override the default process-wide (nullopt clears).
-/// Thread-safe; kernels already in flight finish on their old choice.
-/// Once the environment has been read, reading the selection costs one
-/// acquire load (no lock).
-void set_forced_backend(std::optional<Backend> b);
-std::optional<Backend> forced_backend();
-
-/// The backend dispatch will use for contraction length n right now: the
-/// force if one is set, else kBatched. The choice does not depend on n.
-Backend selected_backend(int n);
-
-/// RAII force for tests and benches: forces `b` on construction, restores
-/// the previous force state on destruction.
-class ScopedBackendForce {
- public:
-  explicit ScopedBackendForce(std::optional<Backend> b)
-      : prev_(forced_backend()) {
-    set_forced_backend(b);
-  }
-  ~ScopedBackendForce() { set_forced_backend(prev_); }
-  ScopedBackendForce(const ScopedBackendForce&) = delete;
-  ScopedBackendForce& operator=(const ScopedBackendForce&) = delete;
-
- private:
-  std::optional<Backend> prev_;
-};
+/// The backend code outside a Driver runs at contraction length n:
+/// kDefaultBackend at every n.
+inline Backend selected_backend(int /*n*/) { return kDefaultBackend; }
 
 // ---- kernel entry points ----------------------------------------------------
 
-/// Contraction kernel for length n2 under the currently selected backend,
-/// or nullptr when the selection is kScalar or n2 is unspecialized — the
-/// caller then uses the runtime mxm(), which is the same bit-exact result.
-MxmFixedFn dispatch_mxm(int n2);
+/// Contraction kernel for length n2 under backend b, or nullptr when b is
+/// kScalar or n2 is unspecialized — the caller then uses the runtime mxm(),
+/// which is the same bit-exact result.
+MxmFixedFn dispatch_mxm(int n2, Backend b);
 
 /// One directional derivative (dir: 0 = r, 1 = s, 2 = t) over nel elements
 /// under an explicit backend. Same contract as grad_r/s/t.
 void grad_backend(Backend b, int dir, const double* d, const double* u,
                   double* out, int n, int nel);
 
-/// Same, under the current selection (this is what GradVariant::kDispatch
-/// routes to).
+/// Same, under kDefaultBackend (this is what GradVariant::kDispatch routes
+/// to).
 void grad_dispatch(int dir, const double* d, const double* u, double* out,
                    int n, int nel);
-
-/// Environment knob (read once, at first selection): a backend name here
-/// forces that backend.
-inline constexpr const char* kBackendEnvVar = "CMTBONE_KERNEL_BACKEND";
-
-/// Re-read the environment knob (tests use this after setenv; normal code
-/// never needs it). Clears any programmatic force first.
-void reload_env_selection();
 
 }  // namespace cmtbone::kernels

@@ -20,11 +20,10 @@
 //   kFused          outer loops fused (r: over jk; t: over ij); duds = basic
 //   kUnrolled       inner contraction fully unrolled (compile-time N)
 //   kFusedUnrolled  both — the production CMT-bone / Nek5000 form
-//   kDispatch       routed through the runtime backend-dispatch layer
-//                   (kernels/dispatch.hpp): scalar / SIMD+FMA / batched,
-//                   chosen by force or the batched default.
-//                   Bit-identical to kBasic for every backend except the
-//                   explicitly opted-into fused-multiply-add one.
+//   kDispatch       routed through the backend-dispatch layer
+//                   (kernels/dispatch.hpp) under its default backend,
+//                   batched: bit-identical to kBasic. (core::Driver runs
+//                   its own Config::kernel_backend instead.)
 
 #include <string>
 #include <vector>

@@ -36,7 +36,6 @@ namespace cmtbone::kernels {
 struct SimdBackend {
   const char* name;  // "portable" | "avx2" | "avx512"
   int width;         // doubles per vector register the TU targets
-  bool hw_fma;       // fused multiply-add executes in hardware
   /// Kernel for contraction length n2 in [2,25]; nullptr outside that
   /// range. Signature matches MxmFixedFn: (a, n1, b, c, n3) with n2 baked
   /// in. fma selects the fused-multiply-add flavor (see policy above).

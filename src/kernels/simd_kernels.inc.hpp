@@ -51,8 +51,8 @@ struct Vec {
 // mac<false>: c + a*b with two roundings — the scalar-reference order.
 // mac<true>: one fused multiply-add (single rounding). Hardware intrinsics
 // where the TU's ISA provides them; otherwise per-lane __builtin_fma, which
-// is correctly rounded but slow (libm) — a correctness path that only a
-// forced simd-fma reaches.
+// is correctly rounded but slow (libm) — a correctness path that only the
+// simd-fma backend reaches.
 template <bool Fma, int W>
 inline Vec<W> mac(Vec<W> a, Vec<W> b, Vec<W> c) {
   if constexpr (!Fma) {
@@ -235,8 +235,7 @@ double measure_peak_gflops() {
 
 const SimdBackend* backend_table() {
   static const SimdBackend table = {
-      CMTBONE_SIMD_NAME, CMTBONE_SIMD_MAXW, CMTBONE_SIMD_HW_FMA != 0,
-      &mxm_kernel, &measure_peak_gflops};
+      CMTBONE_SIMD_NAME, CMTBONE_SIMD_MAXW, &mxm_kernel, &measure_peak_gflops};
   return &table;
 }
 

@@ -1,20 +1,19 @@
 #include "kernels/tensor.hpp"
 
-#include "kernels/dispatch.hpp"
 #include "kernels/mxm.hpp"
 
 namespace cmtbone::kernels {
 
 void tensor_apply3(const double* a, const double* at, int m, int n,
-                   const double* u, double* out, double* work) {
+                   const double* u, double* out, double* work, Backend b) {
   double* t1 = work;                                 // (m, n, n)
   double* t2 = work + std::size_t(m) * n * n;        // (m, m, n)
 
   // Every direction contracts over n, so one backend-dispatch lookup
   // selects the kernel for the whole application (runtime fallback for
-  // unspecialized sizes or a scalar selection; results are bit-identical
+  // unspecialized sizes or the scalar backend; results are bit-identical
   // either way under every bit-exact backend — see kernels/dispatch.hpp).
-  if (MxmFixedFn f = dispatch_mxm(n)) {
+  if (MxmFixedFn f = dispatch_mxm(n, b)) {
     f(a, m, u, t1, n * n);
     for (int k = 0; k < n; ++k) {
       f(t1 + std::size_t(k) * m * n, m, at, t2 + std::size_t(k) * m * m, m);
@@ -37,9 +36,9 @@ void tensor_apply3(const double* a, const double* at, int m, int n,
 
 void dealias_roundtrip(const double* interp, const double* interp_t, int m,
                        int n, const double* u, double* fine, double* back,
-                       double* work) {
-  tensor_apply3(interp, interp_t, m, n, u, fine, work);
-  tensor_apply3(interp_t, interp, n, m, fine, back, work);
+                       double* work, Backend b) {
+  tensor_apply3(interp, interp_t, m, n, u, fine, work, b);
+  tensor_apply3(interp_t, interp, n, m, fine, back, work, b);
 }
 
 }  // namespace cmtbone::kernels

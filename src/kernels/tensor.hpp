@@ -8,13 +8,16 @@
 
 #include <cstddef>
 
+#include "kernels/dispatch.hpp"
+
 namespace cmtbone::kernels {
 
 /// out(a,b,c) = sum_{i,j,k} A(a,i) A(b,j) A(c,k) u(i,j,k).
 /// `a` is m x n column-major, `at` its transpose (n x m). `work` must hold
-/// at least m*n*n + m*m*n doubles.
+/// at least m*n*n + m*m*n doubles. The contractions run under backend `b`.
 void tensor_apply3(const double* a, const double* at, int m, int n,
-                   const double* u, double* out, double* work);
+                   const double* u, double* out, double* work,
+                   Backend b = kDefaultBackend);
 
 /// Workspace size for tensor_apply3.
 inline std::size_t tensor_work_size(int m, int n) {
@@ -27,6 +30,6 @@ inline std::size_t tensor_work_size(int m, int n) {
 /// traffic. `fine` holds m^3 doubles, `work` tensor_work_size(max(m,n), ...).
 void dealias_roundtrip(const double* interp, const double* interp_t, int m,
                        int n, const double* u, double* fine, double* back,
-                       double* work);
+                       double* work, Backend b = kDefaultBackend);
 
 }  // namespace cmtbone::kernels

@@ -82,12 +82,7 @@ void rk4_finish(double* u, const double* acc, const double* k, double w,
 }
 
 double weighted_dot(const double* a, const double* b, const double* w,
-                    std::size_t count, bool strict_order) {
-  if (strict_order) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < count; ++i) sum += a[i] * b[i] * w[i];
-    return sum;
-  }
+                    std::size_t count) {
   // Fixed shape: four independent lane accumulators, folded pairwise, then
   // the scalar tail ascending. No width dependence, no data dependence —
   // the same input always reduces through the same operation tree.

@@ -12,11 +12,9 @@
 //     independently — vector width cannot change a single result bit, so
 //     they are unconditionally safe for the bit-identity paths.
 //   * weighted_dot is a reduction, so lane-parallel accumulation IS a
-//     reorder. The strict form reproduces the historical scalar ascending
-//     loop bit for bit; the vector form commits to a fixed 4-lane
+//     reorder of the plain ascending loop. It commits to one fixed 4-lane
 //     accumulator shape folded in a fixed order, which is deterministic and
-//     machine/ISA-independent — just different bits from strict. Callers
-//     pick per the active kernel backend (scalar backend => strict).
+//     machine/ISA-independent, whatever the kernel backend.
 //
 // Compiled with -ffp-contract=off (see CMakeLists): the combine ops spell
 // multiply and add separately and must stay that way to match the scalar
@@ -48,9 +46,9 @@ void rk4_finish(double* u, const double* acc, const double* k, double w,
 void ax_combine(double* w, const double* s, const double* m, const double* u,
                 double h1, double h2, std::size_t count);
 
-/// sum over i of a[i]*b[i]*w[i]. strict_order=true is the plain ascending
-/// scalar loop; false uses the 4-lane accumulator shape described above.
+/// sum over i of a[i]*b[i]*w[i], in the 4-lane accumulator shape described
+/// above.
 double weighted_dot(const double* a, const double* b, const double* w,
-                    std::size_t count, bool strict_order);
+                    std::size_t count);
 
 }  // namespace cmtbone::kernels

@@ -1,7 +1,6 @@
 #include "mesh/face_exchange.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <map>
 #include <numeric>
@@ -15,19 +14,10 @@ namespace cmtbone::mesh {
 
 namespace {
 constexpr int kTagBase = 64;  // p2p tags 64..69, one per direction
-
-std::array<int, 3> face_delta(int f) {
-  std::array<int, 3> d = {0, 0, 0};
-  d[face_axis(f)] = face_side(f) == 0 ? -1 : 1;
-  return d;
-}
 }  // namespace
 
 FaceExchange::FaceExchange(comm::Comm& comm, const ElementLayout& layout)
     : comm_(&comm), n_(layout.spec().n), nel_(layout.nel()) {
-  const BoxSpec& spec = layout.spec();
-  const std::array<int, 3> extent = {spec.ex, spec.ey, spec.ez};
-
   // One plan per (direction, partner). With arbitrary ownership a plane of
   // faces can pair with several ranks; (dir, partner) keeps each message a
   // single well-ordered stream. std::map gives a deterministic plan order.
@@ -39,35 +29,23 @@ FaceExchange::FaceExchange(comm::Comm& comm, const ElementLayout& layout)
   // for the block layout exactly the transverse-lexicographic plane order
   // the static planner produced.
   for (int e = 0; e < nel_; ++e) {
-    auto g = layout.global_coords(e);
+    const long long g = layout.gid_of(e);
     for (int f = 0; f < kFacesPerElement; ++f) {
-      auto d = face_delta(f);
-      std::array<int, 3> ng = {g[0] + d[0], g[1] + d[1], g[2] + d[2]};
-      bool outside_global = false;
-      for (int ax = 0; ax < 3; ++ax) {
-        if (ng[ax] < 0 || ng[ax] >= extent[ax]) {
-          if (spec.periodic) {
-            ng[ax] = (ng[ax] + extent[ax]) % extent[ax];
-          } else {
-            outside_global = true;
-          }
-        }
-      }
-      if (outside_global) {
+      const long long ng = layout.face_neighbor(g, f);
+      if (ng < 0) {
         // Physical boundary: mirror the element's own face.
         local_.push_back({e, f, e, f});
         continue;
       }
-      const int owner = layout.owner_of(ng[0], ng[1], ng[2]);
+      const int owner = layout.owner_of_gid(ng);
       if (owner == layout.rank()) {
-        int ne = layout.local_index(ng[0], ng[1], ng[2]);
-        local_.push_back({ne, opposite_face(f), e, f});
+        local_.push_back({layout.local_of_gid(ng), opposite_face(f), e, f});
       } else {
         DirPlan& plan = plans[{f, owner}];
         plan.dir = f;
         plan.partner = owner;
         plan.elems.push_back(e);
-        nbr_gids[{f, owner}].push_back(layout.gid(ng[0], ng[1], ng[2]));
+        nbr_gids[{f, owner}].push_back(ng);
       }
     }
   }

@@ -59,18 +59,23 @@ int ElementLayout::local_of_gid(long long g) const {
   return int(it - owned_.begin());
 }
 
-bool ElementLayout::element_touches_remote(int e) const {
-  auto g = global_coords(e);
+long long ElementLayout::face_neighbor(long long g, int f) const {
+  std::array<int, 3> c = coords_of_gid(g);
   const std::array<int, 3> extent = {spec_.ex, spec_.ey, spec_.ez};
+  const int ax = face_axis(f);
+  c[ax] += face_side(f) == 0 ? -1 : 1;
+  if (c[ax] < 0 || c[ax] >= extent[ax]) {
+    if (!spec_.periodic) return -1;
+    c[ax] = (c[ax] + extent[ax]) % extent[ax];
+  }
+  return gid(c[0], c[1], c[2]);
+}
+
+bool ElementLayout::element_touches_remote(int e) const {
   for (int f = 0; f < kFacesPerElement; ++f) {
-    std::array<int, 3> ng = g;
-    const int ax = face_axis(f);
-    ng[ax] += face_side(f) == 0 ? -1 : 1;
-    if (ng[ax] < 0 || ng[ax] >= extent[ax]) {
-      if (!spec_.periodic) continue;  // physical boundary mirrors locally
-      ng[ax] = (ng[ax] + extent[ax]) % extent[ax];
-    }
-    if (owner_of(ng[0], ng[1], ng[2]) != rank_) return true;
+    const long long ng = face_neighbor(gid_of(e), f);
+    // A physical boundary (-1) mirrors locally and does not count.
+    if (ng >= 0 && owner_of_gid(ng) != rank_) return true;
   }
   return false;
 }

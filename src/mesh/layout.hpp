@@ -72,6 +72,12 @@ class ElementLayout {
     return owner_of(gx, gy, gz) == rank_;
   }
 
+  /// Gid of the element across face f (mesh/faces.hpp numbering) of
+  /// element g, wrapping around a periodic box; -1 when the face lies on a
+  /// physical boundary. The one face-neighbour rule: the exchange plans,
+  /// the element classes and the rebalancer all step across faces here.
+  long long face_neighbor(long long g, int f) const;
+
   /// True when any face of local element `e` pairs with an element owned by
   /// another rank (including across the periodic wrap). Physical-boundary
   /// faces mirror locally and do not count.

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "kernels/dispatch.hpp"
+#include "kernels/gradient.hpp"
 #include "kernels/vecops.hpp"
 #include "mesh/numbering.hpp"
 #include "parallel/parallel.hpp"
@@ -94,15 +94,14 @@ void Nekbone::local_ax_range(const double* u, double* w, std::size_t e0,
   const std::size_t off = e0 * epts;
   const std::size_t end = e1 * epts;
 
-  // Gradients in reference coordinates for this chunk's elements only; the
-  // kernels process elements one at a time, so handing them a sub-range
-  // produces the same per-point contractions as the full-array call.
-  kernels::grad_r(config_.variant, ops_.d.data(), u + off, ur_.data() + off, n,
-                  m);
-  kernels::grad_s(config_.variant, ops_.d.data(), u + off, us_.data() + off, n,
-                  m);
-  kernels::grad_t(config_.variant, ops_.d.data(), u + off, ut_.data() + off, n,
-                  m);
+  // Gradients in reference coordinates for this chunk's elements only,
+  // under the default kernel backend; every output point is contracted on
+  // its own, so handing the kernels a sub-range produces the same
+  // per-point contractions as the full-array call.
+  constexpr kernels::GradVariant v = kernels::GradVariant::kDispatch;
+  kernels::grad_r(v, ops_.d.data(), u + off, ur_.data() + off, n, m);
+  kernels::grad_s(v, ops_.d.data(), u + off, us_.data() + off, n, m);
+  kernels::grad_t(v, ops_.d.data(), u + off, ut_.data() + off, n, m);
 
   // Scale by the diagonal geometric factors (elementwise — vectorization
   // cannot change the bits).
@@ -112,13 +111,12 @@ void Nekbone::local_ax_range(const double* u, double* w, std::size_t e0,
 
   // Transpose gradients back: w = D_r^T ur + D_s^T us + D_t^T ut. Applying
   // grad with D^T is exactly the transpose contraction.
-  kernels::grad_r(config_.variant, ops_.dt.data(), ur_.data() + off, w + off, n,
-                  m);
-  kernels::grad_s(config_.variant, ops_.dt.data(), us_.data() + off,
-                  scratch_.data() + off, n, m);
+  kernels::grad_r(v, ops_.dt.data(), ur_.data() + off, w + off, n, m);
+  kernels::grad_s(v, ops_.dt.data(), us_.data() + off, scratch_.data() + off,
+                  n, m);
   for (std::size_t p = off; p < end; ++p) w[p] += scratch_[p];
-  kernels::grad_t(config_.variant, ops_.dt.data(), ut_.data() + off,
-                  scratch_.data() + off, n, m);
+  kernels::grad_t(v, ops_.dt.data(), ut_.data() + off, scratch_.data() + off,
+                  n, m);
   kernels::ax_combine(w + off, scratch_.data() + off, mass_.data() + off,
                       u + off, config_.h1, config_.h2, end - off);
 }
@@ -130,15 +128,10 @@ void Nekbone::apply_ax(std::span<const double> u, std::span<double> w) {
 }
 
 double Nekbone::dot(std::span<const double> a, std::span<const double> b) {
-  // The multiplicity-weighted inner product is a reduction, so the 4-lane
-  // vector form is a (deterministic, machine-independent) reorder; keep the
-  // historical ascending order when the scalar backend is selected so a
-  // forced-scalar run reproduces old bits exactly.
-  const bool strict =
-      kernels::selected_backend(config_.n) == kernels::Backend::kScalar;
+  // The multiplicity-weighted inner product in weighted_dot's fixed 4-lane
+  // order: deterministic and machine-independent.
   const double sum = kernels::weighted_dot(a.data(), b.data(),
-                                           inv_multiplicity_.data(), pts_,
-                                           strict);
+                                           inv_multiplicity_.data(), pts_);
   return comm_->allreduce_one(sum, comm::ReduceOp::kSum);
 }
 

@@ -18,7 +18,6 @@
 
 #include "comm/comm.hpp"
 #include "gs/gather_scatter.hpp"
-#include "kernels/gradient.hpp"
 #include "mesh/layout.hpp"
 #include "sem/operators.hpp"
 
@@ -32,7 +31,6 @@ struct NekboneConfig {
   double h1 = 1.0;   // stiffness coefficient
   double h2 = 0.1;   // mass coefficient (> 0 keeps A SPD on a periodic box)
   gs::Method gs_method = gs::Method::kPairwise;
-  kernels::GradVariant variant = kernels::GradVariant::kDispatch;
   /// Threads (including the caller) for the local stiffness operator's
   /// element loops. Elements are independent, so any value is bit-identical.
   /// 0 resolves from CMTBONE_THREADS_PER_RANK (default 1 = serial).

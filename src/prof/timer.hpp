@@ -99,25 +99,4 @@ inline std::uint64_t read_cycles() {
 #endif
 }
 
-/// Accumulating stopwatch: many start/stop intervals, one total.
-class Stopwatch {
- public:
-  void start() { t0_ = std::chrono::steady_clock::now(); }
-
-  void stop() {
-    total_ += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
-                  .count();
-    ++laps_;
-  }
-
-  double seconds() const { return total_; }
-  long laps() const { return laps_; }
-  void reset() { total_ = 0.0; laps_ = 0; }
-
- private:
-  std::chrono::steady_clock::time_point t0_{};
-  double total_ = 0.0;
-  long laps_ = 0;
-};
-
 }  // namespace cmtbone::prof

@@ -1,15 +1,11 @@
-// The kernel-backend dispatch layer: selection (a force beats the batched
-// default), the environment knob, and the contract the solver rests on —
-// every forced backend drives the full driver matrix (threads x overlap,
-// plus chaos-perturbed communication) to bit-identical results, run to
-// run.
+// The kernel-backend dispatch layer: the batched default, dispatch_mxm per
+// backend, and the contract the solver rests on — every backend drives the
+// full driver matrix (threads x overlap, plus chaos-perturbed
+// communication) to bit-identical results, run to run, and a Driver's
+// backend never reaches another Driver in the same process.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <optional>
-#include <thread>
 #include <vector>
 
 #include "chaos_workloads.hpp"
@@ -29,97 +25,43 @@ using cmtbone::core::FaceBackend;
 using cmtbone::core::Physics;
 using cmtbone::kernels::all_backends;
 using cmtbone::kernels::Backend;
-using cmtbone::kernels::backend_bit_identical;
-using cmtbone::kernels::backend_from_name;
 using cmtbone::kernels::backend_name;
-using cmtbone::kernels::forced_backend;
+using cmtbone::kernels::dispatch_mxm;
 using cmtbone::kernels::kMaxDispatchN;
 using cmtbone::kernels::kMinDispatchN;
 using cmtbone::kernels::kNumBackends;
-using cmtbone::kernels::ScopedBackendForce;
 using cmtbone::kernels::selected_backend;
-using cmtbone::kernels::set_forced_backend;
 
-// Every test leaves the process-global selection exactly as it found it:
-// no force and no leftover environment knob.
-class DispatchTest : public ::testing::Test {
- protected:
-  void SetUp() override { reset(); }
-  void TearDown() override { reset(); }
-  static void reset() {
-    unsetenv(cmtbone::kernels::kBackendEnvVar);
-    cmtbone::kernels::reload_env_selection();
-    set_forced_backend(std::nullopt);
-  }
-};
+// --- the default ------------------------------------------------------------
 
-// --- selection --------------------------------------------------------------
-
-TEST_F(DispatchTest, NameRoundTripAndRejects) {
+TEST(DispatchTest, ForcedBeatsDefault) {
+  // Code outside a Driver runs batched at every length, in the SIMD
+  // tables' range or not, and so does a default Config.
   ASSERT_EQ(int(all_backends().size()), kNumBackends);
-  for (Backend b : all_backends()) {
-    auto parsed = backend_from_name(backend_name(b));
-    ASSERT_TRUE(parsed.has_value()) << backend_name(b);
-    EXPECT_EQ(*parsed, b);
-  }
-  EXPECT_FALSE(backend_from_name(""));
-  EXPECT_FALSE(backend_from_name("Scalar"));
-  EXPECT_FALSE(backend_from_name("avx2"));  // an ISA, not a backend
-  EXPECT_FALSE(backend_from_name("simd "));
-}
-
-TEST_F(DispatchTest, ForcedBeatsDefault) {
-  // With no force, batched is the choice at every length, in the SIMD
-  // tables' range or not.
-  EXPECT_EQ(forced_backend(), std::nullopt);
   for (int n : {kMinDispatchN - 1, kMinDispatchN, 7, kMaxDispatchN,
                 kMaxDispatchN + 1}) {
     EXPECT_EQ(selected_backend(n), Backend::kBatched) << "n=" << n;
   }
-  {
-    ScopedBackendForce force(Backend::kScalar);
-    EXPECT_EQ(selected_backend(7), Backend::kScalar);  // force wins
-    EXPECT_EQ(forced_backend(), Backend::kScalar);
-    {
-      ScopedBackendForce inner(Backend::kSimdFma);
-      EXPECT_EQ(selected_backend(7), Backend::kSimdFma);
-    }
-    EXPECT_EQ(selected_backend(7), Backend::kScalar);  // outer force restored
-  }
-  EXPECT_EQ(forced_backend(), std::nullopt);
-  EXPECT_EQ(selected_backend(7), Backend::kBatched);  // force restored away
+  EXPECT_EQ(Config().kernel_backend, Backend::kBatched);
 }
 
-TEST_F(DispatchTest, DispatchMxmHonorsForceAndDegradesOutOfRange) {
-  {
-    ScopedBackendForce force(Backend::kScalar);
-    EXPECT_EQ(cmtbone::kernels::dispatch_mxm(8), nullptr);  // caller uses mxm
-  }
+TEST(DispatchTest, DispatchMxmHonorsForceAndDegradesOutOfRange) {
+  EXPECT_EQ(dispatch_mxm(8, Backend::kScalar), nullptr);  // caller uses mxm
   // The SIMD backends hand out the widest usable ISA's kernel, fused or
   // not.
   const cmtbone::kernels::SimdBackend* isa =
       cmtbone::kernels::simd_backend_best();
-  {
-    ScopedBackendForce force(Backend::kSimdFma);
-    EXPECT_EQ(cmtbone::kernels::dispatch_mxm(8), isa->mxm_kernel(8, true));
-  }
-  {
-    ScopedBackendForce force(Backend::kBatched);
-    EXPECT_EQ(cmtbone::kernels::dispatch_mxm(8), isa->mxm_kernel(8, false));
-  }
+  EXPECT_EQ(dispatch_mxm(8, Backend::kSimdFma), isa->mxm_kernel(8, true));
+  EXPECT_EQ(dispatch_mxm(8, Backend::kBatched), isa->mxm_kernel(8, false));
   // Outside the dispatch range every backend degrades to the runtime
   // kernel, reported as nullptr — never an abort, never a wrong kernel.
   for (Backend b : all_backends()) {
-    ScopedBackendForce force(b);
-    EXPECT_EQ(cmtbone::kernels::dispatch_mxm(kMinDispatchN - 1), nullptr)
-        << backend_name(b);
-    EXPECT_EQ(cmtbone::kernels::dispatch_mxm(kMaxDispatchN + 1), nullptr)
-        << backend_name(b);
+    EXPECT_EQ(dispatch_mxm(kMinDispatchN - 1, b), nullptr) << backend_name(b);
+    EXPECT_EQ(dispatch_mxm(kMaxDispatchN + 1, b), nullptr) << backend_name(b);
   }
-  // In range, a SIMD selection hands out a real kernel that matches the
+  // In range, the batched backend hands out a real kernel that matches the
   // runtime mxm bit for bit.
-  ScopedBackendForce force(Backend::kBatched);
-  cmtbone::kernels::MxmFixedFn f = cmtbone::kernels::dispatch_mxm(6);
+  cmtbone::kernels::MxmFixedFn f = dispatch_mxm(6, Backend::kBatched);
   ASSERT_NE(f, nullptr);
   cmtbone::util::SplitMix64 rng(21);
   std::vector<double> a(5 * 6), b(6 * 4), want(5 * 4), got(5 * 4);
@@ -130,79 +72,7 @@ TEST_F(DispatchTest, DispatchMxmHonorsForceAndDegradesOutOfRange) {
   for (std::size_t p = 0; p < want.size(); ++p) ASSERT_EQ(want[p], got[p]);
 }
 
-// --- environment knob -------------------------------------------------------
-
-TEST_F(DispatchTest, EnvBackendForcesSelectionAndUnknownValueIsIgnored) {
-  setenv(cmtbone::kernels::kBackendEnvVar, "scalar", 1);
-  cmtbone::kernels::reload_env_selection();
-  EXPECT_EQ(forced_backend(), Backend::kScalar);
-  EXPECT_EQ(selected_backend(9), Backend::kScalar);
-
-  // "simd" and "fixed-n" named retired backends; like any unknown name
-  // they are warned about and ignored.
-  for (const char* name : {"warp-drive", "simd", "fixed-n"}) {
-    setenv(cmtbone::kernels::kBackendEnvVar, name, 1);
-    cmtbone::kernels::reload_env_selection();
-    EXPECT_EQ(forced_backend(), std::nullopt) << name;
-    EXPECT_EQ(selected_backend(9), Backend::kBatched) << name;
-  }
-}
-
-TEST_F(DispatchTest, EnvForcedBackendBeatsDefaultAndSurvivesReload) {
-  setenv(cmtbone::kernels::kBackendEnvVar, "simd-fma", 1);
-  cmtbone::kernels::reload_env_selection();
-  EXPECT_EQ(selected_backend(5), Backend::kSimdFma);  // env force, not default
-  // A programmatic force replaces it until the environment is read again.
-  set_forced_backend(Backend::kScalar);
-  EXPECT_EQ(selected_backend(5), Backend::kScalar);
-  cmtbone::kernels::reload_env_selection();
-  EXPECT_EQ(selected_backend(5), Backend::kSimdFma);
-  cmtbone::kernels::reload_env_selection();  // idempotent
-  EXPECT_EQ(forced_backend(), Backend::kSimdFma);
-  unsetenv(cmtbone::kernels::kBackendEnvVar);
-  cmtbone::kernels::reload_env_selection();
-  EXPECT_EQ(selected_backend(5), Backend::kBatched);
-}
-
-TEST_F(DispatchTest, SelectionIsConsistentWhileForceAndEnvChange) {
-  // Every rank thread and pool worker reads the selection on every
-  // contraction; in the steady state that is one acquire load, no lock.
-  // Readers must always get a valid backend and a kernel that computes the
-  // runtime mxm exactly while a writer flips the force and re-reads the
-  // environment (the TSan jobs check the accesses themselves).
-  setenv(cmtbone::kernels::kBackendEnvVar, "scalar", 1);
-  std::atomic<bool> stop{false};
-  std::atomic<long> reads{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&, t] {
-      cmtbone::util::SplitMix64 rng(100 + t);
-      std::vector<double> a(3 * 8), b(8 * 2), want(3 * 2), got(3 * 2);
-      for (double& x : a) x = rng.uniform(-1, 1);
-      for (double& x : b) x = rng.uniform(-1, 1);
-      cmtbone::kernels::mxm(a.data(), 3, b.data(), 8, want.data(), 2);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const Backend sel = selected_backend(8);
-        EXPECT_TRUE(backend_bit_identical(sel)) << backend_name(sel);
-        if (cmtbone::kernels::MxmFixedFn f = cmtbone::kernels::dispatch_mxm(8)) {
-          f(a.data(), 3, b.data(), got.data(), 2);
-          EXPECT_EQ(got, want);
-        }
-        reads.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (int i = 0; i < 200 || reads.load() < 2000; ++i) {
-    set_forced_backend(i % 2 ? Backend::kScalar : Backend::kBatched);
-    if (i % 10 == 0) cmtbone::kernels::reload_env_selection();
-  }
-  stop = true;
-  for (std::thread& t : readers) t.join();
-  cmtbone::kernels::reload_env_selection();
-  EXPECT_EQ(forced_backend(), Backend::kScalar);
-}
-
-// --- forced-backend driver determinism --------------------------------------
+// --- per-Driver backends -----------------------------------------------------
 
 using Fields = std::vector<std::vector<double>>;
 
@@ -255,7 +125,7 @@ void expect_bitwise_equal(const std::vector<Fields>& a,
   }
 }
 
-TEST_F(DispatchTest, EveryForcedBackendBitIdenticalAcrossThreadsAndOverlap) {
+TEST(DispatchTest, EveryForcedBackendBitIdenticalAcrossThreadsAndOverlap) {
   // The determinism contract per backend: whatever a backend computes, it
   // computes identically at every thread count and with overlap on or off
   // — and run to run. (Backends are NOT required to agree with each other
@@ -277,10 +147,9 @@ TEST_F(DispatchTest, EveryForcedBackendBitIdenticalAcrossThreadsAndOverlap) {
     expect_bitwise_equal(
         want, run_sim(nranks, backend_config(b, true, 1), steps));
   }
-  set_forced_backend(std::nullopt);  // Driver force is process-global
 }
 
-TEST_F(DispatchTest, EveryForcedBackendSurvivesChaoticCommunication) {
+TEST(DispatchTest, EveryForcedBackendSurvivesChaoticCommunication) {
   // One chaos-seeded driver workload per backend: the chaos engine
   // perturbs message ordering and progress timing, which must never leak
   // into the numerics of any kernel backend.
@@ -300,7 +169,23 @@ TEST_F(DispatchTest, EveryForcedBackendSurvivesChaoticCommunication) {
     });
     expect_bitwise_equal(want, got);
   }
-  set_forced_backend(std::nullopt);
+}
+
+TEST(DispatchTest, KernelBackendStaysWithItsDriver) {
+  // A Driver's kernel backend is its own: a default Driver built after a
+  // simd-fma one ends at the bits it reaches alone, not at the FMA run's.
+  Config plain;
+  plain.n = 6;
+  plain.ex = plain.ey = plain.ez = 2;
+  plain.threads_per_rank = 1;
+  Config fma = plain;
+  fma.kernel_backend = Backend::kSimdFma;
+  const int steps = 3;
+  const auto alone = run_sim(1, plain, steps);
+  const auto fused = run_sim(1, fma, steps);
+  // The FMA run must differ, or the check below would prove nothing.
+  ASSERT_NE(alone, fused);
+  expect_bitwise_equal(alone, run_sim(1, plain, steps));
 }
 
 }  // namespace

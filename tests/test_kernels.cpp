@@ -55,10 +55,8 @@ TEST(Mxm, IdentityLeavesMatrixUnchanged) {
 }
 
 TEST(Gradient, MxmFixedVariantBitIdenticalToBasic) {
-  // The batched backend (per-N SIMD contractions, D^T staged once per call)
-  // against the basic loops, through the dispatched variant.
-  cmtbone::kernels::ScopedBackendForce force(
-      cmtbone::kernels::Backend::kBatched);
+  // The dispatched variant runs the default backend, batched (per-N SIMD
+  // contractions, D^T staged once per call), against the basic loops.
   for (int n : {5, 9, 13}) {
     const int nel = 3;
     const std::size_t pts = std::size_t(n) * n * n * nel;
@@ -422,31 +420,26 @@ TEST(DispatchParity, EveryBackendGradMatchesScalarForAllNAndDirections) {
 }
 
 TEST(DispatchParity, TensorApplyBitIdenticalUnderEveryBitExactBackend) {
-  // tensor_apply3 routes its contractions through dispatch_mxm; forcing
-  // each bit-exact backend must leave interpolation results untouched at
-  // the bit level (this path feeds the golden-checked dealiased physics).
-  using cmtbone::kernels::ScopedBackendForce;
+  // tensor_apply3 routes its contractions through dispatch_mxm; each
+  // bit-exact backend must leave interpolation results untouched at the bit
+  // level (this path feeds the golden-checked dealiased physics).
   for (int n : {4, 8}) {
     auto op = cmtbone::sem::Operators::build(n);
     const int m = op.m;
     auto u = random_vec(std::size_t(n) * n * n, 60u + n);
     std::vector<double> fine(std::size_t(m) * m * m, 0.0);
     std::vector<double> work(cmtbone::kernels::tensor_work_size(m, m));
-    std::vector<double> want;
-    {
-      ScopedBackendForce force(Backend::kScalar);
-      cmtbone::kernels::tensor_apply3(op.interp.data(), op.interp_t.data(), m,
-                                      n, u.data(), fine.data(), work.data());
-      want = fine;
-    }
+    cmtbone::kernels::tensor_apply3(op.interp.data(), op.interp_t.data(), m, n,
+                                    u.data(), fine.data(), work.data(),
+                                    Backend::kScalar);
+    const std::vector<double> want = fine;
     for (Backend b : cmtbone::kernels::all_backends()) {
       if (b == Backend::kScalar || !cmtbone::kernels::backend_bit_identical(b)) {
         continue;
       }
-      ScopedBackendForce force(b);
       std::fill(fine.begin(), fine.end(), -9.0);
       cmtbone::kernels::tensor_apply3(op.interp.data(), op.interp_t.data(), m,
-                                      n, u.data(), fine.data(), work.data());
+                                      n, u.data(), fine.data(), work.data(), b);
       for (std::size_t p = 0; p < fine.size(); ++p) {
         ASSERT_EQ(want[p], fine[p]) << cmtbone::kernels::backend_name(b)
                                     << " n=" << n << " point=" << p;

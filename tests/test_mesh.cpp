@@ -496,6 +496,11 @@ void face_exchange_check(const BoxSpec& spec, OwnerMap kind) {
       for (int f = 0; f < 6; ++f) {
         std::array<int, 3> ng;
         const bool physical = !face_neighbor(spec, g, f, &ng);
+        // The layout's own rule, which the planner uses, agrees with this
+        // reference: the neighbor's gid, or -1 on a physical boundary.
+        ASSERT_EQ(layout.face_neighbor(layout.gid_of(e), f),
+                  physical ? -1 : layout.gid(ng[0], ng[1], ng[2]))
+            << owner_map_name(kind) << " e=" << e << " f=" << f;
         for (int b = 0; b < n; ++b) {
           for (int a = 0; a < n; ++a) {
             double got = nbrfaces[cmtbone::mesh::face_offset(f, e, n) + a +

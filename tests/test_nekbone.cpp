@@ -267,28 +267,72 @@ TEST(Nekbone, GsMethodDoesNotChangeTheSolve) {
   EXPECT_NEAR(norms[2], norms[0], 1e-8 * std::max(norms[0], 1.0));
 }
 
-TEST(Nekbone, MxmFixedVariantBitIdenticalStiffnessOperator) {
-  // The stiffness operator routes its derivative contractions through the
-  // gradient kernels; the batched backend must not change a single bit of
-  // the result relative to the basic reference loops.
+TEST(Nekbone, StiffnessOperatorBitIdenticalToScalarReference) {
+  // The operator runs its derivative contractions under the default kernel
+  // backend. Rebuilt from the scalar reference loops (grad_backend with
+  // kScalar), the same diagonal factors, the same evaluation order and the
+  // same dssum, A u must come out bit for bit.
   cmtbone::comm::run(1, [](Comm& world) {
-    cmtbone::kernels::ScopedBackendForce force(
-        cmtbone::kernels::Backend::kBatched);
-    NekboneConfig cfg = small_config(5, 2);
-    cfg.variant = cmtbone::kernels::GradVariant::kBasic;
-    Nekbone basic(world, cfg);
-    cfg.variant = cmtbone::kernels::GradVariant::kDispatch;
-    Nekbone batched(world, cfg);
-
-    std::vector<double> u(basic.points());
-    basic.evaluate([](double x, double y, double z) {
+    using cmtbone::kernels::Backend;
+    const NekboneConfig cfg = small_config(5, 2);
+    Nekbone nb(world, cfg);
+    const int n = cfg.n;
+    const int nel = cfg.ex * cfg.ey * cfg.ez;
+    const std::size_t pts = nb.points();
+    std::vector<double> u(pts);
+    nb.evaluate([](double x, double y, double z) {
       return std::sin(2 * M_PI * x) * std::cos(2 * M_PI * y) + z * z * x;
     }, std::span<double>(u));
-    std::vector<double> au_basic(u.size()), au_batched(u.size());
-    basic.apply_ax(u, std::span<double>(au_basic));
-    batched.apply_ax(u, std::span<double>(au_batched));
-    for (std::size_t p = 0; p < u.size(); ++p) {
-      ASSERT_EQ(au_basic[p], au_batched[p]) << "point " << p;
+
+    // Diagonal factors of the uniform box, as Nekbone builds them.
+    const auto ops = cmtbone::sem::Operators::build(n);
+    const std::vector<double>& w = ops.rule.weights;
+    const double h[3] = {1.0 / cfg.ex, 1.0 / cfg.ey, 1.0 / cfg.ez};
+    const double jac = 0.125 * h[0] * h[1] * h[2];
+    std::vector<double> grr(pts), gss(pts), gtt(pts), mass(pts);
+    std::size_t idx = 0;
+    for (int e = 0; e < nel; ++e) {
+      for (int k = 0; k < n; ++k) {
+        for (int j = 0; j < n; ++j) {
+          for (int i = 0; i < n; ++i, ++idx) {
+            const double www = w[i] * w[j] * w[k];
+            grr[idx] = www * h[1] * h[2] / (2.0 * h[0]);
+            gss[idx] = www * h[0] * h[2] / (2.0 * h[1]);
+            gtt[idx] = www * h[0] * h[1] / (2.0 * h[2]);
+            mass[idx] = www * jac;
+          }
+        }
+      }
+    }
+
+    auto grad = [&](int dir, const std::vector<double>& d, const double* in,
+                    double* out) {
+      cmtbone::kernels::grad_backend(Backend::kScalar, dir, d.data(), in, out,
+                                     n, nel);
+    };
+    std::vector<double> ur(pts), us(pts), ut(pts), want(pts), tmp(pts);
+    grad(0, ops.d, u.data(), ur.data());
+    grad(1, ops.d, u.data(), us.data());
+    grad(2, ops.d, u.data(), ut.data());
+    for (std::size_t p = 0; p < pts; ++p) {
+      ur[p] *= grr[p];
+      us[p] *= gss[p];
+      ut[p] *= gtt[p];
+    }
+    grad(0, ops.dt, ur.data(), want.data());
+    grad(1, ops.dt, us.data(), tmp.data());
+    for (std::size_t p = 0; p < pts; ++p) want[p] += tmp[p];
+    grad(2, ops.dt, ut.data(), tmp.data());
+    for (std::size_t p = 0; p < pts; ++p) {
+      want[p] = cfg.h1 * (want[p] + tmp[p]) + cfg.h2 * mass[p] * u[p];
+    }
+    nb.gather_scatter().exec(std::span<double>(want),
+                             cmtbone::gs::ReduceOp::kSum);
+
+    std::vector<double> got(pts);
+    nb.apply_ax(u, std::span<double>(got));
+    for (std::size_t p = 0; p < pts; ++p) {
+      ASSERT_EQ(want[p], got[p]) << "point " << p;
     }
   });
 }

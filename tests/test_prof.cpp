@@ -32,19 +32,6 @@ TEST(Timer, WallTimerAdvances) {
   EXPECT_GT(t.seconds(), 0.004);
 }
 
-TEST(Timer, StopwatchAccumulatesLaps) {
-  cmtbone::prof::Stopwatch sw;
-  for (int i = 0; i < 3; ++i) {
-    sw.start();
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    sw.stop();
-  }
-  EXPECT_EQ(sw.laps(), 3);
-  EXPECT_GT(sw.seconds(), 0.005);
-  sw.reset();
-  EXPECT_EQ(sw.laps(), 0);
-}
-
 TEST(Timer, CyclesMonotone) {
   auto a = cmtbone::prof::read_cycles();
   auto b = cmtbone::prof::read_cycles();
@@ -231,9 +218,9 @@ TEST(CommProf, RuntimeIntegrationAttributesSites) {
 }
 
 TEST(CommProf, TablesMatchTheExchangePlans) {
-  // Summed over ranks, each RHS evaluation's face exchange sends
-  // face_bytes_per_rhs() on the direct backend and, on the gs backend, the
-  // face handle's pairwise_send_values() doubles per field. Each pairwise
+  // Summed over ranks, each RHS evaluation's face exchange sends the direct
+  // plan's send_bytes_per_exchange() on the direct backend and, on the gs
+  // backend, the face handle's pairwise_send_values() doubles per field. Each pairwise
   // dssum gs_op sends pairwise_send_values() doubles: one multiplicity
   // gs_op at set-up plus one per field per step.
   constexpr int kRanks = 2;
@@ -259,7 +246,8 @@ TEST(CommProf, TablesMatchTheExchangePlans) {
       cmtbone::core::Driver driver(world, cfg);
       driver.initialize(driver.default_ic());
       driver.run(kSteps);
-      long long my_face_bytes = driver.face_bytes_per_rhs();
+      long long my_face_bytes =
+          driver.face_exchange().send_bytes_per_exchange(driver.nfields());
       if (backend == cmtbone::core::FaceBackend::kGatherScatter) {
         // An independent handle over the same face points: its gs_setup
         // sends no point-to-point message, so no Isend row moves.
