@@ -76,9 +76,6 @@ int main(int argc, char** argv) {
       {"gs: crystal router", [](core::Config& c) {
          c.gs_method = gs::Method::kCrystalRouter;
        }},
-      {"face exchange via gs library", [](core::Config& c) {
-         c.face_backend = core::FaceBackend::kGatherScatter;
-       }},
       {"integrator: forward Euler (1 stage)", [](core::Config& c) {
          c.integrator = core::TimeIntegrator::kForwardEuler;
        }},

@@ -35,7 +35,8 @@
 //        balance_study --smoke   CI gate: clustered scenario must beat
 //                                static by >= 1.3x modeled time-to-solution
 //                                with bit-identical fields, and single-rank
-//                                overhead must stay under 3%.
+//                                overhead must stay under 3% (median of
+//                                alternating pairs).
 
 #include <algorithm>
 #include <cstdio>
@@ -45,6 +46,7 @@
 
 #include "balance/rebalancer.hpp"
 #include "balance/scenarios.hpp"
+#include "bench_common.hpp"
 #include "chaos/chaos.hpp"
 #include "comm/runtime.hpp"
 #include "core/driver.hpp"
@@ -252,36 +254,45 @@ Row run_scenario(const std::string& name, int nranks, const Config& base,
 
 /// Single-rank overhead: balanced config (which implies ordered gs folds,
 /// cost timers, and a no-op rebalance epoch every interval) vs the plain
-/// static default. Median-of-reps wall-clock ratio; 1 rank so threads do
-/// not multiplex.
+/// static default, in paired_ratio() pairs on two drivers that live through
+/// the whole measurement, so a sample times only its steps; 1 rank so
+/// threads do not multiplex.
 struct OverheadResult {
-  double static_busy = 0, balanced_busy = 0;  // best-of-reps CPU seconds
-  double static_wall = 0, balanced_wall = 0;  // best-of-reps wall seconds
   // The gated ratio is CPU busy time: it counts exactly the work the
   // balancing machinery adds (cost timers, no-op epochs, migration
   // plumbing) and is immune to the few-percent scheduler noise that makes
   // short wall-clock runs flap. Wall time is reported alongside.
-  double busy_ratio() const { return balanced_busy / static_busy; }
+  cmtbone::bench::PairedRatio busy;           // balanced / static
+  double static_wall = 0, balanced_wall = 0;  // median wall seconds
   double wall_ratio() const { return balanced_wall / static_wall; }
 };
 
-OverheadResult overhead_run(int steps, int reps) {
+OverheadResult overhead_run(int steps, int pairs) {
   Config cfg = base_config(9, 3);
   cfg.particles_per_rank = 64;
-  Config plain = cfg;  // defaults: no ordered gs, no balancing
-  Config bal = balanced_config(cfg, 5, 16);
+  const Config plain_cfg = cfg;  // defaults: no ordered gs, no balancing
+  const Config bal_cfg = balanced_config(cfg, 5, 16);
+  std::vector<double> static_wall, balanced_wall;
   OverheadResult out;
-  for (int r = 0; r < reps; ++r) {
-    const RunResult p = time_run(1, plain, steps, Cloud::kNone, 0, nullptr);
-    const RunResult b = time_run(1, bal, steps, Cloud::kNone, 0, nullptr);
-    if (r == 0 || p.critical_seconds < out.static_busy) out.static_busy = p.critical_seconds;
-    if (r == 0 || b.critical_seconds < out.balanced_busy)
-      out.balanced_busy = b.critical_seconds;
-    if (r == 0 || p.wall_seconds < out.static_wall)
-      out.static_wall = p.wall_seconds;
-    if (r == 0 || b.wall_seconds < out.balanced_wall)
-      out.balanced_wall = b.wall_seconds;
-  }
+  cmtbone::comm::run(1, [&](Comm& world) {
+    Driver plain(world, plain_cfg), bal(world, bal_cfg);
+    for (Driver* d : {&plain, &bal}) {
+      d->initialize(d->default_ic());
+      d->run(1);  // warm up allocations
+    }
+    auto busy_seconds = [&](Driver& d, std::vector<double>* wall) {
+      const double before = d.balance_stats().busy_seconds();
+      cmtbone::prof::WallTimer t;
+      d.run(steps);
+      wall->push_back(t.seconds());
+      return d.balance_stats().busy_seconds() - before;
+    };
+    out.busy = cmtbone::bench::paired_ratio(
+        pairs, [&] { return busy_seconds(plain, &static_wall); },
+        [&] { return busy_seconds(bal, &balanced_wall); });
+  });
+  out.static_wall = cmtbone::bench::quantile(static_wall, 0.5);
+  out.balanced_wall = cmtbone::bench::quantile(balanced_wall, 0.5);
   return out;
 }
 
@@ -305,12 +316,14 @@ int run_smoke(int reps) {
                                Cloud::kCluster, particles, nullptr,
                                /*interval=*/5, reps);
   // Gate 2: the machinery must be ~free when there is nothing to balance.
-  const OverheadResult ovh = overhead_run(/*steps=*/24, std::max(reps, 5));
+  // 25 steps: every sample crosses the same five interval-5 epochs.
+  const OverheadResult ovh = overhead_run(/*steps=*/25, std::max(reps, 40));
   std::printf(
-      "overhead smoke (1 rank, N=9, 3^3 elements): busy static %.4fs "
-      "balanced %.4fs (ratio %.3f); wall static %.4fs balanced %.4fs "
-      "(ratio %.3f)\n",
-      ovh.static_busy, ovh.balanced_busy, ovh.busy_ratio(), ovh.static_wall,
+      "overhead smoke (1 rank, N=9, 3^3 elements, %d pairs): busy static "
+      "%.4fs balanced %.4fs (median pair ratio %.3f, quartiles %.3f-%.3f); "
+      "wall static %.4fs balanced %.4fs (ratio %.3f)\n",
+      ovh.busy.pairs, ovh.busy.reference_median, ovh.busy.candidate_median,
+      ovh.busy.median, ovh.busy.q1, ovh.busy.q3, ovh.static_wall,
       ovh.balanced_wall, ovh.wall_ratio());
 
   int failures = 0;
@@ -327,9 +340,9 @@ int run_smoke(int reps) {
     std::printf("FAIL: balancer never migrated an element\n");
     ++failures;
   }
-  if (ovh.busy_ratio() > 1.03) {
+  if (ovh.busy.median > 1.03) {
     std::printf("FAIL: single-rank overhead %.1f%% > 3%%\n",
-                100.0 * (ovh.busy_ratio() - 1.0));
+                100.0 * (ovh.busy.median - 1.0));
     ++failures;
   }
   std::printf(failures ? "FAIL\n" : "PASS\n");
@@ -343,8 +356,9 @@ int main(int argc, char** argv) {
 
   util::Cli cli(argc, argv);
   cli.describe("steps", "timed steps per run (default 40)")
-      .describe("reps", "repetitions, best-of (default 3; median for the "
-                        "overhead scenario and --smoke)")
+      .describe("reps", "repetitions, best-of (default 3); alternating "
+                        "pairs for the overhead scenario (at least 7, and "
+                        "at least 40 with --smoke)")
       .describe("particles", "cloud size for clustered/front (default 20000)")
       .describe("json", "output file (default BENCH_balance.json)")
       .describe("physics",
@@ -379,8 +393,8 @@ int main(int argc, char** argv) {
       overhead_run(std::max(24, steps / 2), std::max(reps, 7));
   std::printf("overhead  1 rank: busy static %.4fs balanced %.4fs (ratio "
               "%.3f); wall ratio %.3f\n",
-              ovh.static_busy, ovh.balanced_busy, ovh.busy_ratio(),
-              ovh.wall_ratio());
+              ovh.busy.reference_median, ovh.busy.candidate_median,
+              ovh.busy.median, ovh.wall_ratio());
 
   rows.push_back(run_scenario("clustered", 4, base_config(5, 4), steps,
                               Cloud::kCluster, particles, nullptr, interval,
@@ -442,9 +456,9 @@ int main(int argc, char** argv) {
       "\"static_wall_seconds\": %.6f, \"balanced_wall_seconds\": %.6f, "
       "\"wall_ratio\": %.4f},\n"
       "  \"results\": [\n",
-      core::physics_name(g_physics), reps, steps, ovh.static_busy,
-      ovh.balanced_busy, ovh.busy_ratio(), ovh.static_wall, ovh.balanced_wall,
-      ovh.wall_ratio());
+      core::physics_name(g_physics), reps, steps, ovh.busy.reference_median,
+      ovh.busy.candidate_median, ovh.busy.median, ovh.static_wall,
+      ovh.balanced_wall, ovh.wall_ratio());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(

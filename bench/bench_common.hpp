@@ -4,9 +4,12 @@
 //
 // The paper's communication figures (8-10) all come from one profiled
 // CMT-bone execution; fig8/fig9/fig10 each perform an equivalent run and
-// print their slice of the per-rank profiles.
+// print their slice of the per-rank profiles. The CI timing gates share
+// one paired comparison, paired_ratio().
 
+#include <algorithm>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -84,6 +87,53 @@ inline std::vector<prof::CallProfile> execute(const ProfiledRun& run) {
     driver.run(run.steps);
   }, opts);
   return profiles;
+}
+
+/// The q-quantile (0 <= q <= 1) of `xs`, nearest rank; q = 0.5 picks the
+/// upper median of an even count.
+inline double quantile(std::vector<double> xs, double q) {
+  std::sort(xs.begin(), xs.end());
+  return xs[std::size_t(q * double(xs.size() - 1) + 0.5)];
+}
+
+/// The median and quartiles of the per-pair ratios candidate / reference
+/// from paired_ratio(), with each side's median sample.
+struct PairedRatio {
+  double median = 0, q1 = 0, q3 = 0;
+  double reference_median = 0, candidate_median = 0;
+  int pairs = 0;
+};
+
+/// Runs `reference` and `candidate`, each returning one timed sample (in
+/// seconds, or any cost), in `pairs` back-to-back pairs, alternating which
+/// goes first, and returns the median and quartiles of the per-pair ratios
+/// candidate / reference. Host drift between pairs then cancels instead of
+/// landing in the ratio. Every overhead gate reads its median.
+inline PairedRatio paired_ratio(int pairs,
+                                const std::function<double()>& reference,
+                                const std::function<double()>& candidate) {
+  std::vector<double> ref, cand, ratios;
+  for (int pair = 0; pair < pairs; ++pair) {
+    double r, c;
+    if (pair % 2 == 0) {
+      r = reference();
+      c = candidate();
+    } else {
+      c = candidate();
+      r = reference();
+    }
+    ref.push_back(r);
+    cand.push_back(c);
+    ratios.push_back(c / r);
+  }
+  PairedRatio out;
+  out.pairs = pairs;
+  out.median = quantile(ratios, 0.5);
+  out.q1 = quantile(ratios, 0.25);
+  out.q3 = quantile(ratios, 0.75);
+  out.reference_median = quantile(ref, 0.5);
+  out.candidate_median = quantile(cand, 0.5);
+  return out;
 }
 
 }  // namespace cmtbone::bench

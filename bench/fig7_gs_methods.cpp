@@ -30,7 +30,7 @@ struct Setup {
   mesh::BoxSpec spec;
 };
 
-// Gather-scatter tuning rows for one mini-app's id pattern.
+// Gather-scatter tuning rows for CMT-bone's dssum id pattern.
 std::vector<gs::GatherScatter::TuneRow> tune_for(const Setup& setup) {
   std::vector<gs::GatherScatter::TuneRow> rows;
   comm::run(setup.ranks, [&](comm::Comm& world) {
@@ -38,6 +38,29 @@ std::vector<gs::GatherScatter::TuneRow> tune_for(const Setup& setup) {
         mesh::ElementLayout::block(setup.spec, world.rank()));
     gs::GatherScatter handle(world, ids, gs::Method::kAuto);
     if (world.rank() == 0) rows = handle.tuning();
+  });
+  return rows;
+}
+
+// The tuning rows of Nekbone's own gs handle: the mini-app built on the
+// same N, element grid and processor grid, non-periodic (Nekbone solves a
+// boundary problem), picking its method at start-up.
+std::vector<gs::GatherScatter::TuneRow> nekbone_tuning(const Setup& setup) {
+  std::vector<gs::GatherScatter::TuneRow> rows;
+  comm::run(setup.ranks, [&](comm::Comm& world) {
+    nekbone::NekboneConfig cfg;
+    cfg.n = setup.spec.n;
+    cfg.ex = setup.spec.ex;
+    cfg.ey = setup.spec.ey;
+    cfg.ez = setup.spec.ez;
+    cfg.px = setup.spec.px;
+    cfg.py = setup.spec.py;
+    cfg.pz = setup.spec.pz;
+    cfg.periodic = false;
+    cfg.gs_method = gs::Method::kAuto;
+    cfg.threads_per_rank = 1;
+    nekbone::Nekbone nb(world, cfg);
+    if (world.rank() == 0) rows = nb.gather_scatter().tuning();
   });
   return rows;
 }
@@ -99,14 +122,11 @@ int main(int argc, char** argv) {
       cmt.spec.ex, cmt.spec.ey, cmt.spec.ez, cmt.spec.total_elements());
 
   // CMT-bone's gs pattern: the DG mesh numbering (its gs_op is used for
-  // dssum over all GLL points). Nekbone's pattern: identical numbering but
-  // non-periodic (Nekbone solves a boundary problem), which changes the
-  // shared-id structure the methods see.
-  Setup nek = cmt;
-  nek.spec.periodic = false;
-
+  // dssum over all GLL points). Nekbone's rows come from a nekbone::Nekbone
+  // on the same grids; its non-periodic box changes the shared-id
+  // structure the methods see.
   auto cmt_rows = tune_for(cmt);
-  auto nek_rows = tune_for(nek);
+  auto nek_rows = nekbone_tuning(cmt);
 
   util::Table table(
       {"Mini-app", "All-to-all method", "Time (avg) s", "Time (min) s",

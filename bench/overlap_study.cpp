@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "balance/rebalancer.hpp"
+#include "bench_common.hpp"
 #include "chaos/chaos.hpp"
 #include "comm/runtime.hpp"
 #include "core/driver.hpp"
@@ -134,39 +135,35 @@ struct Row {
 int run_smoke(int steps, int pairs) {
   // Single rank: every face pairs locally, so the overlapped path does all
   // the same work plus the split-phase bookkeeping. Gate: that bookkeeping
-  // must cost under 5%. The two run in back-to-back pairs, alternating
-  // which goes first, and the gate reads the median of the per-pair
-  // ratios: host drift between pairs then cancels instead of landing in
-  // the ratio.
+  // must cost under 5%, read as the median of paired ratios. Both drivers
+  // live through the whole gate, so a sample times only its steps, never
+  // set-up, and the two samples of a pair run back to back.
   const Config blocking_cfg = study_config(9, 4);
   Config overlap_cfg = blocking_cfg;
   overlap_cfg.overlap = true;
-
-  auto median = [](std::vector<double> xs) {
-    std::sort(xs.begin(), xs.end());
-    return xs[xs.size() / 2];
-  };
-  std::vector<double> blocking_t, overlap_t, ratios;
-  for (int pair = 0; pair < pairs; ++pair) {
-    double blocking_s, overlap_s;
-    if (pair % 2 == 0) {
-      blocking_s = time_run(1, blocking_cfg, steps, nullptr).seconds;
-      overlap_s = time_run(1, overlap_cfg, steps, nullptr).seconds;
-    } else {
-      overlap_s = time_run(1, overlap_cfg, steps, nullptr).seconds;
-      blocking_s = time_run(1, blocking_cfg, steps, nullptr).seconds;
+  cmtbone::bench::PairedRatio r;
+  cmtbone::comm::run(1, [&](Comm& world) {
+    Driver blocking(world, blocking_cfg), overlapped(world, overlap_cfg);
+    for (Driver* d : {&blocking, &overlapped}) {
+      d->initialize(d->default_ic());
+      d->run(1);  // warm up allocations
     }
-    blocking_t.push_back(blocking_s);
-    overlap_t.push_back(overlap_s);
-    ratios.push_back(overlap_s / blocking_s);
-  }
-  const double ratio = median(ratios);
+    auto seconds = [&](Driver& d) {
+      cmtbone::prof::WallTimer t;
+      d.run(steps);
+      return t.seconds();
+    };
+    r = cmtbone::bench::paired_ratio(
+        pairs, [&] { return seconds(blocking); },
+        [&] { return seconds(overlapped); });
+  });
   std::printf(
       "overlap smoke (1 rank, N=9, 4^3 elements, %d steps, %d pairs):\n"
       "  blocking median %.4fs, overlapped median %.4fs, "
-      "median pair ratio %.3f\n",
-      steps, pairs, median(blocking_t), median(overlap_t), ratio);
-  if (ratio > 1.05) {
+      "median pair ratio %.3f (quartiles %.3f-%.3f)\n",
+      steps, pairs, r.reference_median, r.candidate_median, r.median, r.q1,
+      r.q3);
+  if (r.median > 1.05) {
     std::printf("FAIL: overlapped path is more than 5%% slower than "
                 "blocking on one rank\n");
     return 1;
@@ -183,7 +180,7 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   cli.describe("steps", "timed steps per run (default 5)")
       .describe("reps", "repetitions: best-of for the study (default 3), "
-                        "alternating pairs for --smoke (default 10)")
+                        "alternating pairs for --smoke (default 30)")
       .describe("json", "output file (default BENCH_overlap.json)")
       .describe("physics",
                 "physics system: proxy|advection|burgers|euler "
@@ -202,7 +199,7 @@ int main(int argc, char** argv) {
   }
 
   const int steps = cli.get_int("steps", 5);
-  if (cli.has("smoke")) return run_smoke(steps, cli.get_int("reps", 10));
+  if (cli.has("smoke")) return run_smoke(steps, cli.get_int("reps", 30));
   const int reps = cli.get_int("reps", 3);
   const std::string json_path = cli.get("json", "BENCH_overlap.json");
 

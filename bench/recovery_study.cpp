@@ -10,9 +10,11 @@
 // Results land in BENCH_recovery.json.
 //
 // Usage: recovery_study [--steps 40] [--json BENCH_recovery.json]
-//        recovery_study --smoke   CI gate: median-of-reps check that the
-//                                 K=10 checkpoint cadence costs < 10% per
-//                                 step; also writes the JSON.
+//        recovery_study --smoke   CI gate: no-checkpoint and K=10 runs in
+//                                 alternating pairs; exits nonzero if the
+//                                 median per-pair ratio says the K=10
+//                                 cadence costs more than 10% per step;
+//                                 also writes the JSON.
 
 #include <algorithm>
 #include <cstdio>
@@ -20,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "chaos/chaos.hpp"
 #include "comm/runtime.hpp"
 #include "core/driver.hpp"
@@ -76,9 +79,8 @@ struct ScratchDir {
 // Time `steps` steps, checkpointing every `interval` (0 = no coordinator).
 // Returns rank-0 wall seconds over the timed steps.
 double time_run(int nranks, const Config& cfg, int steps, int interval,
-                cmtbone::prof::RecoveryStats* stats = nullptr,
-                bool in_memory = false) {
-  ScratchDir scratch("k" + std::to_string(interval), in_memory);
+                cmtbone::prof::RecoveryStats* stats = nullptr) {
+  ScratchDir scratch("k" + std::to_string(interval));
   double seconds = 0.0;
   cmtbone::comm::run(nranks, [&](Comm& world) {
     Driver driver(world, cfg);
@@ -103,12 +105,11 @@ double time_run(int nranks, const Config& cfg, int steps, int interval,
 }
 
 double median_run(int nranks, const Config& cfg, int steps, int interval,
-                  int reps, cmtbone::prof::RecoveryStats* stats = nullptr,
-                  bool in_memory = false) {
+                  int reps, cmtbone::prof::RecoveryStats* stats = nullptr) {
   std::vector<double> t;
   for (int r = 0; r < reps; ++r) {
     t.push_back(time_run(nranks, cfg, steps, interval,
-                         r == 0 ? stats : nullptr, in_memory));
+                         r == 0 ? stats : nullptr));
   }
   std::sort(t.begin(), t.end());
   return t[t.size() / 2];
@@ -133,7 +134,7 @@ struct KillRow {
   double mttr_s = 0.0;
 };
 
-int run_smoke(int reps) {
+int run_smoke(int pairs) {
   // Gate: at the default production cadence (K >= 10) the coordinated
   // checkpoint machinery — epoch agreement, serialize, CRC, atomic write,
   // buddy exchange, barrier, prune — must cost under 10% per step. The
@@ -146,20 +147,49 @@ int run_smoke(int reps) {
   // fsync latency — which varies by orders of magnitude across CI
   // machines and is not a property of this code — is the full study's
   // subject, not the gate's.
+  // The two run as paired_ratio() pairs on two drivers that live through
+  // the whole gate (one with a coordinator), so a sample times only its
+  // steps, never set-up, and host drift between pairs cancels instead of
+  // landing in the ratio. Each 20-step sample crosses two K=10 boundaries.
   Config cfg = study_config();
   cfg.n = 10;
   cfg.ex = cfg.ey = cfg.ez = 6;
   const int nranks = 2;
   const int steps = 20;
-  const double base =
-      median_run(nranks, cfg, steps, 0, reps, nullptr, /*in_memory=*/true);
-  const double k10 =
-      median_run(nranks, cfg, steps, 10, reps, nullptr, /*in_memory=*/true);
-  const double overhead = k10 / base - 1.0;
+  ScratchDir scratch("smoke", /*in_memory=*/true);
+  cmtbone::bench::PairedRatio r;
+  cmtbone::comm::run(nranks, [&](Comm& world) {
+    Driver plain(world, cfg), checkpointed(world, cfg);
+    for (Driver* d : {&plain, &checkpointed}) {
+      d->initialize(d->default_ic());
+      d->run(1);  // warm up allocations and message buffers
+    }
+    CheckpointOptions opt;
+    opt.directory = scratch.path.string();
+    opt.interval = 10;
+    CheckpointCoordinator coord(world, opt);
+    auto seconds = [&](Driver& d, const Driver::StepHook& hook) {
+      world.barrier();
+      cmtbone::prof::WallTimer t;
+      d.run(steps, hook);
+      world.barrier();
+      return t.seconds();
+    };
+    const cmtbone::bench::PairedRatio mine = cmtbone::bench::paired_ratio(
+        pairs, [&] { return seconds(plain, [](Driver&) {}); },
+        [&] {
+          return seconds(checkpointed,
+                         [&](Driver& d) { coord.maybe_checkpoint(d); });
+        });
+    if (world.rank() == 0) r = mine;
+  });
+  const double overhead = r.median - 1.0;
   std::printf(
-      "recovery smoke (%d ranks, N=%d, %d^3 elements, %d steps, %d reps):\n"
-      "  no-checkpoint median %.4fs, K=10 median %.4fs, overhead %.1f%%\n",
-      nranks, cfg.n, cfg.ex, steps, reps, base, k10, 100.0 * overhead);
+      "recovery smoke (%d ranks, N=%d, %d^3 elements, %d steps, %d pairs):\n"
+      "  no-checkpoint median %.4fs, K=10 median %.4fs, median pair ratio "
+      "%.3f (quartiles %.3f-%.3f), overhead %.1f%%\n",
+      nranks, cfg.n, cfg.ex, steps, pairs, r.reference_median,
+      r.candidate_median, r.median, r.q1, r.q3, 100.0 * overhead);
   if (overhead > 0.10) {
     std::printf("FAIL: K=10 checkpointing costs more than 10%% per step\n");
     return 1;
@@ -175,7 +205,8 @@ int main(int argc, char** argv) {
 
   util::Cli cli(argc, argv);
   cli.describe("steps", "timed steps per run (default 40)")
-      .describe("reps", "repetitions, median taken (default 3; smoke 5)")
+      .describe("reps", "repetitions, median taken (default 3); with "
+                        "--smoke, alternating pairs (default 10)")
       .describe("ranks", "ranks for the sweep and kill scenarios (default 2)")
       .describe("json", "output file (default BENCH_recovery.json)")
       .describe("smoke", "CI gate: K=10 checkpoint overhead must be < 10%");
@@ -189,7 +220,7 @@ int main(int argc, char** argv) {
   const int nranks = cli.get_int("ranks", 2);
   const std::string json_path = cli.get("json", "BENCH_recovery.json");
   const bool smoke = cli.has("smoke");
-  const int reps = cli.get_int("reps", smoke ? 5 : 3);
+  const int reps = cli.get_int("reps", smoke ? 10 : 3);
   const Config cfg = study_config();
 
   int smoke_rc = 0;

@@ -3,35 +3,35 @@
 // plus, on chaos rows, "<schedule digest>".
 //
 // The matrix is physics {proxy, burgers, euler} x ranks {1, 2, 3} x overlap
-// x face backend x integrator {RK3, RK4} x {plain; two threads per rank +
-// dealias + coupled particles + ordered gs}, all on the pairwise gs method;
-// a stretched, non-periodic Sod case on 1-3 ranks; and the two collective
-// gs methods, {crystal router, allreduce} x physics {proxy, euler} x ranks
-// {2, 3} x overlap on the gs face backend, so dssum and the face exchange
-// run through each of the three exchange algorithms; and seeded chaos,
-// proxy x ranks {2, 3} x overlap x {pairwise, crystal router} on the gs
-// face backend x ChaosPolicy::for_seed seeds {1, 2}. The crystal router
-// receives through recv_vector, so these rows also run the mailbox's
-// probe. A chaos row's digest pins every hold and hook decision, and the
-// tool exits 1 when a chaos row's state hash differs from the same
+// x integrator {RK3, RK4} x {plain; two threads per rank + dealias +
+// coupled particles + ordered gs}, all on the pairwise gs method; a
+// stretched, non-periodic Sod case on 1-3 ranks; and the two collective gs
+// methods, {crystal router, allreduce} x physics {proxy, euler} x ranks
+// {2, 3} x overlap, so dssum runs through each of the three exchange
+// algorithms; and seeded chaos, proxy x ranks {2, 3} x overlap x
+// {pairwise, crystal router} x ChaosPolicy::for_seed seeds {1, 2}. The
+// crystal router receives through recv_vector, so these rows also run the
+// mailbox's probe. A chaos row's digest pins every hold and hook decision,
+// and the tool exits 1 when a chaos row's state hash differs from the same
 // configuration run without chaos. Finally, rebalanced layouts: proxy x
-// ranks {2, 3} x overlap x face backend, ordered gs with coupled particles,
-// a clustered particle cloud adopted after initialization and a rebalance
-// after every step, so face plans, ids and element classes are rebuilt on
-// non-block layouts. These rows print "<name> <hash> moves=<n>", and the
-// tool exits 1 when a balanced row moved no element or its hash differs
-// from the same run without balancing. Each configuration runs a few steps
-// from the default initial condition. Last, Nekbone: a CG solve on ranks
-// {1, 2, 3} x gs method {pairwise, crystal router}, printing "<name> <hash
-// of the solution> iters=<k>", so Nekbone's operator, dssum and dot
-// product are pinned too. The tool uses only public Driver, Tracker,
-// balance scenario, RunOptions, ChaosEngine and Nekbone API, so the same
-// file builds against older trees: bench/bits_vs_base.sh builds it at HEAD
-// and at a base commit and fails on any differing line, which is how a
-// refactor shows that it keeps every bit, every chaos schedule and every
-// migration.
+// ranks {2, 3} x overlap, ordered gs with coupled particles, a clustered
+// particle cloud adopted after initialization and a rebalance after every
+// step, so face plans, ids and element classes are rebuilt on non-block
+// layouts. These rows print "<name> <hash> moves=<n>", and the tool exits
+// 1 when a balanced row moved no element or its hash differs from the same
+// run without balancing. Each configuration runs a few steps from the
+// default initial condition. Last, Nekbone: a CG solve on ranks {1, 2, 3}
+// x gs method {pairwise, crystal router}, printing "<name> <hash of the
+// solution> iters=<k>", so Nekbone's operator, dssum and dot product are
+// pinned too. Every row runs the face exchange of mesh::FaceExchange (the
+// "direct" in the row names); the gs method picks dssum's algorithm. The
+// tool uses only public Driver, Tracker, balance scenario, RunOptions,
+// ChaosEngine and Nekbone API, so the same file builds against older
+// trees: bench/bits_vs_base.sh builds it at HEAD and at a base commit and
+// fails on any differing line, which is how a refactor shows that it keeps
+// every bit, every chaos schedule and every migration.
 //
-//   state_hashes            # prints 196 lines
+//   state_hashes            # prints 120 lines
 
 #include <cinttypes>
 #include <cmath>
@@ -148,35 +148,30 @@ int main(int argc, char** argv) {
   const core::Physics physics[] = {core::Physics::kProxyAdvection,
                                    core::Physics::kBurgers,
                                    core::Physics::kEuler};
-  const core::FaceBackend backends[] = {core::FaceBackend::kDirect,
-                                        core::FaceBackend::kGatherScatter};
   const core::TimeIntegrator integrators[] = {core::TimeIntegrator::kRk3Ssp,
                                               core::TimeIntegrator::kRk4};
   for (core::Physics ph : physics) {
     for (int ranks = 1; ranks <= 3; ++ranks) {
       for (bool overlap : {false, true}) {
-        for (core::FaceBackend fb : backends) {
-          for (core::TimeIntegrator ti : integrators) {
-            for (bool loaded : {false, true}) {
-              core::Config c = base_config();
-              c.physics = ph;
-              c.overlap = overlap;
-              c.face_backend = fb;
-              c.integrator = ti;
-              if (loaded) {
-                c.threads_per_rank = 2;
-                c.dealias = true;
-                c.particles_per_rank = 24;
-                c.particle_coupling = 0.05;
-                c.ordered_gs = true;
-              }
-              const std::string name =
-                  std::string(core::physics_name(ph)) + "/r" +
-                  std::to_string(ranks) + (overlap ? "/overlap" : "/blocking") +
-                  "/" + core::face_backend_name(fb) + "/" +
-                  core::integrator_name(ti) + (loaded ? "/loaded" : "/plain");
-              print(name, ranks, c);
+        for (core::TimeIntegrator ti : integrators) {
+          for (bool loaded : {false, true}) {
+            core::Config c = base_config();
+            c.physics = ph;
+            c.overlap = overlap;
+            c.integrator = ti;
+            if (loaded) {
+              c.threads_per_rank = 2;
+              c.dealias = true;
+              c.particles_per_rank = 24;
+              c.particle_coupling = 0.05;
+              c.ordered_gs = true;
             }
+            const std::string name =
+                std::string(core::physics_name(ph)) + "/r" +
+                std::to_string(ranks) + (overlap ? "/overlap" : "/blocking") +
+                "/direct/" + core::integrator_name(ti) +
+                (loaded ? "/loaded" : "/plain");
+            print(name, ranks, c);
           }
         }
       }
@@ -197,7 +192,7 @@ int main(int argc, char** argv) {
             ranks, c);
     }
   }
-  // The collective gs methods, which complete inside exec_many_begin.
+  // dssum on the collective gs methods.
   const std::pair<gs::Method, const char*> collective_methods[] = {
       {gs::Method::kCrystalRouter, "gs-crystal"},
       {gs::Method::kAllReduce, "gs-allreduce"}};
@@ -209,12 +204,10 @@ int main(int argc, char** argv) {
           core::Config c = base_config();
           c.physics = ph;
           c.overlap = overlap;
-          c.face_backend = core::FaceBackend::kGatherScatter;
           c.gs_method = method;
           print(std::string(core::physics_name(ph)) + "/r" +
                     std::to_string(ranks) +
-                    (overlap ? "/overlap" : "/blocking") + "/" +
-                    core::face_backend_name(c.face_backend) + "/" + label,
+                    (overlap ? "/overlap" : "/blocking") + "/direct/" + label,
                 ranks, c);
         }
       }
@@ -231,18 +224,16 @@ int main(int argc, char** argv) {
         core::Config c = base_config();
         c.physics = core::Physics::kProxyAdvection;
         c.overlap = overlap;
-        c.face_backend = core::FaceBackend::kGatherScatter;
         c.gs_method = method;
         const std::uint64_t plain = final_state_hash(ranks, c);
         for (std::uint64_t seed : {1, 2}) {
           chaos::ChaosEngine engine(chaos::ChaosPolicy::for_seed(seed, ranks),
                                     ranks);
           const std::uint64_t h = final_state_hash(ranks, c, &engine);
-          std::printf("%s/r%d%s/%s/%s/chaos%" PRIu64 " %016" PRIx64
+          std::printf("%s/r%d%s/direct/%s/chaos%" PRIu64 " %016" PRIx64
                       " %016" PRIx64 "\n",
                       core::physics_name(c.physics), ranks,
-                      overlap ? "/overlap" : "/blocking",
-                      core::face_backend_name(c.face_backend), label, seed, h,
+                      overlap ? "/overlap" : "/blocking", label, seed, h,
                       engine.digest());
           std::fflush(stdout);
           chaos_moved_bits = chaos_moved_bits || h != plain;
@@ -258,28 +249,24 @@ int main(int argc, char** argv) {
   bool balance_failed = false;
   for (int ranks = 2; ranks <= 3; ++ranks) {
     for (bool overlap : {false, true}) {
-      for (core::FaceBackend fb : backends) {
-        core::Config c = base_config();
-        c.physics = core::Physics::kProxyAdvection;
-        c.overlap = overlap;
-        c.face_backend = fb;
-        c.particles_per_rank = 8;
-        c.particle_coupling = 0.01;
-        c.ordered_gs = true;
-        const std::uint64_t fixed = final_state_hash(ranks, c, nullptr, &cloud);
-        c.balance_interval = 1;
-        c.balance_max_moves = 4;
-        c.balance_cost_mode = balance::CostMode::kParticleCount;
-        long long moves = 0;
-        const std::uint64_t h =
-            final_state_hash(ranks, c, nullptr, &cloud, &moves);
-        std::printf("%s/r%d%s/%s/balanced %016" PRIx64 " moves=%lld\n",
-                    core::physics_name(c.physics), ranks,
-                    overlap ? "/overlap" : "/blocking",
-                    core::face_backend_name(fb), h, moves);
-        std::fflush(stdout);
-        balance_failed = balance_failed || h != fixed || moves == 0;
-      }
+      core::Config c = base_config();
+      c.physics = core::Physics::kProxyAdvection;
+      c.overlap = overlap;
+      c.particles_per_rank = 8;
+      c.particle_coupling = 0.01;
+      c.ordered_gs = true;
+      const std::uint64_t fixed = final_state_hash(ranks, c, nullptr, &cloud);
+      c.balance_interval = 1;
+      c.balance_max_moves = 4;
+      c.balance_cost_mode = balance::CostMode::kParticleCount;
+      long long moves = 0;
+      const std::uint64_t h =
+          final_state_hash(ranks, c, nullptr, &cloud, &moves);
+      std::printf("%s/r%d%s/direct/balanced %016" PRIx64 " moves=%lld\n",
+                  core::physics_name(c.physics), ranks,
+                  overlap ? "/overlap" : "/blocking", h, moves);
+      std::fflush(stdout);
+      balance_failed = balance_failed || h != fixed || moves == 0;
     }
   }
   // Nekbone's CG solve on a point-to-point and a collective gs method.

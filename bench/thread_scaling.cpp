@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "comm/runtime.hpp"
 #include "core/driver.hpp"
 #include "parallel/parallel.hpp"
@@ -94,10 +95,7 @@ int run_smoke() {
   int failures = 0;
 
   // Gate 1: the serial path of for_elements is an inline call; its overhead
-  // over a raw loop must stay < 3%. The two run in back-to-back pairs,
-  // alternating which goes first, and the gate reads the median of the
-  // per-pair ratios: host drift between pairs then cancels instead of
-  // landing in the ratio.
+  // over a raw loop must stay < 3%, read as the median of paired ratios.
   {
     const std::size_t nel = 256, epts = 4096;
     std::vector<double> a(nel * epts, 1.0), b(nel * epts, 0.5);
@@ -108,42 +106,28 @@ int run_smoke() {
         for (std::size_t p = 0; p < epts; ++p) ap[p] += 1.0000001 * bp[p];
       }
     };
-    auto seconds_of = [](const auto& run) {
-      prof::WallTimer t;
-      run();
-      return t.seconds();
-    };
-    auto raw_run = [&] { body(0, nel); };
-    auto pooled_run = [&] {
-      parallel::for_elements(nel, parallel::default_grain(nel, 1), 1, body);
-    };
-    auto median = [](std::vector<double> xs) {
-      std::sort(xs.begin(), xs.end());
-      return xs[xs.size() / 2];
-    };
     body(0, nel);  // warm up
-    std::vector<double> raws, pooleds, ratios;
-    for (int pair = 0; pair < 51; ++pair) {
-      double raw_s, pooled_s;
-      if (pair % 2 == 0) {
-        raw_s = seconds_of(raw_run);
-        pooled_s = seconds_of(pooled_run);
-      } else {
-        pooled_s = seconds_of(pooled_run);
-        raw_s = seconds_of(raw_run);
-      }
-      raws.push_back(raw_s);
-      pooleds.push_back(pooled_s);
-      ratios.push_back(pooled_s / raw_s);
-    }
-    const double ratio = median(ratios);
-    std::printf("smoke: threads_per_rank=1 overhead: raw %.3f ms, "
-                "for_elements %.3f ms, median pair ratio %.4f "
-                "(gate < 1.03)\n",
-                median(raws) * 1e3, median(pooleds) * 1e3, ratio);
-    if (ratio >= 1.03) {
+    const bench::PairedRatio r = bench::paired_ratio(
+        101,
+        [&] {
+          prof::WallTimer t;
+          body(0, nel);
+          return t.seconds();
+        },
+        [&] {
+          prof::WallTimer t;
+          parallel::for_elements(nel, parallel::default_grain(nel, 1), 1,
+                                 body);
+          return t.seconds();
+        });
+    std::printf("smoke: threads_per_rank=1 overhead (%d pairs): raw %.3f "
+                "ms, for_elements %.3f ms, median pair ratio %.4f "
+                "(quartiles %.4f-%.4f, gate < 1.03)\n",
+                r.pairs, r.reference_median * 1e3, r.candidate_median * 1e3,
+                r.median, r.q1, r.q3);
+    if (r.median >= 1.03) {
       std::fprintf(stderr, "FAIL: serial for_elements overhead %.1f%% >= 3%%\n",
-                   (ratio - 1.0) * 100.0);
+                   (r.median - 1.0) * 100.0);
       ++failures;
     }
   }

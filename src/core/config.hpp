@@ -70,14 +70,11 @@ const char* integrator_name(TimeIntegrator t);
 /// Stages per step, which is also the integrator's order of accuracy.
 int integrator_stages(TimeIntegrator t);
 
-/// How the nearest-neighbor surface exchange moves data. The paper (§IV):
-/// nearest-neighbor exchanges "take place using a specialized gather-scatter
-/// library" — that is kGatherScatter, where face points carry paired global
-/// ids and one gs_op(add) per exchange yields mine+neighbor. kDirect is the
-/// hand-built plan of mesh::FaceExchange (fewer, larger messages).
-enum class FaceBackend { kDirect, kGatherScatter };
-
-const char* face_backend_name(FaceBackend b);
+/// The nearest-neighbor surface exchange has one backend: the plan of
+/// mesh::FaceExchange, one message per (face direction, partner rank). The
+/// enum and Config::face_backend remain only as API that existing programs
+/// assign; the Driver reads neither.
+enum class FaceBackend { kDirect };
 
 struct Config {
   int n = 10;                  // GLL points per direction (Fig. 7 uses 10)
@@ -101,7 +98,7 @@ struct Config {
   }
 
   Physics physics = Physics::kProxyAdvection;
-  FaceBackend face_backend = FaceBackend::kDirect;
+  FaceBackend face_backend = FaceBackend::kDirect;  // the only value; unread
   TimeIntegrator integrator = TimeIntegrator::kRk3Ssp;
   kernels::GradVariant variant = kernels::GradVariant::kDispatch;
   gs::Method gs_method = gs::Method::kPairwise;
@@ -168,8 +165,8 @@ struct Config {
 
   /// Use ordered (key-canonical) gather-scatter folds even without dynamic
   /// balancing — the static reference configuration the balanced-vs-static
-  /// bit-identity tests compare against. Changes dssum/face-gs reduction
-  /// order (still deterministic, different bits from the default methods).
+  /// bit-identity tests compare against. Changes dssum's reduction order
+  /// (still deterministic, different bits from the default methods).
   bool ordered_gs = false;
 
   double cfl = 0.3;

@@ -14,7 +14,6 @@
 #include "kernels/gradient.hpp"
 #include "kernels/tensor.hpp"
 #include "kernels/vecops.hpp"
-#include "mesh/face_numbering.hpp"
 #include "mesh/numbering.hpp"
 #include "parallel/parallel.hpp"
 #include "prof/callprof.hpp"
@@ -80,14 +79,6 @@ int integrator_stages(TimeIntegrator t) {
   return 0;
 }
 
-const char* face_backend_name(FaceBackend b) {
-  switch (b) {
-    case FaceBackend::kDirect: return "direct";
-    case FaceBackend::kGatherScatter: return "gather-scatter";
-  }
-  return "?";
-}
-
 Driver::Driver(comm::Comm& comm, const Config& config)
     : comm_(&comm),
       config_(config),
@@ -133,8 +124,6 @@ Driver::Driver(comm::Comm& comm, const Config& config)
 }
 
 void Driver::rebuild_topology() {
-  const bool ordered = ordered_gs_enabled();
-
   exchange_ = std::make_unique<mesh::FaceExchange>(*comm_, layout_);
   exchange_->set_threads(threads_);
 
@@ -142,7 +131,7 @@ void Driver::rebuild_topology() {
     prof::ScopedRegion region("gs_setup");
     std::vector<long long> ids = mesh::global_gll_ids(layout_);
     std::vector<long long> keys;  // empty keys build an unordered handle
-    if (ordered) keys = mesh::global_gll_keys(layout_);
+    if (ordered_gs_enabled()) keys = mesh::global_gll_keys(layout_);
     gs_ = std::make_unique<gs::GatherScatter>(
         *comm_, std::span<const long long>(ids), config_.gs_method,
         std::span<const long long>(keys));
@@ -155,18 +144,12 @@ void Driver::rebuild_topology() {
 
   all_elems_.resize(nel);
   std::iota(all_elems_.begin(), all_elems_.end(), 0);
-  // Which surface terms can run inside the exchange window. The direct
-  // backend's begin() performs every local face copy, so elements with no
-  // remote-paired face are already valid. The gs backend's sum also
-  // carries locally-paired faces, so nothing is valid before finish().
-  if (config_.face_backend == FaceBackend::kDirect) {
-    mesh::ElementClasses classes = mesh::classify_interior_boundary(layout_);
-    early_elems_ = std::move(classes.interior);
-    late_elems_ = std::move(classes.boundary);
-  } else {
-    early_elems_.clear();
-    late_elems_ = all_elems_;
-  }
+  // Which surface terms can run inside the exchange window: the exchange's
+  // begin() performs every local face copy, so elements with no
+  // remote-paired face are already valid.
+  mesh::ElementClasses classes = mesh::classify_interior_boundary(layout_);
+  early_elems_ = std::move(classes.interior);
+  late_elems_ = std::move(classes.boundary);
 
   // Per-local-element extents (layout-dependent, so rebuilt here).
   elem_h_.resize(std::size_t(nel));
@@ -207,24 +190,6 @@ void Driver::rebuild_topology() {
   inv_multiplicity_.assign(pts_, 1.0);
   gs_->exec(std::span<double>(inv_multiplicity_), gs::ReduceOp::kSum);
   for (double& v : inv_multiplicity_) v = 1.0 / v;
-
-  if (config_.face_backend == FaceBackend::kGatherScatter) {
-    prof::ScopedRegion region("gs_setup (faces)");
-    std::vector<long long> fids = mesh::face_point_gids(layout_);
-    std::vector<long long> fkeys;
-    if (ordered) fkeys = mesh::face_point_keys(layout_);
-    face_gs_ = std::make_unique<gs::GatherScatter>(
-        *comm_, std::span<const long long>(fids), config_.gs_method,
-        std::span<const long long>(fkeys));
-    // Interior mask from the multiplicity trick: interior face points have
-    // exactly two copies, physical-boundary points one.
-    std::vector<double> ones(fids.size(), 1.0);
-    face_gs_->exec(std::span<double>(ones), gs::ReduceOp::kSum);
-    face_interior_.resize(ones.size());
-    for (std::size_t s = 0; s < ones.size(); ++s) {
-      face_interior_[s] = ones[s] > 1.5 ? 1 : 0;
-    }
-  }
 }
 
 std::array<double, 3> Driver::node_coords(int e, int i, int j, int k) const {
@@ -346,12 +311,18 @@ void Driver::compute_rhs(const std::vector<std::vector<double>>& u,
   // then its own element's surface term — so the results are bit-identical.
   // The volume term writes every rhs point, so nothing zero-fills rhs.
   pack_faces(u);
-  begin_faces();
+  {
+    prof::ScopedRegion r("exchange_begin");
+    exchange_->begin(myfaces_.data(), nbrfaces_.data(), nfields());
+  }
   if (config_.overlap) {
     prof::ScopedRegion r("overlap_window");
     rhs_window(kernel, u, rhs);
   }
-  finish_faces();
+  {
+    prof::ScopedRegion r("exchange_finish");
+    exchange_->finish();
+  }
   if (!config_.overlap) rhs_window(kernel, u, rhs);
   surface_term(kernel, late_elems_);
   const double grid = cost_timer.seconds() - rhs_particle_seconds_;
@@ -390,38 +361,6 @@ void Driver::rhs_window(const ElementRhs& kernel,
   dealias_term(u);
   particle_source(rhs);
   surface_term(kernel, early_elems_);
-}
-
-void Driver::begin_faces() {
-  prof::ScopedRegion region("exchange_begin");
-  const int nf = nfields();
-  if (config_.face_backend == FaceBackend::kDirect) {
-    exchange_->begin(myfaces_.data(), nbrfaces_.data(), nf);
-  } else {
-    std::copy(myfaces_.begin(), myfaces_.end(), nbrfaces_.begin());
-    face_gs_->exec_many_begin(std::span<double>(nbrfaces_), nf,
-                              gs::ReduceOp::kSum);
-  }
-}
-
-void Driver::finish_faces() {
-  prof::ScopedRegion region("exchange_finish");
-  if (config_.face_backend == FaceBackend::kDirect) {
-    exchange_->finish();
-  } else {
-    face_gs_->exec_many_finish();
-    // Each interior face point has exactly two copies, so the gs sum
-    // yielded mine+neighbor; subtracting mine leaves the neighbor's.
-    // Physical-boundary points (single copy) mirror mine.
-    const std::size_t fsz = mesh::face_array_size(config_.n, layout_.nel());
-    for (int f = 0; f < nfields(); ++f) {
-      double* nbr = nbrfaces_.data() + f * fsz;
-      const double* mine = myfaces_.data() + f * fsz;
-      for (std::size_t s = 0; s < fsz; ++s) {
-        nbr[s] = face_interior_[s] ? nbr[s] - mine[s] : mine[s];
-      }
-    }
-  }
 }
 
 void Driver::volume_term(const ElementRhs& kernel,

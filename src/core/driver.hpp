@@ -179,10 +179,6 @@ class Driver {
   void rhs_window(const ElementRhs& kernel,
                   const std::vector<std::vector<double>>& u,
                   std::vector<std::vector<double>>& rhs);
-  /// myfaces_ -> nbrfaces_ through the selected face backend, split so
-  /// the window can run in between.
-  void begin_faces();
-  void finish_faces();
   // The element kernel over an explicit element list, split across the
   // worker pool, so the surface term can run per early/late list. The
   // per-point floating-point operation sequence does not depend on how the
@@ -225,18 +221,12 @@ class Driver {
   sem::Operators ops_;
   int threads_ = 1;  // resolved threads_per_rank (config knob or env)
   std::vector<int> all_elems_;  // 0..nel-1
-  // Surface-term split: early elements' faces are valid after
-  // begin_faces(), late ones only after finish_faces().
+  // Surface-term split: early elements' faces are valid after the face
+  // exchange's begin(), late ones only after its finish().
   std::vector<int> early_elems_, late_elems_;
   std::unique_ptr<mesh::FaceExchange> exchange_;
   std::unique_ptr<gs::GatherScatter> gs_;
   std::vector<double> inv_multiplicity_;
-
-  // Gather-scatter face-exchange backend (cfg.face_backend == kGatherScatter):
-  // paired face-point ids plus an interior mask (physical-boundary points
-  // have one copy and mirror their own value).
-  std::unique_ptr<gs::GatherScatter> face_gs_;
-  std::vector<unsigned char> face_interior_;
 
   std::unique_ptr<particles::Tracker> tracker_;
 

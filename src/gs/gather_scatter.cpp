@@ -219,30 +219,10 @@ void GatherScatter::exec(std::span<double> values, ReduceOp op) {
 
 void GatherScatter::exec_many(std::span<double> values, int nfields,
                               ReduceOp op) {
-  exec_many_begin(values, nfields, op);
-  exec_many_finish();
-}
-
-GatherScatter::~GatherScatter() { abandon_split(); }
-
-void GatherScatter::abandon_split() {
-  for (comm::Request& r : op_.reqs) comm_->cancel(r);
-  op_.reqs.clear();
-  op_.active = false;
-  op_.done_in_begin = false;
-}
-
-void GatherScatter::exec_many_begin(std::span<double> values, int nfields,
-                                    ReduceOp op) {
-  if (op_.active) {
-    throw std::logic_error(
-        "GatherScatter::exec_many_begin: a gs_op is already in flight on "
-        "this handle; call exec_many_finish() first");
-  }
   const std::size_t slots = topo_.unique_of_slot.size();
   if (nfields < 1 || values.size() != std::size_t(nfields) * slots) {
     throw std::invalid_argument(
-        "GatherScatter::exec_many_begin: got " + std::to_string(values.size()) +
+        "GatherScatter::exec_many: got " + std::to_string(values.size()) +
         " values for nfields = " + std::to_string(nfields) + " over " +
         std::to_string(slots) + " slots; need nfields >= 1 and nfields x "
         "slots values");
@@ -251,52 +231,16 @@ void GatherScatter::exec_many_begin(std::span<double> values, int nfields,
   op_.nfields = std::size_t(nfields);
   op_.op = op;
   gather(values);
-
-  if (method_ == Method::kCrystalRouter || method_ == Method::kAllReduce) {
-    // These methods are built on unsplittable collectives: run the whole
-    // gs_op to completion now. The result is the same either way; only the
-    // overlap opportunity is lost. They leave no receive posted when they
-    // return or unwind, so there is nothing to withdraw here.
-    if (method_ == Method::kCrystalRouter) {
-      exec_crystal();
-    } else {
-      exec_allreduce();
-    }
-    scatter();
-    op_.active = true;
-    op_.done_in_begin = true;
-    return;
+  // The collective methods leave no receive posted when they return or
+  // unwind; the pairwise exchange withdraws its own.
+  if (method_ == Method::kCrystalRouter) {
+    exec_crystal();
+  } else if (method_ == Method::kAllReduce) {
+    exec_allreduce();
+  } else {
+    exec_pairwise();
   }
-  op_.active = true;
-  try {
-    post_and_send();
-  } catch (...) {
-    // A chaos abort or peer failure can fire from the hooks inside
-    // irecv/isend with some receives already posted: withdraw them so
-    // nothing delivers into this handle's buffers after the unwind.
-    abandon_split();
-    throw;
-  }
-}
-
-void GatherScatter::exec_many_finish() {
-  if (!op_.active) return;
-  if (!op_.done_in_begin) {
-    try {
-      comm_->waitall(op_.reqs);
-    } catch (...) {
-      // waitall withdrew whatever was still posted; clear the in-flight
-      // state so the handle is reusable (and the destructor has nothing
-      // stale).
-      abandon_split();
-      throw;
-    }
-    op_.reqs.clear();
-    fold();
-    scatter();
-  }
-  op_.active = false;
-  op_.done_in_begin = false;
+  scatter();
 }
 
 void GatherScatter::gather(std::span<const double> values) {
@@ -338,6 +282,22 @@ void GatherScatter::gather(std::span<const double> values) {
       }
     }
   }
+}
+
+void GatherScatter::exec_pairwise() {
+  try {
+    post_and_send();
+    comm_->waitall(op_.reqs);
+  } catch (...) {
+    // A chaos abort or peer failure can fire from the hooks inside
+    // irecv/isend/wait with receives still posted: withdraw them, so
+    // nothing delivers into this handle's buffers after the unwind.
+    for (comm::Request& r : op_.reqs) comm_->cancel(r);
+    op_.reqs.clear();
+    throw;
+  }
+  op_.reqs.clear();
+  fold();
 }
 
 void GatherScatter::post_and_send() {

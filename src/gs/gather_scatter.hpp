@@ -12,6 +12,10 @@
 //      allreduce-on-a-big-vector (paper §VI),
 //   3. local scatter: write the reduced value back to every local copy.
 //
+// A gs_op runs to completion inside one call: exec() for one field,
+// exec_many() for several fields in the same messages. Nothing is in flight
+// between calls, so a handle holds no posted receive when it is destroyed.
+//
 // At construction with Method::kAuto the handle times all three algorithms
 // and keeps the fastest, exactly as CMT-nek/Nek5000 do at startup ("At the
 // beginning of each simulation, three gather-scatter methods are evaluated
@@ -48,13 +52,13 @@ class GatherScatter {
   /// all ranks' slots), switches the handle to *ordered* mode: every
   /// gs_op folds the copies of each id in ascending-key order, starting
   /// from the op identity, no matter which rank holds which copy. Keys
-  /// derive from global mesh coordinates (mesh::global_gll_keys /
-  /// face_point_keys), so the reduction order — and hence every result
-  /// bit — is invariant under element migration between ranks: the load
-  /// balancer's "migration changes *where*, never *what*" anchor. Ordered
-  /// mode exchanges raw per-copy values with each sharer (a pairwise
-  /// pattern, slightly larger messages for edge/corner ids), so an ordered
-  /// handle's method() is kPairwise whatever was requested.
+  /// derive from global mesh coordinates (mesh::global_gll_keys), so the
+  /// reduction order — and hence every result bit — is invariant under
+  /// element migration between ranks: the load balancer's "migration
+  /// changes *where*, never *what*" anchor. Ordered mode exchanges raw
+  /// per-copy values with each sharer (a pairwise pattern, slightly larger
+  /// messages for edge/corner ids), so an ordered handle's method() is
+  /// kPairwise whatever was requested.
   GatherScatter(comm::Comm& comm, std::span<const long long> slot_ids,
                 Method method = Method::kAuto,
                 std::span<const long long> slot_keys = {});
@@ -62,10 +66,6 @@ class GatherScatter {
   /// True when constructed with per-slot keys (layout-invariant folds).
   bool ordered() const { return ordered_; }
 
-  /// Withdraws any receives still posted (a chaos abort or peer failure can
-  /// unwind the owner between begin() and finish()), so no late delivery
-  /// ever writes into the freed recv buffers.
-  ~GatherScatter();
   GatherScatter(const GatherScatter&) = delete;
   GatherScatter& operator=(const GatherScatter&) = delete;
 
@@ -77,30 +77,18 @@ class GatherScatter {
   /// holds the fields back to back, each one slot-count long. All fields of
   /// a shared id travel in the same message, so per-exec message *count*
   /// stays flat while payload scales with nfields — the batching CMT-nek
-  /// relies on when exchanging the five conserved variables. Equivalent to
-  /// exec_many_begin() immediately followed by exec_many_finish().
-  void exec_many(std::span<double> values, int nfields, ReduceOp op);
-
-  /// The gs_op pipeline in two halves, for compute–communication overlap.
-  /// begin() checks its input and runs the local gather into buffers the
-  /// handle keeps across calls. Under the crystal router or allreduce,
-  /// which are unsplittable collectives, it then completes the exchange
-  /// and the scatter. Otherwise it posts every pairwise receive, sends the
-  /// shared values and returns with the messages in flight. finish() waits,
-  /// folds the remote contributions (in neighbor order, or by the ordered
-  /// merge program) and scatters back into the span passed to begin(),
-  /// which must stay alive until then. finish() without a begin() is a
-  /// no-op.
+  /// relies on when exchanging the five conserved variables.
   ///
-  /// begin() throws std::invalid_argument unless nfields >= 1 and `values`
-  /// holds nfields × slot-count values, and std::logic_error while a gs_op
-  /// is already in flight on this handle. Both throw before anything is
-  /// posted, so the handle, and the gs_op in flight, stay usable.
-  void exec_many_begin(std::span<double> values, int nfields, ReduceOp op);
-  void exec_many_finish();
-
-  /// True between exec_many_begin() and the matching exec_many_finish().
-  bool split_in_flight() const { return op_.active; }
+  /// One pipeline serves every method and mode: the local gather into
+  /// buffers the handle keeps across calls, then the crystal router, the
+  /// allreduce, or the pairwise exchange (post every receive, pack and send
+  /// each neighbor's values, wait, fold the remote contributions in
+  /// neighbor order or by the ordered merge program), then the scatter back
+  /// into `values`. Throws std::invalid_argument, before anything is
+  /// posted, unless nfields >= 1 and `values` holds nfields × slot-count
+  /// values. A throw from the exchange (a chaos abort, a peer failure)
+  /// withdraws every receive it posted before it propagates.
+  void exec_many(std::span<double> values, int nfields, ReduceOp op);
 
   Method method() const { return method_; }
   const Topology& topology() const { return topo_; }
@@ -136,13 +124,15 @@ class GatherScatter {
   // (called at construction when slot_keys is non-empty).
   void setup_ordered(std::span<const long long> slot_keys);
 
-  // The pipeline's stages over op_; begin() runs the gather and the send
-  // half, finish() the fold and the scatter.
+  // The pipeline's stages over op_, in exec_many's order.
   //
   // Local gather into op_.unique (one value per unique id per field, id
   // major). Unordered: every slot folds into its id. Ordered: private ids
   // fold their copies in key order; shared ids stage raw copies in op_.mine.
   void gather(std::span<const double> values);
+  // The pairwise exchange, in place on op_.unique: post_and_send(), wait,
+  // fold(). Withdraws its posted receives when anything in it throws.
+  void exec_pairwise();
   // Post every pairwise receive and send each neighbor its values: one
   // gathered value per shared id, or (ordered) every raw copy of it.
   void post_and_send();
@@ -154,10 +144,6 @@ class GatherScatter {
   // The two collective exchanges, in place on op_.unique.
   void exec_crystal();
   void exec_allreduce();
-
-  // Withdraw any posted receives and clear the in-flight state; the unwind
-  // path shared by the destructor and begin()/finish() failure handling.
-  void abandon_split();
 
   comm::Comm* comm_;
   Topology topo_;
@@ -198,12 +184,10 @@ class GatherScatter {
   std::vector<int> owned_shared_entry_;       // topo_.shared index per owned id
   CrystalRouter router_;
 
-  // The gs_op between exec_many_begin() and exec_many_finish(). The gather,
-  // pack and receive buffers persist across calls, so a steady-state time
-  // step allocates nothing on this path.
+  // The gs_op exec_many() is running. The gather, pack and receive
+  // buffers persist across calls, so a steady-state time step allocates
+  // nothing on this path.
   struct OpState {
-    bool active = false;
-    bool done_in_begin = false;  // the collective methods finish in begin()
     std::span<double> values;
     std::size_t nfields = 0;
     ReduceOp op = ReduceOp::kSum;

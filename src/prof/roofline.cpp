@@ -1,7 +1,6 @@
 #include "prof/roofline.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <vector>
 
 #include "kernels/simd_backend.hpp"
@@ -43,24 +42,11 @@ double measure_triad_gbytes() {
   return best_sec > 0.0 ? bytes / best_sec / 1e9 : 0.0;
 }
 
-double env_or(const char* var, double fallback_probe()) {
-  if (const char* v = std::getenv(var)) {
-    char* end = nullptr;
-    const double x = std::strtod(v, &end);
-    if (end != v && x > 0.0) return x;
-  }
-  return fallback_probe();
-}
-
-double probe_peak() {
-  return kernels::simd_backend_best()->measure_peak_gflops();
-}
-
 Machine measure() {
   Machine m;
   m.isa = kernels::simd_backend_best()->name;
-  m.peak_gflops = env_or(kPeakEnvVar, probe_peak);
-  m.mem_gbytes = env_or(kBandwidthEnvVar, measure_triad_gbytes);
+  m.peak_gflops = kernels::simd_backend_best()->measure_peak_gflops();
+  m.mem_gbytes = measure_triad_gbytes();
   return m;
 }
 

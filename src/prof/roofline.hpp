@@ -19,9 +19,6 @@
 // measured kernel can legitimately exceed the DRAM-bandwidth ceiling —
 // percent-of-peak (the compute roof) is the honest headline number, and
 // the attainable ceiling is context.
-//
-// Environment overrides (taken verbatim, probes skipped) pin the numbers
-// for deterministic tests and CI: CMTBONE_PEAK_GFLOPS, CMTBONE_MEM_GBS.
 
 #include <string>
 
@@ -41,8 +38,5 @@ double attainable_gflops(const Machine& m, double flops_per_byte);
 
 /// measured/peak in percent (compute roof).
 double percent_of_peak(const Machine& m, double measured_gflops);
-
-inline constexpr const char* kPeakEnvVar = "CMTBONE_PEAK_GFLOPS";
-inline constexpr const char* kBandwidthEnvVar = "CMTBONE_MEM_GBS";
 
 }  // namespace cmtbone::prof

@@ -505,73 +505,6 @@ INSTANTIATE_TEST_SUITE_P(
              "_n" + std::to_string(std::get<1>(info.param));
     });
 
-// --- face-exchange backends -----------------------------------------------------
-
-class FaceBackends : public ::testing::TestWithParam<int> {};
-
-TEST_P(FaceBackends, GsBackendMatchesDirectBackendExactly) {
-  // Identical runs through both exchange paths must produce identical
-  // trajectories (the gs path computes neighbor = (mine+nbr) - mine).
-  const int ranks = GetParam();
-  Config base = advection_config(5, 2);
-  base.fixed_dt = 1e-3;
-
-  std::vector<double> direct, via_gs;
-  for (auto backend : {cmtbone::core::FaceBackend::kDirect,
-                       cmtbone::core::FaceBackend::kGatherScatter}) {
-    cmtbone::comm::run(ranks, [&](Comm& world) {
-      Config cfg = base;
-      cfg.face_backend = backend;
-      Driver driver(world, cfg);
-      driver.initialize(driver.default_ic());
-      driver.run(4);
-      if (world.rank() == 0) {
-        auto f = driver.field(0);
-        auto& out = backend == cmtbone::core::FaceBackend::kDirect ? direct
-                                                                    : via_gs;
-        out.assign(f.begin(), f.end());
-      }
-    });
-  }
-  ASSERT_EQ(direct.size(), via_gs.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    // The gs path introduces one extra add/subtract per face value.
-    ASSERT_NEAR(via_gs[i], direct[i], 1e-12) << "index " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Ranks, FaceBackends, ::testing::Values(1, 2, 4));
-
-TEST(FaceBackends, GsBackendHandlesNonPeriodicBoundaries) {
-  cmtbone::comm::run(2, [](Comm& world) {
-    Config cfg = advection_config(4, 2);
-    cfg.periodic = false;
-    cfg.fixed_dt = 1e-3;
-    cfg.face_backend = cmtbone::core::FaceBackend::kGatherScatter;
-    Driver driver(world, cfg);
-    driver.initialize(driver.default_ic());
-    driver.run(3);
-    EXPECT_TRUE(std::isfinite(driver.l2_norm(0)));
-  });
-}
-
-TEST(FaceBackends, GsBackendWorksWithEulerAndCrystalRouter) {
-  cmtbone::comm::run(2, [](Comm& world) {
-    Config cfg;
-    cfg.physics = Physics::kEuler;
-    cfg.n = 4;
-    cfg.ex = cfg.ey = cfg.ez = 2;
-    cfg.use_dssum = false;
-    cfg.face_backend = cmtbone::core::FaceBackend::kGatherScatter;
-    cfg.gs_method = cmtbone::gs::Method::kCrystalRouter;
-    Driver driver(world, cfg);
-    driver.initialize(driver.default_ic());
-    double before = driver.integral(0);
-    driver.run(3);
-    EXPECT_NEAR(driver.integral(0), before, 1e-10 * std::abs(before));
-  });
-}
-
 // --- time integrators ---------------------------------------------------------
 
 namespace integrators {

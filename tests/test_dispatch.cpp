@@ -21,7 +21,6 @@ namespace {
 using cmtbone::comm::Comm;
 using cmtbone::core::Config;
 using cmtbone::core::Driver;
-using cmtbone::core::FaceBackend;
 using cmtbone::core::Physics;
 using cmtbone::kernels::all_backends;
 using cmtbone::kernels::Backend;
@@ -79,7 +78,6 @@ using Fields = std::vector<std::vector<double>>;
 Config backend_config(Backend b, bool overlap, int threads) {
   Config cfg;
   cfg.physics = Physics::kEuler;
-  cfg.face_backend = FaceBackend::kDirect;
   cfg.n = 4;
   cfg.ex = cfg.ey = cfg.ez = 3;
   cfg.fixed_dt = 1e-3;

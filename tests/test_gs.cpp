@@ -16,7 +16,6 @@
 #include "core/driver.hpp"
 #include "gs/crystal.hpp"
 #include "gs/gather_scatter.hpp"
-#include "mesh/face_numbering.hpp"
 #include "mesh/layout.hpp"
 #include "mesh/numbering.hpp"
 #include "prof/callprof.hpp"
@@ -366,21 +365,6 @@ TEST(GsReference, BlockMeshGllIdsPeriodicAndNot) {
   }
 }
 
-TEST(GsReference, FacePointGids) {
-  for (const auto& g : kProcGrids) {
-    for (bool periodic : {true, false}) {
-      auto spec = small_spec(g[0], g[1], g[2]);
-      spec.periodic = periodic;
-      std::vector<std::vector<long long>> ids(spec.nranks());
-      for (int r = 0; r < spec.nranks(); ++r) {
-        ids[r] = cmtbone::mesh::face_point_gids(
-            cmtbone::mesh::ElementLayout::block(spec, r));
-      }
-      expect_reference_topology(ids, "face points");
-    }
-  }
-}
-
 TEST(GsReference, FuzzedIdsWithLocalDuplicates) {
   for (int p = 1; p <= 8; ++p) {
     for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
@@ -564,10 +548,8 @@ TEST(GsOp, RejectsMisSizedValues) {
                      std::invalid_argument) << where;
         EXPECT_THROW(gs.exec_many(std::span<double>(two), 3, ReduceOp::kSum),
                      std::invalid_argument) << where;
-        EXPECT_THROW(
-            gs.exec_many_begin(std::span<double>(two), -1, ReduceOp::kSum),
-            std::invalid_argument) << where;
-        EXPECT_FALSE(gs.split_in_flight()) << where;
+        EXPECT_THROW(gs.exec_many(std::span<double>(two), -1, ReduceOp::kSum),
+                     std::invalid_argument) << where;
 
         std::vector<double> v = {1, 1, 1, 1,   // field 0: copy counts
                                  1, 2, 3, 4};  // field 1

@@ -15,7 +15,6 @@
 #include "comm/runtime.hpp"
 #include "layouts.hpp"
 #include "mesh/face_exchange.hpp"
-#include "mesh/face_numbering.hpp"
 #include "mesh/faces.hpp"
 #include "mesh/geometry.hpp"
 #include "mesh/layout.hpp"
@@ -222,12 +221,6 @@ std::vector<std::vector<long long>> gll_ids_by_gid(const BoxSpec& spec,
                     std::size_t(spec.n) * spec.n * spec.n);
 }
 
-std::vector<std::vector<long long>> face_ids_by_gid(const BoxSpec& spec,
-                                                    OwnerMap kind) {
-  return ids_by_gid(spec, kind, cmtbone::mesh::face_point_gids,
-                    cmtbone::mesh::face_array_size(spec.n, 1));
-}
-
 TEST(Numbering, SharedFacePointsGetEqualIds) {
   // The x-interface points of every pair of x-adjacent elements carry
   // identical ids, whichever ranks own the two elements.
@@ -348,99 +341,6 @@ TEST(Faces, OppositeFaceConvention) {
   EXPECT_EQ(opposite_face(0), 1);
   EXPECT_EQ(opposite_face(1), 0);
   EXPECT_EQ(opposite_face(4), 5);
-}
-
-// --- face-point numbering (gs-based exchange ids) ------------------------------
-
-TEST(FaceNumbering, EveryInteriorFacePointHasExactlyTwoCopies) {
-  BoxSpec spec = spec_of(3, 4, 2, 2, 2, 1, 1, /*periodic=*/true);
-  for (OwnerMap kind : kOwnerMaps) {
-    std::map<long long, int> mult;
-    std::size_t slots = 0;
-    for (const auto& elem : face_ids_by_gid(spec, kind)) {
-      for (long long id : elem) mult[id]++;
-      slots += elem.size();
-    }
-    for (const auto& [id, m] : mult) {
-      EXPECT_EQ(m, 2) << "face-point id " << id << " " << owner_map_name(kind);
-    }
-    // Total slots = nel*6*n^2 over all ranks, each id twice.
-    EXPECT_EQ(mult.size() * 2, slots);
-  }
-}
-
-TEST(FaceNumbering, NonPeriodicBoundaryPointsAreUnique) {
-  BoxSpec spec = spec_of(3, 4, 2, 1, 2, 1, 1, /*periodic=*/false);
-  for (OwnerMap kind : kOwnerMaps) {
-    std::map<long long, int> mult;
-    for (const auto& elem : face_ids_by_gid(spec, kind)) {
-      for (long long id : elem) mult[id]++;
-    }
-    int singles = 0, doubles = 0;
-    for (const auto& [id, m] : mult) {
-      ASSERT_TRUE(m == 1 || m == 2) << m;
-      (m == 1 ? singles : doubles)++;
-    }
-    // 4x2x1 box: interior mesh faces: x: 3*2*1, y: 4*1*1, z: none (ez=1,
-    // both z faces physical). Each interior face has n^2 paired points.
-    EXPECT_EQ(doubles, (3 * 2 + 4 * 1) * 9) << owner_map_name(kind);
-    EXPECT_GT(singles, 0);
-  }
-}
-
-TEST(FaceNumbering, PairedSlotsAreGeometricallyAdjacent) {
-  // The two slots sharing an id must be (element, face f) and its neighbor
-  // (element', opposite(f)) at the same (a, b), wherever the two live.
-  BoxSpec spec = spec_of(3, 4, 2, 2, 2, 1, 1, /*periodic=*/true);
-  const int n = spec.n;
-  const std::array<int, 3> extent = {spec.ex, spec.ey, spec.ez};
-  auto slot = [&](int f, int a, int b) {
-    return cmtbone::mesh::face_offset(f, 0, n) + a + std::size_t(n) * b;
-  };
-  for (OwnerMap kind : kOwnerMaps) {
-    const auto ids = face_ids_by_gid(spec, kind);
-    const ElementLayout any = layout_of(spec, 0, kind);
-    for (long long g = 0; g < spec.total_elements(); ++g) {
-      const auto c = any.coords_of_gid(g);
-      for (int f = 0; f < 6; ++f) {
-        int axis = cmtbone::mesh::face_axis(f);
-        int dir = cmtbone::mesh::face_side(f) == 0 ? -1 : 1;
-        std::array<int, 3> ng = c;
-        ng[axis] = (ng[axis] + dir + extent[axis]) % extent[axis];
-        const long long ngid = any.gid(ng[0], ng[1], ng[2]);
-        for (int b = 0; b < n; ++b) {
-          for (int a = 0; a < n; ++a) {
-            ASSERT_EQ(ids[std::size_t(g)][slot(f, a, b)],
-                      ids[std::size_t(ngid)][slot(
-                          cmtbone::mesh::opposite_face(f), a, b)])
-                << owner_map_name(kind);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(FaceNumbering, ParallelIdsAgreeWithSerialOracle) {
-  BoxSpec par = spec_of(3, 4, 2, 2, 2, 2, 1);
-  BoxSpec ser = spec_of(3, 4, 2, 2, 1, 1, 1);
-  const ElementLayout serial = ElementLayout::block(ser, 0);
-  const auto serial_ids = cmtbone::mesh::face_point_gids(serial);
-  const std::size_t per_elem = cmtbone::mesh::face_array_size(par.n, 1);
-  for (OwnerMap kind : kOwnerMaps) {
-    for (int r = 0; r < par.nranks(); ++r) {
-      const ElementLayout layout = layout_of(par, r, kind);
-      const auto ids = cmtbone::mesh::face_point_gids(layout);
-      for (int e = 0; e < layout.nel(); ++e) {
-        auto g = layout.global_coords(e);
-        int se = serial.local_index(g[0], g[1], g[2]);
-        for (std::size_t p = 0; p < per_elem; ++p) {
-          ASSERT_EQ(ids[e * per_elem + p], serial_ids[se * per_elem + p])
-              << owner_map_name(kind);
-        }
-      }
-    }
-  }
 }
 
 // --- face exchange -------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Split-phase exchange overlap: interior/boundary classification, the
-// begin/finish halves of FaceExchange and GatherScatter, and — the contract
+// begin/finish halves of FaceExchange, and — the contract
 // the whole feature rests on — bit-identical results whether the RHS window
 // runs inside the exchange (overlap) or after it (blocking), on every
 // topology, including chaos-perturbed schedules.
@@ -15,7 +15,6 @@
 #include "chaos/chaos.hpp"
 #include "comm/runtime.hpp"
 #include "core/driver.hpp"
-#include "gs/gather_scatter.hpp"
 #include "layouts.hpp"
 #include "mesh/face_exchange.hpp"
 #include "mesh/faces.hpp"
@@ -32,7 +31,6 @@ using cmtbone::comm::Comm;
 using cmtbone::core::Config;
 using cmtbone::core::Driver;
 using cmtbone::core::EulerCase;
-using cmtbone::core::FaceBackend;
 using cmtbone::core::Physics;
 using cmtbone::core::TimeIntegrator;
 using cmtbone::mesh::BoxSpec;
@@ -278,126 +276,13 @@ TEST(FaceExchangeSplit, SecondBeginThrowsAndFirstStillCompletes) {
   }
 }
 
-// --- GatherScatter begin/finish ---------------------------------------------
-
-// Every kind of gs_op handle: each forced method, and an ordered handle
-// (per-slot keys, pairwise-pattern exchange).
-struct GsSplitCase {
-  cmtbone::gs::Method method;
-  bool ordered;
-};
-
-const GsSplitCase kGsSplitCases[] = {
-    {cmtbone::gs::Method::kPairwise, false},
-    {cmtbone::gs::Method::kCrystalRouter, false},
-    {cmtbone::gs::Method::kAllReduce, false},
-    {cmtbone::gs::Method::kPairwise, true},
-};
-
-std::string case_name(const GsSplitCase& c) {
-  return c.ordered ? "ordered" : cmtbone::gs::method_name(c.method);
-}
-
-// A handle on 3 ranks: each rank shares one id with its successor and
-// everyone shares 42. Ordered handles key each slot uniquely.
-cmtbone::gs::GatherScatter split_handle(Comm& world, const GsSplitCase& c,
-                                        std::vector<long long>* ids) {
-  const long long r = world.rank();
-  *ids = {100 + r, 100 + (r + 1) % 3, 42, 900 + r};
-  std::vector<long long> keys;
-  if (c.ordered) keys = {10 * r, 10 * r + 1, 10 * r + 2, 10 * r + 3};
-  return cmtbone::gs::GatherScatter(world, std::span<const long long>(*ids),
-                                    c.method,
-                                    std::span<const long long>(keys));
-}
-
-TEST(GatherScatterSplit, SplitPhaseBitIdenticalToExecMany) {
-  for (const GsSplitCase& c : kGsSplitCases) {
-    cmtbone::comm::run(3, [&](Comm& world) {
-      std::vector<long long> ids;
-      cmtbone::gs::GatherScatter gs = split_handle(world, c, &ids);
-
-      const int nfields = 2;
-      SplitMix64 rng(11 + world.rank());
-      std::vector<double> ref(ids.size() * nfields);
-      for (double& v : ref) v = rng.uniform(-1.0, 1.0);
-      std::vector<double> split(ref);
-
-      gs.exec_many(std::span<double>(ref), nfields,
-                   cmtbone::gs::ReduceOp::kSum);
-
-      EXPECT_FALSE(gs.split_in_flight());
-      gs.exec_many_begin(std::span<double>(split), nfields,
-                         cmtbone::gs::ReduceOp::kSum);
-      EXPECT_TRUE(gs.split_in_flight());
-      gs.exec_many_finish();
-      EXPECT_FALSE(gs.split_in_flight());
-
-      for (std::size_t i = 0; i < ref.size(); ++i) {
-        ASSERT_EQ(ref[i], split[i]) << case_name(c) << " value " << i;
-      }
-      // finish() without a begin() is a harmless no-op.
-      gs.exec_many_finish();
-    });
-  }
-}
-
-TEST(GatherScatterSplit, SecondBeginThrowsAndFirstStillCompletes) {
-  for (const GsSplitCase& c : kGsSplitCases) {
-    cmtbone::comm::run(3, [&](Comm& world) {
-      std::vector<long long> ids;
-      cmtbone::gs::GatherScatter gs = split_handle(world, c, &ids);
-
-      const int nfields = 2;
-      SplitMix64 rng(12 + world.rank());
-      std::vector<double> ref(ids.size() * nfields);
-      for (double& v : ref) v = rng.uniform(-1.0, 1.0);
-      std::vector<double> split(ref);
-      gs.exec_many(std::span<double>(ref), nfields,
-                   cmtbone::gs::ReduceOp::kSum);
-
-      gs.exec_many_begin(std::span<double>(split), nfields,
-                         cmtbone::gs::ReduceOp::kSum);
-      // A second gs_op (another begin, here with a different field count,
-      // or a blocking exec, which is begin + finish) is refused without
-      // touching its values or the one in flight.
-      std::vector<double> other(ids.size() * 3, 5.0);
-      EXPECT_THROW(gs.exec_many_begin(std::span<double>(other), 3,
-                                      cmtbone::gs::ReduceOp::kSum),
-                   std::logic_error);
-      EXPECT_THROW(gs.exec_many(std::span<double>(other), 3,
-                                cmtbone::gs::ReduceOp::kSum),
-                   std::logic_error);
-      EXPECT_THROW(gs.exec(std::span<double>(other.data(), ids.size()),
-                           cmtbone::gs::ReduceOp::kSum),
-                   std::logic_error);
-      EXPECT_TRUE(gs.split_in_flight());
-      gs.exec_many_finish();
-      EXPECT_FALSE(gs.split_in_flight());
-
-      for (std::size_t i = 0; i < ref.size(); ++i) {
-        ASSERT_EQ(ref[i], split[i]) << case_name(c) << " value " << i;
-      }
-      for (double v : other) ASSERT_EQ(v, 5.0) << case_name(c);
-
-      // The handle is free again. Copy counts: ids 100+r are held by two
-      // ranks, 42 by all three, 900+r by one.
-      std::vector<double> ones(ids.size(), 1.0);
-      gs.exec(std::span<double>(ones), cmtbone::gs::ReduceOp::kSum);
-      EXPECT_EQ(ones, (std::vector<double>{2.0, 2.0, 3.0, 1.0}))
-          << case_name(c);
-    });
-  }
-}
-
 // --- driver: overlapped RHS is bit-identical to the blocking RHS -------------
 
 using Fields = std::vector<std::vector<double>>;
 
-Config overlap_config(FaceBackend backend, Physics physics) {
+Config overlap_config(Physics physics) {
   Config cfg;
   cfg.physics = physics;
-  cfg.face_backend = backend;
   cfg.n = 5;
   cfg.ex = cfg.ey = cfg.ez = 4;
   cfg.integrator = TimeIntegrator::kRk4;
@@ -410,9 +295,8 @@ Config overlap_config(FaceBackend backend, Physics physics) {
 }
 
 // Physical boundaries: Sod's shock tube on a geometrically stretched x map.
-// Mirrored boundary faces fall into the early surface list (direct backend)
-// or go through the gs subtract (gs backend). Particles need the uniform
-// unit box, so this variant runs grid-only.
+// Mirrored boundary faces fall into the early surface list. Particles need
+// the uniform unit box, so this variant runs grid-only.
 Config with_physical_boundaries(Config cfg) {
   cfg.periodic = false;
   cfg.euler_case = EulerCase::kSod;
@@ -458,12 +342,12 @@ void expect_bitwise_equal(const std::vector<Fields>& a,
   }
 }
 
-void expect_overlap_bit_identical(FaceBackend backend) {
+TEST(OverlapDriver, BitIdenticalToBlockingDirectBackend) {
   // 1 rank (all interior), 2 ranks, and a non-power-of-two count, on the
   // periodic box and with physical boundaries.
   for (bool periodic : {true, false}) {
     for (int nranks : {1, 2, 3}) {
-      Config cfg = overlap_config(backend, Physics::kEuler);
+      Config cfg = overlap_config(Physics::kEuler);
       if (!periodic) cfg = with_physical_boundaries(cfg);
       auto blocking = run_sim(nranks, cfg, 10);
       cfg.overlap = true;
@@ -475,16 +359,8 @@ void expect_overlap_bit_identical(FaceBackend backend) {
   }
 }
 
-TEST(OverlapDriver, BitIdenticalToBlockingDirectBackend) {
-  expect_overlap_bit_identical(FaceBackend::kDirect);
-}
-
-TEST(OverlapDriver, BitIdenticalToBlockingGsBackend) {
-  expect_overlap_bit_identical(FaceBackend::kGatherScatter);
-}
-
 TEST(OverlapDriver, BitIdenticalSingleFieldAdvection) {
-  Config cfg = overlap_config(FaceBackend::kDirect, Physics::kAdvection);
+  Config cfg = overlap_config(Physics::kAdvection);
   cfg.use_dssum = false;  // pure DG path
   auto blocking = run_sim(2, cfg, 10);
   cfg.overlap = true;
@@ -497,7 +373,7 @@ TEST(OverlapDriver, ChaosPerturbedOverlapStillBitIdentical) {
   // the schedule, never the data. The overlapped run under chaos must still
   // reproduce the unperturbed blocking run bit for bit.
   const int nranks = 3;
-  Config cfg = overlap_config(FaceBackend::kDirect, Physics::kEuler);
+  Config cfg = overlap_config(Physics::kEuler);
   auto blocking = run_sim(nranks, cfg, 10);
 
   for (std::uint64_t seed : {3u, 17u}) {
@@ -523,7 +399,7 @@ TEST(OverlapDriver, ThreadedOverlapUnderChaosStillBitIdentical) {
   // delays/holds/stragglers, and the worker pool moving element chunks
   // between threads — and demand the serial blocking answer bit for bit.
   const int nranks = 3;
-  Config cfg = overlap_config(FaceBackend::kDirect, Physics::kEuler);
+  Config cfg = overlap_config(Physics::kEuler);
   auto blocking = run_sim(nranks, cfg, 10);
 
   for (std::uint64_t seed : {5u, 23u}) {
@@ -550,7 +426,7 @@ TEST(OverlapDriver, OverlapStatsAccumulateOnlyOnOverlapPath) {
   // overlap_window entry per RHS on the overlapped path, none on the
   // blocking path, and the hidden fraction window / (window + finish).
   cmtbone::comm::run(2, [](Comm& world) {
-    Config cfg = overlap_config(FaceBackend::kDirect, Physics::kEuler);
+    Config cfg = overlap_config(Physics::kEuler);
     cfg.overlap = true;
     Driver driver(world, cfg);
     driver.initialize(driver.default_ic());

@@ -23,7 +23,6 @@ namespace {
 using cmtbone::comm::Comm;
 using cmtbone::core::Config;
 using cmtbone::core::Driver;
-using cmtbone::core::FaceBackend;
 using cmtbone::core::Physics;
 using cmtbone::parallel::Pool;
 
@@ -173,10 +172,9 @@ TEST(ResolveThreads, PositiveRequestWinsOverEnvironment) {
 
 using Fields = std::vector<std::vector<double>>;
 
-Config matrix_config(FaceBackend backend, bool overlap, int threads) {
+Config matrix_config(bool overlap, int threads) {
   Config cfg;
   cfg.physics = Physics::kEuler;
-  cfg.face_backend = backend;
   cfg.n = 4;
   cfg.ex = cfg.ey = cfg.ez = 3;
   cfg.fixed_dt = 1e-3;
@@ -219,18 +217,15 @@ void expect_bitwise_equal(const std::vector<Fields>& a,
 
 TEST(ThreadedDriver, BitIdenticalAcrossThreadsRanksBackendsOverlap) {
   const int steps = 6;
-  for (auto backend : {FaceBackend::kDirect, FaceBackend::kGatherScatter}) {
-    for (bool overlap : {false, true}) {
-      Config serial = matrix_config(backend, overlap, 1);
-      for (int nranks : {1, 2, 4}) {
-        auto want = run_sim(nranks, serial, steps);
-        for (int threads : {2, 4}) {
-          Config cfg = matrix_config(backend, overlap, threads);
-          SCOPED_TRACE(testing::Message()
-                       << "backend=" << int(backend) << " overlap=" << overlap
-                       << " ranks=" << nranks << " threads=" << threads);
-          expect_bitwise_equal(want, run_sim(nranks, cfg, steps));
-        }
+  for (bool overlap : {false, true}) {
+    Config serial = matrix_config(overlap, 1);
+    for (int nranks : {1, 2, 4}) {
+      auto want = run_sim(nranks, serial, steps);
+      for (int threads : {2, 4}) {
+        Config cfg = matrix_config(overlap, threads);
+        SCOPED_TRACE(testing::Message() << "overlap=" << overlap << " ranks="
+                                        << nranks << " threads=" << threads);
+        expect_bitwise_equal(want, run_sim(nranks, cfg, steps));
       }
     }
   }
@@ -239,7 +234,7 @@ TEST(ThreadedDriver, BitIdenticalAcrossThreadsRanksBackendsOverlap) {
 TEST(ThreadedDriver, ThreadedMatchesSerialWithDealiasAndParticles) {
   // The serial-only terms (dealias checksum, particle deposition) must stay
   // serial — this run goes wrong if anyone ever threads them naively.
-  Config serial = matrix_config(FaceBackend::kDirect, true, 1);
+  Config serial = matrix_config(true, 1);
   serial.dealias = true;
   serial.particles_per_rank = 16;
   serial.particle_coupling = 0.05;
@@ -271,7 +266,7 @@ TEST(ThreadedDriver, DegenerateSingleElementTopology) {
 }
 
 TEST(ThreadedDriver, NonPeriodicBoundaryTopology) {
-  Config serial = matrix_config(FaceBackend::kDirect, false, 1);
+  Config serial = matrix_config(false, 1);
   serial.periodic = false;
   Config threaded = serial;
   threaded.threads_per_rank = 3;

@@ -10,7 +10,6 @@
 #include "comm/runtime.hpp"
 #include "core/driver.hpp"
 #include "gs/gather_scatter.hpp"
-#include "mesh/face_numbering.hpp"
 #include "prof/callprof.hpp"
 #include "prof/perf_counters.hpp"
 #include "prof/timer.hpp"
@@ -218,65 +217,47 @@ TEST(CommProf, RuntimeIntegrationAttributesSites) {
 }
 
 TEST(CommProf, TablesMatchTheExchangePlans) {
-  // Summed over ranks, each RHS evaluation's face exchange sends the direct
-  // plan's send_bytes_per_exchange() on the direct backend and, on the gs
-  // backend, the face handle's pairwise_send_values() doubles per field. Each pairwise
-  // dssum gs_op sends pairwise_send_values() doubles: one multiplicity
-  // gs_op at set-up plus one per field per step.
+  // Summed over ranks, each RHS evaluation's face exchange sends the plan's
+  // send_bytes_per_exchange(). Each pairwise dssum gs_op sends
+  // pairwise_send_values() doubles: one multiplicity gs_op at set-up plus
+  // one per field per step.
   constexpr int kRanks = 2;
   constexpr int kSteps = 3;
-  for (auto backend : {cmtbone::core::FaceBackend::kDirect,
-                       cmtbone::core::FaceBackend::kGatherScatter}) {
-    SCOPED_TRACE(cmtbone::core::face_backend_name(backend));
-    cmtbone::core::Config cfg;
-    cfg.n = 4;
-    cfg.ex = cfg.ey = cfg.ez = 2;
-    cfg.fixed_dt = 1e-3;
-    cfg.gs_method = cmtbone::gs::Method::kPairwise;
-    cfg.face_backend = backend;
-    cfg.use_dssum = true;
-    const int stages = cmtbone::core::integrator_stages(cfg.integrator);
-    long long face_bytes = 0, gs_values = 0;
-    int nfields = 0;
-    std::vector<CallProfile> profiles;
-    cmtbone::comm::RunOptions opts;
-    opts.call_profiles = &profiles;
-    std::mutex mu;
-    cmtbone::comm::run(kRanks, [&](cmtbone::comm::Comm& world) {
-      cmtbone::core::Driver driver(world, cfg);
-      driver.initialize(driver.default_ic());
-      driver.run(kSteps);
-      long long my_face_bytes =
-          driver.face_exchange().send_bytes_per_exchange(driver.nfields());
-      if (backend == cmtbone::core::FaceBackend::kGatherScatter) {
-        // An independent handle over the same face points: its gs_setup
-        // sends no point-to-point message, so no Isend row moves.
-        const std::vector<long long> fids =
-            cmtbone::mesh::face_point_gids(driver.element_layout());
-        cmtbone::gs::GatherScatter faces(world, fids,
-                                         cmtbone::gs::Method::kPairwise);
-        my_face_bytes = (long long)faces.pairwise_send_values() * 8 *
-                        driver.nfields();
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      face_bytes += my_face_bytes;
-      gs_values +=
-          (long long)driver.gather_scatter().pairwise_send_values();
-      nfields = driver.nfields();
-    }, opts);
+  cmtbone::core::Config cfg;
+  cfg.n = 4;
+  cfg.ex = cfg.ey = cfg.ez = 2;
+  cfg.fixed_dt = 1e-3;
+  cfg.gs_method = cmtbone::gs::Method::kPairwise;
+  cfg.use_dssum = true;
+  const int stages = cmtbone::core::integrator_stages(cfg.integrator);
+  long long face_bytes = 0, gs_values = 0;
+  int nfields = 0;
+  std::vector<CallProfile> profiles;
+  cmtbone::comm::RunOptions opts;
+  opts.call_profiles = &profiles;
+  std::mutex mu;
+  cmtbone::comm::run(kRanks, [&](cmtbone::comm::Comm& world) {
+    cmtbone::core::Driver driver(world, cfg);
+    driver.initialize(driver.default_ic());
+    driver.run(kSteps);
+    std::lock_guard<std::mutex> lock(mu);
+    face_bytes +=
+        driver.face_exchange().send_bytes_per_exchange(driver.nfields());
+    gs_values += (long long)driver.gather_scatter().pairwise_send_values();
+    nfields = driver.nfields();
+  }, opts);
 
-    long long face_sent = 0, dssum_sent = 0, setup_sent = 0;
-    for (const auto& s : cmtbone::prof::site_totals(profiles)) {
-      if (s.site == "exchange_begin/MPI_Isend") face_sent = s.total_bytes;
-      if (s.site == "gs_op_ (dssum)/MPI_Isend") dssum_sent = s.total_bytes;
-      if (s.site == "MPI_Isend") setup_sent = s.total_bytes;
-    }
-    EXPECT_GT(face_bytes, 0);
-    EXPECT_EQ(face_sent, face_bytes * kSteps * stages);
-    EXPECT_GT(gs_values, 0);
-    EXPECT_EQ(dssum_sent, gs_values * 8 * kSteps * nfields);
-    EXPECT_EQ(setup_sent, gs_values * 8);
+  long long face_sent = 0, dssum_sent = 0, setup_sent = 0;
+  for (const auto& s : cmtbone::prof::site_totals(profiles)) {
+    if (s.site == "exchange_begin/MPI_Isend") face_sent = s.total_bytes;
+    if (s.site == "gs_op_ (dssum)/MPI_Isend") dssum_sent = s.total_bytes;
+    if (s.site == "MPI_Isend") setup_sent = s.total_bytes;
   }
+  EXPECT_GT(face_bytes, 0);
+  EXPECT_EQ(face_sent, face_bytes * kSteps * stages);
+  EXPECT_GT(gs_values, 0);
+  EXPECT_EQ(dssum_sent, gs_values * 8 * kSteps * nfields);
+  EXPECT_EQ(setup_sent, gs_values * 8);
 }
 
 TEST(PerfCounters, GracefulWhetherAvailableOrNot) {

@@ -403,14 +403,13 @@ TEST(FailureDetection, CollectiveSurvivorsUnwindOnPeerFailure) {
 
 TEST(UnwindSafety, GsSplitPhaseAndOverlapSurviveAbortSweep) {
   // Kill rank 1 at a sweep of operation counts while the overlap path has
-  // irecvs posted into gs/face-exchange buffers. Every run must either
-  // complete or unwind cleanly — no use-after-free (ASan job), no hang, no
-  // spurious deadlock verdict. Exercises exec_many_begin/finish and
-  // FaceExchange begin/finish unwind paths, with unordered and ordered
-  // (per-slot key) gs handles.
+  // irecvs posted into face-exchange or dssum buffers. Every run must
+  // either complete or unwind cleanly — no use-after-free (ASan job), no
+  // hang, no spurious deadlock verdict. Exercises the FaceExchange
+  // begin/finish and pairwise gs_op unwind paths, with unordered and
+  // ordered (per-slot key) dssum handles.
   Config cfg = tiny_config();
   cfg.overlap = true;
-  cfg.face_backend = cmtbone::core::FaceBackend::kGatherScatter;
   cfg.gs_method = cmtbone::gs::Method::kPairwise;
   for (bool ordered_gs : {false, true}) {
     cfg.ordered_gs = ordered_gs;
@@ -483,25 +482,20 @@ void run_recovery_matrix(int nranks, const fs::path& scratch,
                          int threads_per_rank = 1) {
   constexpr int kSteps = 9;
   constexpr int kInterval = 3;
+  // The gs-crystal variants run dssum through the crystal router.
   struct Variant {
     const char* name;
-    cmtbone::core::FaceBackend backend;
     cmtbone::gs::Method method;
     bool overlap;
   };
   const Variant variants[] = {
-      {"direct", cmtbone::core::FaceBackend::kDirect,
-       cmtbone::gs::Method::kPairwise, false},
-      {"direct+overlap", cmtbone::core::FaceBackend::kDirect,
-       cmtbone::gs::Method::kPairwise, true},
-      {"gs-crystal", cmtbone::core::FaceBackend::kGatherScatter,
-       cmtbone::gs::Method::kCrystalRouter, false},
-      {"gs-crystal+overlap", cmtbone::core::FaceBackend::kGatherScatter,
-       cmtbone::gs::Method::kCrystalRouter, true},
+      {"direct", cmtbone::gs::Method::kPairwise, false},
+      {"direct+overlap", cmtbone::gs::Method::kPairwise, true},
+      {"gs-crystal", cmtbone::gs::Method::kCrystalRouter, false},
+      {"gs-crystal+overlap", cmtbone::gs::Method::kCrystalRouter, true},
   };
   for (const Variant& v : variants) {
     Config cfg = tiny_config();
-    cfg.face_backend = v.backend;
     cfg.gs_method = v.method;
     cfg.overlap = v.overlap;
     cfg.threads_per_rank = 1;

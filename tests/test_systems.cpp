@@ -400,20 +400,6 @@ TEST(SystemDeterminism, ChaosDelaysDoNotChangeEulerBits) {
   expect_fields_bit_identical(got, reference, "euler chaos seed 17");
 }
 
-TEST(SystemDeterminism, GsBackendOverlapMatchesBlockingForEuler) {
-  // The gs face backend folds mine+neighbor, so its bits differ from the
-  // direct backend — the guarantee is per-backend: overlap vs blocking at
-  // fixed ranks must agree exactly.
-  const int steps = 5;
-  Config cfg = matrix_config(Physics::kEuler);
-  cfg.face_backend = cmtbone::core::FaceBackend::kGatherScatter;
-  const auto blocking = run_global_fields(4, cfg, steps, nullptr);
-  Config over = cfg;
-  over.overlap = true;
-  const auto overlapped = run_global_fields(4, over, steps, nullptr);
-  expect_fields_bit_identical(overlapped, blocking, "euler gs overlap");
-}
-
 // ---------------------------------------------------------------------------
 // Non-physical states: SolverDiverged semantics
 // ---------------------------------------------------------------------------
