@@ -3,16 +3,22 @@
 // The physics CMT-nek's explicit solver steps (minus multiphase coupling):
 // five conserved fields, nonlinear Euler fluxes, Rusanov numerical flux.
 // Demonstrates conservation tracking, CFL-adaptive stepping, mid-run
-// checkpoint/restart, and VTK export for visualization.
+// checkpoint/restart, and VTK export for visualization. With
+// --checkpoint-dir, a resilience::CheckpointCoordinator checkpoints the run
+// at the half-way step and restores it into a fresh Driver, the path
+// recovery and the service layer take.
 //
 // Usage: euler_pulse [--ranks 4] [--n 6] [--elems 2] [--steps 20]
 //                    [--vtk out.vtk] [--checkpoint-dir DIR]
 
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "comm/runtime.hpp"
 #include "core/driver.hpp"
+#include "resilience/checkpoint_coordinator.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -25,7 +31,9 @@ int main(int argc, char** argv) {
       .describe("elems", "global elements per direction (default 2)")
       .describe("steps", "time steps (default 20)")
       .describe("vtk", "write final state to this VTK file (rank 0 only)")
-      .describe("checkpoint-dir", "exercise save/restart through this dir");
+      .describe("checkpoint-dir",
+                "checkpoint at the half-way step into this empty directory "
+                "and restart from it");
   if (cli.help_requested()) {
     std::printf("%s", cli.usage().c_str());
     return 0;
@@ -88,15 +96,28 @@ int main(int argc, char** argv) {
     snapshot(half);
 
     if (!ckpt_dir.empty()) {
-      // Save, then resume in a brand-new driver: restart must be seamless.
-      driver.save_checkpoint(ckpt_dir, "euler_pulse");
+      // Checkpoint, then resume in a brand-new driver: restart must be
+      // seamless.
+      resilience::CheckpointOptions options;
+      options.directory = ckpt_dir;
+      options.prefix = "euler_pulse";
+      options.interval = 0;  // explicit checkpoints only
+      resilience::CheckpointCoordinator coordinator(world, options);
+      coordinator.checkpoint_now(driver);
       core::Driver resumed(world, cfg);
-      resumed.load_checkpoint(ckpt_dir, "euler_pulse");
+      const long long epoch = coordinator.restore_latest(resumed);
+      if (epoch != half) {
+        throw std::runtime_error(ckpt_dir + " holds no step-" +
+                                 std::to_string(half) +
+                                 " checkpoint as its newest; pass an empty "
+                                 "directory");
+      }
       resumed.run(steps - half);
       double mass = resumed.integral(0);
       if (world.rank() == 0) {
-        std::printf("restarted from checkpoint at step %d; final mass %.10f\n",
-                    half, mass);
+        std::printf(
+            "restarted from checkpoint at step %lld; final mass %.10f\n",
+            epoch, mass);
       }
       if (!vtk.empty() && world.rank() == 0) resumed.export_vtk(vtk);
       return;

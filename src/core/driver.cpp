@@ -579,9 +579,13 @@ std::vector<std::byte> Driver::serialize_checkpoint(long long epoch) const {
                                   std::span<const std::int32_t>(owner32));
 }
 
-void Driver::save_checkpoint_file(const std::string& path,
-                                  long long epoch) const {
-  io::write_file_atomic(path, serialize_checkpoint(epoch));
+void Driver::restore_checkpoint(std::span<const std::byte> bytes,
+                                const std::string& source) {
+  std::vector<std::vector<double>> fields;
+  std::vector<std::int32_t> owner;
+  const io::CheckpointHeader header =
+      io::parse_checkpoint(bytes, source, &fields, &owner);
+  restore_state(header, std::move(fields), owner);
 }
 
 void Driver::restore_state(const io::CheckpointHeader& header,
@@ -589,7 +593,7 @@ void Driver::restore_state(const io::CheckpointHeader& header,
                            std::span<const std::int32_t> owner) {
   if (header.n != config_.n || header.nfields != nfields()) {
     throw std::runtime_error(
-        "load_checkpoint: geometry mismatch with this configuration");
+        "restore_checkpoint: geometry mismatch with this configuration");
   }
   // The layout the checkpoint was taken under (ElementLayout rejects an
   // owner map that does not fit the grid).
@@ -597,39 +601,12 @@ void Driver::restore_state(const io::CheckpointHeader& header,
                             std::vector<int>(owner.begin(), owner.end()));
   if (header.nel != saved.nel()) {
     throw std::runtime_error(
-        "load_checkpoint: geometry mismatch with this configuration");
+        "restore_checkpoint: geometry mismatch with this configuration");
   }
-  if (!saved.same_ownership(layout_)) {
-    layout_ = std::move(saved);
-    rebuild_topology();
-    if (tracker_) {
-      tracker_->set_layout(layout_);
-      tracker_->migrate();
-    }
-  }
+  if (!saved.same_ownership(layout_)) adopt_layout(std::move(saved));
   for (int f = 0; f < nfields(); ++f) u_[f] = std::move(fields[f]);
   time_ = header.time;
   steps_ = header.steps;
-}
-
-void Driver::load_checkpoint_file(const std::string& path) {
-  std::vector<std::vector<double>> fields;
-  std::vector<std::int32_t> owner;
-  io::CheckpointHeader header = io::read_checkpoint(path, &fields, &owner);
-  restore_state(header, std::move(fields),
-                std::span<const std::int32_t>(owner));
-}
-
-void Driver::save_checkpoint(const std::string& directory,
-                             const std::string& prefix) const {
-  save_checkpoint_file(
-      io::rank_checkpoint_path(directory, prefix, comm_->rank()));
-}
-
-void Driver::load_checkpoint(const std::string& directory,
-                             const std::string& prefix) {
-  load_checkpoint_file(
-      io::rank_checkpoint_path(directory, prefix, comm_->rank()));
 }
 
 void Driver::export_vtk(const std::string& path) const {
@@ -811,6 +788,10 @@ void Driver::apply_layout(const std::vector<int>& owner) {
   mesh::ElementLayout next(spec_, comm_->rank(), owner);
   if (next.same_ownership(layout_)) return;
   migrate_fields(next);
+  adopt_layout(std::move(next));
+}
+
+void Driver::adopt_layout(mesh::ElementLayout next) {
   layout_ = std::move(next);
   rebuild_topology();
   if (tracker_) {

@@ -137,29 +137,19 @@ class Driver {
   long long flops_per_rhs() const;
   long long flops_per_step() const;
 
-  // --- I/O -----------------------------------------------------------------
-  /// Write this rank's fields to directory/prefix.rNNNNN.chk; every rank
-  /// writes its own file (Nek's one-file-per-processor mode).
-  void save_checkpoint(const std::string& directory,
-                       const std::string& prefix) const;
-  /// Restore fields, time, and step count from a matching checkpoint.
-  /// Throws if the checkpoint geometry does not match this config.
-  void load_checkpoint(const std::string& directory, const std::string& prefix);
-  /// Single-file forms, used by the checkpoint coordinator which names
-  /// files by (epoch, rank) and ships the same bytes to a buddy rank.
-  void save_checkpoint_file(const std::string& path, long long epoch = -1) const;
-  void load_checkpoint_file(const std::string& path);
-  /// This rank's checkpoint as the exact bytes save_checkpoint_file would
-  /// write (v3 header with CRC32, rank, `epoch`, and the element-ownership
-  /// map, so a rebalanced run restores into the layout it saved from).
-  std::vector<std::byte> serialize_checkpoint(long long epoch = -1) const;
-  /// Adopt a parsed checkpoint (geometry-checked) as the current state.
-  /// `owner` is the checkpoint's element-ownership map. Collective when the
-  /// stored layout differs from the current one — every rank restores
-  /// together anyway.
-  void restore_state(const io::CheckpointHeader& header,
-                     std::vector<std::vector<double>>&& fields,
-                     std::span<const std::int32_t> owner);
+  // --- checkpoint bytes and output -----------------------------------------
+  /// This rank's state as version-3 checkpoint bytes: the header (CRC32,
+  /// rank, `epoch`), the element-ownership map, so a rebalanced run restores
+  /// into the layout it saved from, and the fields. The resilience layer's
+  /// CheckpointCoordinator names, writes and replicates them.
+  std::vector<std::byte> serialize_checkpoint(long long epoch) const;
+  /// Parse `bytes` (`source` names them in messages) and adopt them as the
+  /// current state. Throws before changing anything when the bytes are
+  /// defective (io::ChecksumMismatch for a corrupt payload) or do not fit
+  /// this configuration. Collective when the stored layout differs from the
+  /// current one — every rank restores together anyway.
+  void restore_checkpoint(std::span<const std::byte> bytes,
+                          const std::string& source);
   /// Export this rank's fields as a legacy-VTK point cloud.
   void export_vtk(const std::string& path) const;
 
@@ -207,6 +197,15 @@ class Driver {
   /// element classes, buffer sizes, multiplicity. Collective. Called at
   /// construction and after every ownership change.
   void rebuild_topology();
+  /// Make `next` the current layout (collective): rebuild everything derived
+  /// from it and re-home the tracker's particles. The one adoption step of
+  /// apply_layout and restore_state; each puts the fields in `next`'s order.
+  void adopt_layout(mesh::ElementLayout next);
+  /// Adopt a parsed checkpoint (geometry-checked) as the current state;
+  /// `owner` is its element-ownership map.
+  void restore_state(const io::CheckpointHeader& header,
+                     std::vector<std::vector<double>>&& fields,
+                     std::span<const std::int32_t> owner);
   /// Ship the conserved fields to the owners under `next` (collective;
   /// u_ afterwards holds the new local set in ascending-gid order).
   void migrate_fields(const mesh::ElementLayout& next);

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -44,22 +45,41 @@ void check_plausible(const CheckpointHeader& h, const std::string& path) {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t bytes, std::uint32_t seed) {
-  // Standard reflected IEEE polynomial, byte-at-a-time table.
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Standard reflected IEEE polynomial, sliced by 8: table[k][b] is the CRC
+  // of byte b followed by k zero bytes, so one 8-byte word folds in with
+  // eight independent lookups, and the tail goes a byte at a time.
+  static_assert(std::endian::native == std::endian::little,
+                "the word loop folds the low byte first");
+  using Table = std::array<std::array<std::uint32_t, 256>, 8>;
+  static const Table table = [] {
+    Table t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < t.size(); ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = t[0][t[k - 1][i] & 0xffu] ^ (t[k - 1][i] >> 8);
+      }
     }
     return t;
   }();
   std::uint32_t crc = ~seed;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    crc = table[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
+  for (; bytes >= 8; bytes -= 8, p += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, sizeof word);
+    word ^= crc;
+    crc = table[7][word & 0xffu] ^ table[6][(word >> 8) & 0xffu] ^
+          table[5][(word >> 16) & 0xffu] ^ table[4][(word >> 24) & 0xffu] ^
+          table[3][(word >> 32) & 0xffu] ^ table[2][(word >> 40) & 0xffu] ^
+          table[1][(word >> 48) & 0xffu] ^ table[0][word >> 56];
+  }
+  for (; bytes > 0; --bytes, ++p) {
+    crc = table[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   }
   return ~crc;
 }
@@ -212,23 +232,6 @@ std::vector<std::byte> read_file(const std::string& path) {
     fail(path, "read failed");
   }
   return bytes;
-}
-
-CheckpointHeader read_checkpoint(const std::string& path,
-                                 std::vector<std::vector<double>>* fields,
-                                 std::vector<std::int32_t>* owner) {
-  return parse_checkpoint(read_file(path), path, fields, owner);
-}
-
-CheckpointHeader validate_checkpoint(const std::string& path) {
-  return parse_checkpoint(read_file(path), path, nullptr);
-}
-
-std::string rank_checkpoint_path(const std::string& directory,
-                                 const std::string& prefix, int rank) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%05d", rank);
-  return directory + "/" + prefix + ".r" + buf + ".chk";
 }
 
 }  // namespace cmtbone::io

@@ -1,10 +1,12 @@
 #pragma once
-// Per-rank binary checkpointing of field data.
+// Checkpoint bytes and the durable file primitives under them.
 //
 // Production Nek runs checkpoint conserved variables so long simulations
 // survive machine faults; the mini-app carries the same capability so its
-// I/O phase can be profiled alongside compute and comm. One file per rank,
-// as Nek5000 does in its one-file-per-processor mode.
+// I/O phase can be profiled alongside compute and comm. core::Driver turns
+// one rank's state into these bytes and back; the resilience layer's
+// CheckpointCoordinator is the one place that names, writes, finds and
+// loads checkpoint files (one per rank and epoch, plus a buddy replica).
 //
 // Format (version 3, the only version written or read): a fixed 64-byte
 // little-endian header (magic, version, n, nel, nfields, steps, time, a
@@ -17,7 +19,7 @@
 //   * Writes are torn-write-safe: the bytes go to `<path>.tmp`, are
 //     fsync'd, and only then renamed over `path`, so a crash mid-write
 //     never leaves a truncated file under the real name.
-//   * Readers verify the payload CRC32 and throw ChecksumMismatch
+//   * Parsing verifies the payload CRC32 and throws ChecksumMismatch
 //     (carrying rank/path/epoch) on silent corruption.
 //   * A file of any other version is rejected as unsupported.
 
@@ -73,17 +75,18 @@ struct ChecksumMismatch : std::runtime_error {
 
 /// Serialize header + owner map + fields (each `points` doubles) to
 /// version-3 bytes, filling the header's version, element count and payload
-/// CRC. The result is exactly what core::Driver puts on disk — the
-/// resilience layer ships the same bytes to a buddy rank. Throws
-/// std::runtime_error when the field count differs from header.nfields or
-/// the owner map is shorter than header.nel.
+/// CRC. The resilience layer writes these bytes to disk unchanged and ships
+/// the same bytes to a buddy rank. Throws std::runtime_error when the field
+/// count differs from header.nfields or the owner map is shorter than
+/// header.nel.
 std::vector<std::byte> serialize_checkpoint(
     const CheckpointHeader& header, std::span<const double* const> fields,
     std::size_t points, std::span<const std::int32_t> owner);
 
 /// Parse serialized checkpoint bytes; validates magic, version (3 only),
-/// payload size and the payload CRC. Fills `fields` and `owner` when
-/// non-null. `path` is used only for messages.
+/// payload size and the payload CRC. Fills `fields` (header.nfields vectors
+/// of the stored point count) and `owner` when non-null. `path` names the
+/// bytes' source in messages only.
 CheckpointHeader parse_checkpoint(std::span<const std::byte> bytes,
                                   const std::string& path,
                                   std::vector<std::vector<double>>* fields,
@@ -104,20 +107,5 @@ void set_write_failure_after(long long bytes);
 
 /// Read a whole file into memory. Throws std::runtime_error on failure.
 std::vector<std::byte> read_file(const std::string& path);
-
-/// Read a checkpoint; returns the header and fills `fields` (resized to
-/// header.nfields vectors of the stored point count) and `owner`. Validates
-/// like parse_checkpoint.
-CheckpointHeader read_checkpoint(const std::string& path,
-                                 std::vector<std::vector<double>>* fields,
-                                 std::vector<std::int32_t>* owner = nullptr);
-
-/// Full-file validation (header + payload CRC) without keeping the data.
-/// Returns the header; throws like read_checkpoint on any defect.
-CheckpointHeader validate_checkpoint(const std::string& path);
-
-/// Conventional per-rank checkpoint file name.
-std::string rank_checkpoint_path(const std::string& directory,
-                                 const std::string& prefix, int rank);
 
 }  // namespace cmtbone::io

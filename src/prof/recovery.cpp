@@ -2,8 +2,6 @@
 
 namespace cmtbone::prof {
 
-void RecoveryStats::reset() { *this = RecoveryStats{}; }
-
 void RecoveryStats::merge(const RecoveryStats& other) {
   checkpoints += other.checkpoints;
   checkpoint_bytes += other.checkpoint_bytes;

@@ -23,7 +23,6 @@ struct RecoveryStats {
   long long steps_lost = 0;    // steps recomputed across all rollbacks
   double repair_seconds_sum = 0.0;  // failure observed -> state restored
 
-  void reset();
   /// Accumulate another run's stats into this one (the service scheduler
   /// folds each dispatch's RecoveryReport into the job's lifetime totals).
   void merge(const RecoveryStats& other);

@@ -17,6 +17,8 @@ namespace {
 // User-tag space for the buddy payload exchange (< kCollectiveTagBase).
 constexpr int kTagBuddySize = 0x3d00;
 constexpr int kTagBuddyData = 0x3d01;
+// Ring depth: the epochs kept on disk per file group (e and e-1).
+constexpr std::size_t kKeepEpochs = 2;
 
 // Filename components parsed back out of a checkpoint directory entry.
 struct ParsedName {
@@ -92,7 +94,6 @@ CheckpointCoordinator::CheckpointCoordinator(comm::Comm& comm,
     throw std::invalid_argument(
         "CheckpointCoordinator: options.directory must be set");
   }
-  if (opt_.keep_epochs < 1) opt_.keep_epochs = 1;
 }
 
 std::string CheckpointCoordinator::primary_path(const std::string& directory,
@@ -147,8 +148,9 @@ long long CheckpointCoordinator::checkpoint_now(core::Driver& driver) {
     corrupt_payload_byte(primary);
   }
 
-  if (opt_.buddy_replication && comm_->size() > 1) {
-    // Ring replication: my bytes go to rank+1, I host rank-1's. The buddy
+  if (comm_->size() > 1) {
+    // Ring replication, so a lost or corrupt primary file is restorable
+    // from the replica: my bytes go to rank+1, I host rank-1's. The buddy
     // file is named by its ORIGIN rank, so restore looks for
     // "my rank's epoch-e data" under the same name on either host.
     const int p = comm_->size();
@@ -191,9 +193,10 @@ std::vector<long long> CheckpointCoordinator::my_restorable_epochs() const {
       continue;
     }
     if (parsed.rank != comm_->rank()) continue;
+    const std::string path = entry.path().string();
     try {
       const io::CheckpointHeader h =
-          io::validate_checkpoint(entry.path().string());
+          io::parse_checkpoint(io::read_file(path), path, nullptr);
       // The file must also claim the (epoch, rank) its name promises.
       if (h.epoch != parsed.epoch || h.rank != parsed.rank) continue;
     } catch (const std::exception&) {
@@ -214,7 +217,7 @@ bool CheckpointCoordinator::try_load_epoch(core::Driver& driver,
       buddy_path(opt_.directory, opt_.prefix, epoch, comm_->rank());
   for (const std::string& path : {primary, buddy}) {
     try {
-      driver.load_checkpoint_file(path);
+      driver.restore_checkpoint(io::read_file(path), path);
       return true;
     } catch (const std::exception&) {
       // CRC mismatch, missing file, truncation: fall through to the replica.
@@ -258,7 +261,7 @@ long long CheckpointCoordinator::restore_latest(core::Driver& driver) {
 
 void CheckpointCoordinator::prune() {
   namespace fs = std::filesystem;
-  // Per (rank-in-name, buddy?) group, keep the keep_epochs newest epochs.
+  // Per (rank-in-name, buddy?) group, keep the kKeepEpochs newest epochs.
   // This rank only ever deletes files it wrote: its primaries and the
   // replicas it hosts.
   std::map<std::pair<int, bool>, std::vector<std::pair<long long, fs::path>>>
@@ -280,7 +283,7 @@ void CheckpointCoordinator::prune() {
   for (auto& [key, files] : groups) {
     std::sort(files.begin(), files.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
-    for (std::size_t i = std::size_t(opt_.keep_epochs); i < files.size(); ++i) {
+    for (std::size_t i = kKeepEpochs; i < files.size(); ++i) {
       fs::remove(files[i].second, ec);
     }
   }

@@ -1,12 +1,15 @@
 #pragma once
-// Coordinated checkpointing: every K steps all ranks agree on an epoch (an
+// Coordinated checkpointing, and the only code that names, writes, finds
+// and loads checkpoint files. Every K steps all ranks agree on an epoch (an
 // allreduce asserts they are at the same step), write CRC32-protected,
-// torn-write-safe per-rank checkpoint files, optionally replicate the same
-// bytes to a buddy rank, and prune a two-version ring (keep epoch e and
-// e-1). Restore picks the newest *globally complete* epoch: one that every
-// rank can produce a CRC-valid copy of, from its primary file or its
-// buddy's replica — an epoch some rank only half-wrote before dying is
-// never chosen, because that rank cannot vouch for it.
+// torn-write-safe per-rank checkpoint files, replicate the same bytes to a
+// buddy rank whenever there is more than one rank, and prune a two-version
+// ring (keep epoch e and e-1). Restore picks the newest *globally complete*
+// epoch: one that every rank can produce a CRC-valid copy of, from its
+// primary file or its buddy's replica — an epoch some rank only half-wrote
+// before dying is never chosen, because that rank cannot vouch for it. The
+// bytes themselves come from core::Driver::serialize_checkpoint and go back
+// through core::Driver::restore_checkpoint.
 //
 // File naming: <dir>/<prefix>.e<epoch>.r<rank>.chk for rank's own
 // (primary) file, and <dir>/<prefix>.e<epoch>.r<origin>.buddy.chk for the
@@ -30,11 +33,6 @@ struct CheckpointOptions {
   /// Checkpoint every `interval` completed steps (<= 0: only explicit
   /// checkpoint_now() calls write anything).
   int interval = 10;
-  /// Ship each rank's serialized checkpoint to rank+1 (mod P) so a lost or
-  /// corrupt primary file is restorable from the replica. No-op on 1 rank.
-  bool buddy_replication = true;
-  /// Ring depth: how many newest epochs to keep on disk (2 = e and e-1).
-  int keep_epochs = 2;
   /// Chaos fault source for corrupt-checkpoint injection (may be null).
   chaos::ChaosEngine* chaos = nullptr;
   /// Checkpoint cost/restore accounting; written by local rank 0 only.
@@ -65,8 +63,6 @@ class CheckpointCoordinator {
   /// rank (-1 when none).
   long long last_epoch() const { return last_epoch_; }
 
-  const CheckpointOptions& options() const { return opt_; }
-
   // --- file naming (exposed for tests and tooling) -----------------------
   static std::string primary_path(const std::string& directory,
                                   const std::string& prefix, long long epoch,
@@ -84,7 +80,7 @@ class CheckpointCoordinator {
   // success.
   bool try_load_epoch(core::Driver& driver, long long epoch);
   // Drop this rank's files (primary + hosted replicas) for epochs older
-  // than the keep_epochs newest.
+  // than the two newest.
   void prune();
 
   comm::Comm* comm_;

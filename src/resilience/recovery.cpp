@@ -71,6 +71,25 @@ RecoveryReport run_with_recovery(int nranks, const core::Config& config,
   const bool watched =
       bool(options.yield_requested) || options.deadline_seconds > 0.0;
 
+  // Close the open repair interval (failure observed -> a later attempt's
+  // restore finished at `done_ns`), if there is one.
+  auto close_repair = [&](long long done_ns) {
+    if (pending_fail_ns != 0 && done_ns > pending_fail_ns) {
+      report.stats.repair_seconds_sum +=
+          double(done_ns - pending_fail_ns) * 1e-9;
+      pending_fail_ns = 0;
+    }
+  };
+  // Both returning exits (completed, preempted): this attempt's restore
+  // closes an open repair interval, then the progress fields are filled.
+  auto finish_report = [&] {
+    close_repair(restore_done_ns.load());
+    report.failures = int(report.stats.failures);
+    report.last_restored_epoch = restored.load();
+    report.steps_reached = progress.load();
+    return report;
+  };
+
   for (int attempt = 0; attempt <= policy.max_retries; ++attempt) {
     report.attempts += 1;
     restored.store(-1);
@@ -158,33 +177,14 @@ RecoveryReport run_with_recovery(int nranks, const core::Config& config,
           },
           run_options);
 
-      // Attempt succeeded. Close an open repair interval (failure observed
-      // -> this attempt's restore finished) before reporting.
-      const long long done = restore_done_ns.load();
-      if (pending_fail_ns != 0 && done > pending_fail_ns) {
-        report.stats.repair_seconds_sum +=
-            double(done - pending_fail_ns) * 1e-9;
-        pending_fail_ns = 0;
-      }
       report.completed = true;
-      report.failures = int(report.stats.failures);
-      report.last_restored_epoch = restored.load();
-      report.steps_reached = progress.load();
-      return report;
+      return finish_report();
     } catch (const JobPreempted& p) {
       // Not a failure: the suspend checkpoint committed before the unwind,
       // so a later call on the same directory resumes bit-identically.
-      const long long done = restore_done_ns.load();
-      if (pending_fail_ns != 0 && done > pending_fail_ns) {
-        report.stats.repair_seconds_sum +=
-            double(done - pending_fail_ns) * 1e-9;
-      }
       report.preempted = true;
       report.preempt_epoch = p.epoch;
-      report.failures = int(report.stats.failures);
-      report.last_restored_epoch = restored.load();
-      report.steps_reached = progress.load();
-      return report;
+      return finish_report();
     } catch (const DeadlineExceeded&) {
       throw;  // terminal by design: a retry could not finish any sooner
     } catch (const core::SolverDiverged&) {
@@ -203,11 +203,7 @@ RecoveryReport run_with_recovery(int nranks, const core::Config& config,
           std::max(0LL, progress.load() - std::max(committed.load(), 0LL));
       // This failed attempt may itself have restored after an earlier
       // failure; close that interval too.
-      const long long done = restore_done_ns.exchange(0);
-      if (pending_fail_ns != 0 && done > pending_fail_ns) {
-        report.stats.repair_seconds_sum +=
-            double(done - pending_fail_ns) * 1e-9;
-      }
+      close_repair(restore_done_ns.exchange(0));
       pending_fail_ns = fail_ns;
       if (attempt == policy.max_retries) throw;
       if (options.deadline_seconds > 0.0 &&

@@ -329,10 +329,9 @@ TEST(BalanceCheckpoint, RestoreAdoptsRebalancedLayout) {
     ASSERT_GT(driver.rebalance_moves(), 0);
 
     const std::vector<std::byte> bytes = driver.serialize_checkpoint(3);
-    std::vector<std::vector<double>> fields;
     std::vector<std::int32_t> owner;
     const cmtbone::io::CheckpointHeader header =
-        cmtbone::io::parse_checkpoint(bytes, "mem", &fields, &owner);
+        cmtbone::io::parse_checkpoint(bytes, "mem", nullptr, &owner);
     EXPECT_EQ(header.version, 3u);
     ASSERT_EQ(owner.size(), std::size_t(driver.element_layout()
                                             .total_elements()));
@@ -341,7 +340,7 @@ TEST(BalanceCheckpoint, RestoreAdoptsRebalancedLayout) {
     // onto the stored ownership and reproduce the saved state bit for bit.
     Driver fresh(world, cfg);
     fresh.initialize(fresh.default_ic());
-    fresh.restore_state(header, std::move(fields), owner);
+    fresh.restore_checkpoint(bytes, "mem");
     EXPECT_EQ(fresh.element_layout().owner(), driver.element_layout().owner());
     EXPECT_EQ(fresh.steps_taken(), driver.steps_taken());
     for (int f = 0; f < driver.nfields(); ++f) {

@@ -1,5 +1,5 @@
-// I/O: checkpoint round trips, corruption handling, VTK export, and the
-// driver-level save/load path.
+// I/O: checkpoint round trips, corruption handling, VTK export, and a
+// driver's checkpoint restart through the checkpoint coordinator.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include "core/driver.hpp"
 #include "io/checkpoint.hpp"
 #include "io/vtk.hpp"
+#include "resilience/checkpoint_coordinator.hpp"
 
 namespace {
 
@@ -62,7 +63,8 @@ TEST_F(IoTest, CheckpointRoundTripPreservesEverything) {
 
   std::vector<std::vector<double>> loaded;
   std::vector<std::int32_t> loaded_owner;
-  auto h = cmtbone::io::read_checkpoint(path, &loaded, &loaded_owner);
+  auto h = cmtbone::io::parse_checkpoint(cmtbone::io::read_file(path), path,
+                                         &loaded, &loaded_owner);
   EXPECT_EQ(h.version, 3u);
   EXPECT_EQ(h.n, 3);
   EXPECT_EQ(h.nel, 2);
@@ -82,7 +84,8 @@ TEST_F(IoTest, ReadRejectsBadMagicAndTruncation) {
     out << "this is not a checkpoint";
   }
   std::vector<std::vector<double>> fields;
-  EXPECT_THROW(cmtbone::io::read_checkpoint(path, &fields),
+  EXPECT_THROW(cmtbone::io::parse_checkpoint(cmtbone::io::read_file(path),
+                                             path, &fields),
                std::runtime_error);
 
   // Valid version-3 header but truncated payload.
@@ -98,7 +101,8 @@ TEST_F(IoTest, ReadRejectsBadMagicAndTruncation) {
     double only_one = 3.0;
     out.write(reinterpret_cast<const char*>(&only_one), sizeof only_one);
   }
-  EXPECT_THROW(cmtbone::io::read_checkpoint(path2, &fields),
+  EXPECT_THROW(cmtbone::io::parse_checkpoint(cmtbone::io::read_file(path2),
+                                             path2, &fields),
                std::runtime_error);
 }
 
@@ -137,18 +141,8 @@ TEST(Checkpoint, RejectsVersionsOtherThan3) {
 }
 
 TEST_F(IoTest, MissingFileThrows) {
-  std::vector<std::vector<double>> fields;
-  EXPECT_THROW(cmtbone::io::read_checkpoint((dir_ / "nope.bin").string(),
-                                            &fields),
+  EXPECT_THROW(cmtbone::io::read_file((dir_ / "nope.bin").string()),
                std::runtime_error);
-}
-
-TEST_F(IoTest, RankPathsAreDistinctAndStable) {
-  using cmtbone::io::rank_checkpoint_path;
-  EXPECT_EQ(rank_checkpoint_path("/tmp", "run", 0), "/tmp/run.r00000.chk");
-  EXPECT_EQ(rank_checkpoint_path("/tmp", "run", 255), "/tmp/run.r00255.chk");
-  EXPECT_NE(rank_checkpoint_path("/tmp", "run", 1),
-            rank_checkpoint_path("/tmp", "run", 2));
 }
 
 TEST_F(IoTest, VtkExportIsWellFormed) {
@@ -203,17 +197,24 @@ TEST_F(IoTest, DriverCheckpointRestartResumesExactly) {
     }
   });
 
-  // Run 3 steps, checkpoint, restart in a fresh driver, run 3 more.
+  // Run 3 steps, checkpoint through the coordinator, restore into a fresh
+  // driver, run 3 more.
   std::vector<double> resumed;
   cmtbone::comm::run(2, [&](cmtbone::comm::Comm& world) {
+    cmtbone::resilience::CheckpointOptions options;
+    options.directory = dir;
+    options.prefix = "half";
+    options.interval = 0;  // explicit checkpoints only
     {
       Driver driver(world, cfg);
       driver.initialize(driver.default_ic());
       driver.run(3);
-      driver.save_checkpoint(dir, "half");
+      cmtbone::resilience::CheckpointCoordinator coordinator(world, options);
+      EXPECT_EQ(coordinator.checkpoint_now(driver), 3);
     }
     Driver fresh(world, cfg);
-    fresh.load_checkpoint(dir, "half");
+    cmtbone::resilience::CheckpointCoordinator coordinator(world, options);
+    EXPECT_EQ(coordinator.restore_latest(fresh), 3);
     EXPECT_EQ(fresh.steps_taken(), 3);
     EXPECT_NEAR(fresh.time(), 3e-3, 1e-15);
     fresh.run(3);
@@ -232,19 +233,18 @@ TEST_F(IoTest, DriverCheckpointRestartResumesExactly) {
 TEST_F(IoTest, DriverLoadRejectsGeometryMismatch) {
   using cmtbone::core::Config;
   using cmtbone::core::Driver;
-  std::string dir = dir_.string();
   cmtbone::comm::run(1, [&](cmtbone::comm::Comm& world) {
     Config cfg;
     cfg.n = 4;
     cfg.ex = cfg.ey = cfg.ez = 2;
     Driver driver(world, cfg);
     driver.initialize(driver.default_ic());
-    driver.save_checkpoint(dir, "geom");
+    const std::vector<std::byte> bytes = driver.serialize_checkpoint(0);
 
     Config other = cfg;
     other.n = 5;
     Driver wrong(world, other);
-    EXPECT_THROW(wrong.load_checkpoint(dir, "geom"), std::runtime_error);
+    EXPECT_THROW(wrong.restore_checkpoint(bytes, "geom"), std::runtime_error);
   });
 }
 

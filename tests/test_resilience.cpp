@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -24,6 +25,9 @@
 #include "comm/runtime.hpp"
 #include "core/driver.hpp"
 #include "io/checkpoint.hpp"
+#include "mesh/face_exchange.hpp"
+#include "mesh/faces.hpp"
+#include "mesh/layout.hpp"
 #include "resilience/checkpoint_coordinator.hpp"
 #include "resilience/recovery.hpp"
 
@@ -111,6 +115,20 @@ ToyCheckpoint write_toy(const fs::path& dir, int rank = 3,
 
 // ---- checkpoint format: CRC32, atomic writes, truncation -------------------
 
+// Reference CRC32 (IEEE, reflected), one bit at a time, with the same
+// seed-chaining convention as io::crc32.
+std::uint32_t crc32_bitwise(const unsigned char* p, std::size_t bytes,
+                            std::uint32_t seed = 0) {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xedb88320u ^ (crc >> 1) : (crc >> 1);
+    }
+  }
+  return ~crc;
+}
+
 TEST(Crc32, MatchesKnownVectors) {
   // The canonical IEEE CRC32 check value.
   EXPECT_EQ(cmtbone::io::crc32("123456789", 9), 0xcbf43926u);
@@ -118,12 +136,35 @@ TEST(Crc32, MatchesKnownVectors) {
   // Chunked == one-shot via the seed-chaining form.
   const std::uint32_t first = cmtbone::io::crc32("12345", 5);
   EXPECT_EQ(cmtbone::io::crc32("6789", 4, first), 0xcbf43926u);
+
+  // Against the reference at every length 0..64 from every start offset
+  // 0..7 (so the 8-byte word loop sees every alignment and tail length),
+  // one-shot and chained at every split point.
+  std::vector<unsigned char> buf(64 + 8);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(mix64(i + 1) >> 56);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* p = buf.data() + offset;
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::uint32_t want = crc32_bitwise(p, len);
+      ASSERT_EQ(cmtbone::io::crc32(p, len), want)
+          << "offset " << offset << ", length " << len;
+      for (std::size_t split = 0; split <= len; ++split) {
+        const std::uint32_t head = cmtbone::io::crc32(p, split);
+        ASSERT_EQ(cmtbone::io::crc32(p + split, len - split, head), want)
+            << "offset " << offset << ", length " << len << ", split "
+            << split;
+      }
+    }
+  }
 }
 
 TEST_F(ResilienceTest, V3RoundTripCarriesRankEpochAndLeavesNoTmp) {
   ToyCheckpoint toy = write_toy(dir_);
   std::vector<std::vector<double>> loaded;
-  auto h = cmtbone::io::read_checkpoint(toy.path, &loaded);
+  auto h = cmtbone::io::parse_checkpoint(cmtbone::io::read_file(toy.path),
+                                         toy.path, &loaded);
   EXPECT_EQ(h.version, 3u);
   EXPECT_EQ(h.rank, 3);
   EXPECT_EQ(h.epoch, 12);
@@ -150,7 +191,8 @@ TEST_F(ResilienceTest, PayloadBitFlipThrowsChecksumMismatchWithContext) {
   }
   std::vector<std::vector<double>> fields;
   try {
-    cmtbone::io::read_checkpoint(toy.path, &fields);
+    cmtbone::io::parse_checkpoint(cmtbone::io::read_file(toy.path), toy.path,
+                                  &fields);
     FAIL() << "corrupt payload was accepted";
   } catch (const cmtbone::io::ChecksumMismatch& e) {
     EXPECT_EQ(e.path, toy.path);
@@ -172,7 +214,8 @@ TEST_F(ResilienceTest, TruncationMidHeaderAndMidPayloadAreRejected) {
               std::streamsize(keep));
     out.close();
     std::vector<std::vector<double>> fields;
-    EXPECT_THROW(cmtbone::io::read_checkpoint(path, &fields),
+    EXPECT_THROW(cmtbone::io::parse_checkpoint(cmtbone::io::read_file(path),
+                                               path, &fields),
                  std::runtime_error)
         << "accepted a file truncated to " << keep << " bytes";
   }
@@ -438,6 +481,73 @@ TEST(UnwindSafety, GsSplitPhaseAndOverlapSurviveAbortSweep) {
                          << ordered_gs << " never fired; widen the sweep";
     }
   }
+}
+
+TEST(UnwindSafety, DestroyedFaceExchangeWithdrawsItsReceives) {
+  // Rank 1 destroys a FaceExchange between begin() and finish() after a
+  // local throw; only after that (the barrier) does rank 0 send its planes,
+  // which match the destroyed exchange's receives by (source, tag). The
+  // destructor must have withdrawn those receives, so rank 0's planes stay
+  // queued until rank 1's next exchange receives them. Without the
+  // withdrawal they land in the freed receive buffers (an ASan report) and
+  // rank 1's next exchange ends in DeadlockDetected.
+  //
+  // Periodic 2x1x1 elements on 2 ranks: each rank's one element pairs with
+  // the other rank's on both x faces, so two planes go each way.
+  cmtbone::mesh::BoxSpec spec;
+  spec.n = 3;
+  spec.ex = 2;
+  spec.ey = spec.ez = 1;
+  spec.px = 2;
+  spec.py = spec.pz = 1;
+  cmtbone::comm::run(2, [&](Comm& world) {
+    const auto layout =
+        cmtbone::mesh::ElementLayout::block(spec, world.rank());
+    const int n = spec.n;
+    const std::size_t fpts = std::size_t(n) * n;
+    const std::size_t fsz = cmtbone::mesh::face_array_size(n, layout.nel());
+    // Point p of face f of global element g holds g*1000 + f*100 + p.
+    auto marker = [](long long g, int f, std::size_t p) {
+      return double(g * 1000 + f * 100) + double(p);
+    };
+    std::vector<double> myfaces(fsz), nbrfaces(fsz, -1.0);
+    for (int e = 0; e < layout.nel(); ++e) {
+      for (int f = 0; f < 6; ++f) {
+        for (std::size_t p = 0; p < fpts; ++p) {
+          myfaces[cmtbone::mesh::face_offset(f, e, n) + p] =
+              marker(layout.gid_of(e), f, p);
+        }
+      }
+    }
+    if (world.rank() == 1) {
+      try {
+        cmtbone::mesh::FaceExchange abandoned(world, layout);
+        abandoned.begin(myfaces.data(), nbrfaces.data(), 1);
+        throw std::runtime_error("local failure between begin and finish");
+      } catch (const std::runtime_error&) {
+      }
+      std::fill(nbrfaces.begin(), nbrfaces.end(), -1.0);
+    }
+    world.barrier();
+    // Rank 0 receives the planes the abandoned exchange sent; rank 1
+    // receives rank 0's.
+    cmtbone::mesh::FaceExchange exchange(world, layout);
+    exchange.exchange(myfaces.data(), nbrfaces.data(), 1);
+    for (int e = 0; e < layout.nel(); ++e) {
+      const long long g = layout.gid_of(e);
+      for (int f = 0; f < 6; ++f) {
+        const long long ng = layout.face_neighbor(g, f);
+        for (std::size_t p = 0; p < fpts; ++p) {
+          const double want =
+              ng < 0 ? marker(g, f, p)
+                     : marker(ng, cmtbone::mesh::opposite_face(f), p);
+          ASSERT_EQ(nbrfaces[cmtbone::mesh::face_offset(f, e, n) + p], want)
+              << "rank " << world.rank() << " e=" << e << " f=" << f
+              << " p=" << p;
+        }
+      }
+    }
+  });
 }
 
 // ---- recovery supervisor: bit-identical recovery matrix ---------------------
@@ -712,7 +822,6 @@ TEST_F(ResilienceTest, PruneKeepsNewestIgnoresForeignAndStagingFiles) {
     opt.directory = dir_.string();
     opt.prefix = prefix;
     opt.interval = 0;  // explicit checkpoints only
-    opt.keep_epochs = 2;
     CheckpointCoordinator coord(world, opt);
     EXPECT_EQ(coord.checkpoint_now(driver), 6);
   });
@@ -766,7 +875,6 @@ TEST_F(ResilienceTest, PruneRacingAConcurrentWriterKeepsTheRingRestorable) {
     opt.directory = dir_.string();
     opt.prefix = prefix;
     opt.interval = 1;  // checkpoint + prune at every step, maximal churn
-    opt.keep_epochs = 2;
     CheckpointCoordinator coord(world, opt);
     driver.run(steps, [&](Driver& d) { coord.maybe_checkpoint(d); });
   });

@@ -620,16 +620,13 @@ TEST(CheckpointCompat, ProxyV3FilesRestoreBitIdentically) {
     writer.run(3);
     const std::vector<std::byte> bytes = writer.serialize_checkpoint(7);
 
-    std::vector<std::vector<double>> fields;
-    std::vector<std::int32_t> owner;
     const cmtbone::io::CheckpointHeader header =
-        cmtbone::io::parse_checkpoint(bytes, "mem", &fields, &owner);
+        cmtbone::io::parse_checkpoint(bytes, "mem", nullptr);
     EXPECT_EQ(header.version, 3u);
     EXPECT_EQ(header.nfields, 5);
 
     Driver reader(world, cfg);
-    reader.restore_state(header, std::move(fields),
-                         std::span<const std::int32_t>(owner));
+    reader.restore_checkpoint(bytes, "mem");
     EXPECT_EQ(reader.steps_taken(), writer.steps_taken());
     EXPECT_DOUBLE_EQ(reader.time(), writer.time());
     for (int f = 0; f < writer.nfields(); ++f) {
